@@ -78,14 +78,13 @@ def refine_assignment(
     temp = t0
     best, best_cost = assignment.copy(), cost
     n = node_graph.num_tasks
-    # Scatter plans replay each proposal's two load updates bitwise; a
-    # rejected proposal reuses both plans with negated volumes instead of
-    # recomputing the expansion (the propose/rollback symmetry). When the
-    # all-pairs tables fit, per-pair expansions are additionally cached
-    # across iterations (endpoints recur constantly in a swap walk). The
-    # scalar escape hatch keeps the original per-call path.
+    # Pair plans replay each proposal's two load updates bitwise; a
+    # rejected proposal reuses both plans negated instead of recomputing
+    # the expansion (the propose/rollback symmetry), and the router
+    # caches per-pair expansions across iterations (endpoints recur
+    # constantly in a swap walk). The scalar escape hatch keeps the
+    # reference per-call path.
     use_plans = not router.scalar_fallback
-    pair_mode = use_plans and router.pair_tables_available()
     for _ in range(iterations):
         a, b = int(rng.integers(n)), int(rng.integers(n))
         if a == b:
@@ -93,19 +92,12 @@ def refine_assignment(
             continue
         edges = np.union1d(incident[a], incident[b])
         es, ed, ev = srcs[edges], dsts[edges], vols[edges]
-        if pair_mode:
+        if use_plans:
             plan_old = router.pair_scatter(assignment[es], assignment[ed], ev)
             plan_old.add_into(loads, -1.0)
             assignment[a], assignment[b] = assignment[b], assignment[a]
             plan_new = router.pair_scatter(assignment[es], assignment[ed], ev)
             plan_new.add_into(loads, 1.0)
-        elif use_plans:
-            nev = -ev
-            plan_old = router.scatter_plan(assignment[es], assignment[ed])
-            plan_old.add_into(loads, nev)
-            assignment[a], assignment[b] = assignment[b], assignment[a]
-            plan_new = router.scatter_plan(assignment[es], assignment[ed])
-            plan_new.add_into(loads, ev)
         else:
             nev = -ev
             router.link_loads(assignment[es], assignment[ed], nev, out=loads)
@@ -117,14 +109,10 @@ def refine_assignment(
             cost = new_cost
             if cost < best_cost - 1e-12:
                 best_cost, best = cost, assignment.copy()
-        elif pair_mode:
+        elif use_plans:
             plan_new.add_into(loads, -1.0)
             assignment[a], assignment[b] = assignment[b], assignment[a]
             plan_old.add_into(loads, 1.0)
-        elif use_plans:
-            plan_new.add_into(loads, nev)
-            assignment[a], assignment[b] = assignment[b], assignment[a]
-            plan_old.add_into(loads, ev)
         else:
             router.link_loads(assignment[es], assignment[ed], nev, out=loads)
             assignment[a], assignment[b] = assignment[b], assignment[a]

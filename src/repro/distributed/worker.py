@@ -145,6 +145,11 @@ class FleetWorker:
                      or socket.gethostname())
         self.once = bool(once)
         self._stop = threading.Event()
+        #: Signal number the SIGTERM/SIGINT handler saw. The handler only
+        #: stores it: setting ``_stop`` takes the Event's non-reentrant
+        #: lock, which the main thread may hold inside ``_stop.wait`` when
+        #: the signal lands. The loop notices within one ``poll``.
+        self._signalled: int | None = None
         #: Receipts this worker published (including free cache hits).
         self.published = 0
         #: Jobs this worker actually executed (mapper ran).
@@ -162,7 +167,7 @@ class FleetWorker:
 
     @property
     def stopping(self) -> bool:
-        return self._stop.is_set()
+        return self._signalled is not None or self._stop.is_set()
 
     # -- main loop -----------------------------------------------------------------
     def run(self) -> int:
@@ -176,9 +181,7 @@ class FleetWorker:
         if (self.install_signals
                 and threading.current_thread() is threading.main_thread()):
             def _handler(signum, frame):
-                log.warning("worker %s: signal %d, finishing current job",
-                            self.worker_id, signum)
-                self.stop()
+                self._signalled = signum
 
             for sig in (signal.SIGTERM, signal.SIGINT):
                 try:
@@ -191,7 +194,7 @@ class FleetWorker:
         last_registration = time.monotonic()
         last_work = time.monotonic()
         try:
-            while not self._stop.is_set():
+            while not self.stopping:
                 now = time.monotonic()
                 if now - last_registration >= self.REGISTRATION_INTERVAL:
                     self._refresh_registration(reg_path)
@@ -211,6 +214,9 @@ class FleetWorker:
                     break
                 self._stop.wait(self.poll)
         finally:
+            if self._signalled is not None:
+                log.warning("worker %s: signal %d, stopped after current job",
+                            self.worker_id, self._signalled)
             # Final stats publish *before* deregistering: the snapshot
             # survives the registration and keeps the fleet totals
             # honest after a clean exit, same as after a SIGKILL.
@@ -263,7 +269,7 @@ class FleetWorker:
         """Claim and process at most one job; True when work was done."""
         now = time.time()
         for key in self.board.list_queue():
-            if self._stop.is_set():
+            if self.stopping:
                 return False
             entry = self.board.read_entry(key)
             if entry is None:

@@ -10,8 +10,9 @@ Two load paths share the stencil machinery:
 - the **vectorized CSR path** (default): every cached stencil's entries
   live in one concatenated entry table (``indptr``-sliced, CSR style — the
   same flow x link representation the attribution layer derives); a call
-  expands all flows to table entries at once and performs a *single*
-  ordered ``np.add.at`` scatter. Entry expansion follows exactly the
+  expands all flows to table entries at once, looks each entry's channel
+  slot up in a node-translation table, and performs a *single* ordered
+  ``np.add.at`` scatter. Entry expansion follows exactly the
   (offset-group, flow, entry) order of the scalar path, so per-slot
   accumulation order — and therefore every float in the result — is
   bitwise-identical to the scalar reference.
@@ -41,7 +42,6 @@ from repro.topology.cartesian import CartesianTopology
 __all__ = [
     "Stencil",
     "Router",
-    "ScatterPlan",
     "PairPlan",
     "scalar_routing_requested",
     "clear_stencil_cache",
@@ -102,27 +102,6 @@ class Stencil:
 
 
 @dataclass(frozen=True)
-class ScatterPlan:
-    """Precomputed scatter expansion of one fixed (srcs, dsts) flow set.
-
-    :meth:`add_into` replays the expansion against any volume vector:
-    ``plan.add_into(out, vols)`` is bitwise-identical to
-    ``router.link_loads(srcs, dsts, vols, out=out)`` for the endpoints
-    the plan was built from. Hot loops that re-score the same flow set
-    under several volume signs (the refine pass's propose/rollback
-    pattern) pay the grouping + expansion cost once.
-    """
-
-    slots: np.ndarray     # (T,) channel-slot id per expanded entry
-    fracs: np.ndarray     # (T,) stencil fraction per expanded entry
-    flow_idx: np.ndarray  # (T,) index into the *original* vols array
-
-    def add_into(self, out: np.ndarray, vols: np.ndarray) -> np.ndarray:
-        np.add.at(out, self.slots, vols[self.flow_idx] * self.fracs)
-        return out
-
-
-@dataclass(frozen=True)
 class PairPlan:
     """A scatter with contributions already multiplied in.
 
@@ -172,14 +151,18 @@ class Router(abc.ABC):
         self._table_dirty = True
         self._tab_indptr = np.zeros(1, dtype=np.int64)
         self._tab_offsets = np.empty((0, topology.ndim), dtype=np.int64)
-        self._tab_dims = np.empty(0, dtype=np.int64)
-        self._tab_dirs = np.empty(0, dtype=np.int64)
         self._tab_fracs = np.empty(0, dtype=np.float64)
+        # Per-entry slot-lookup columns (see _entry_slots): the node id of
+        # the entry's offset reduced mod the shape, and 2*dim + dir.
+        self._tab_offnode = np.empty(0, dtype=np.int64)
+        self._tab_dimdir = np.empty(0, dtype=np.int64)
         # Pairwise (src*V + dst) -> offset-key/delta lookup, built lazily
         # for small-enough topologies: hot callers (the refine loop) then
-        # skip per-call delta reduction entirely.
+        # skip per-call delta reduction entirely. ``_translate`` rides
+        # along: (src*V + w) -> first channel slot of node src (+) w.
         self._pair_keys: np.ndarray | None = None
         self._pair_deltas: np.ndarray | None = None
+        self._translate: np.ndarray | None = None
         # Per-pair (slots, fracs) expansions: (src, dst) pairs recur
         # heavily in the refine loop, so their entry streams are cached
         # whole in a pooled CSR (pid -> cache id -> pooled slice) that a
@@ -204,8 +187,8 @@ class Router(abc.ABC):
             [d for d in range(topology.ndim) if topology.wrap[d]],
             dtype=np.int64,
         )
-        self._shape_row = np.asarray(topology.shape, dtype=np.int64)[None, :]
-        self._wrap_extents = self._shape_row[0, self._wrap_dims]
+        self._shape_arr = np.asarray(topology.shape, dtype=np.int64)
+        self._wrap_extents = self._shape_arr[self._wrap_dims]
         self._all_wrap = len(self._wrap_dims) == topology.ndim
         # Bound once: stencil cache traffic is hot-path telemetry.
         registry = get_registry()
@@ -274,9 +257,12 @@ class Router(abc.ABC):
                 [np.atleast_2d(s.offsets).reshape(-1, self.topology.ndim)
                  for s in sts]
             )
-            self._tab_dims = np.concatenate([s.dims for s in sts])
-            self._tab_dirs = np.concatenate([s.dirs for s in sts])
             self._tab_fracs = np.concatenate([s.fracs for s in sts])
+            dims = np.concatenate([s.dims for s in sts])
+            dirs = np.concatenate([s.dirs for s in sts])
+            offsets = self._tab_offsets % self._shape_arr
+            self._tab_offnode = offsets @ self.topology.strides
+            self._tab_dimdir = 2 * dims + dirs
         self._table_dirty = False
 
     def stencil_slots(self, st: Stencil, src_nodes) -> np.ndarray:
@@ -284,16 +270,26 @@ class Router(abc.ABC):
 
         Shared by :meth:`link_loads`, the fluid simulator's usage matrix
         and the attribution engine so the three can never disagree on
-        which channels a flow crosses.
+        which channels a flow crosses. This is the coordinate-formula
+        reference; the vectorized paths' table lookup
+        (:meth:`_entry_slots`) is exact integer arithmetic on the same
+        ids and the property tests hold the two equal.
         """
-        topo = self.topology
         src_nodes = np.asarray(src_nodes, dtype=np.int64)
-        c = topo.coords_array[src_nodes][:, None, :] + st.offsets[None, :, :]
-        for d in range(topo.ndim):
-            if topo.wrap[d]:
-                c[..., d] %= topo.shape[d]
-        nodes = c @ topo.strides
-        return (nodes * topo.ndim + st.dims[None, :]) * 2 + st.dirs[None, :]
+        dimdir = 2 * st.dims + st.dirs
+        return self._coord_slots(src_nodes[:, None], st.offsets[None], dimdir[None])
+
+    def _coord_slots(self, src_nodes, offsets, dimdir) -> np.ndarray:
+        """Slot ids by coordinates: ``node(src + offset)`` with wrapped
+        dimensions reduced mod the shape, times ``2*ndim``, plus
+        ``2*dim + dir``. Broadcasts over leading axes."""
+        topo = self.topology
+        c = topo.coords_array[src_nodes] + offsets
+        if self._all_wrap:
+            c %= self._shape_arr
+        elif len(self._wrap_dims):
+            c[..., self._wrap_dims] %= self._wrap_extents
+        return (c @ topo.strides) * (2 * topo.ndim) + dimdir
 
     def group_flows_by_offset(self, srcs, dsts):
         """Group flow indices by their routing offset.
@@ -345,8 +341,24 @@ class Router(abc.ABC):
         """
         return self._group_sorted(self._keys_for(deltas))
 
+    # The all-pairs tables cost about V^2 * (ndim + 1) int64 words; they
+    # are built only when that stays under this many.
+    _pair_table_limit = 16_000_000
+
+    def pair_tables_available(self) -> bool:
+        """True when the all-pairs tables exist, building them if they fit."""
+        if self._pair_keys is not None:
+            return True
+        topo = self.topology
+        V = topo.num_nodes
+        if V * V * (topo.ndim + 1) > self._pair_table_limit:
+            return False
+        self._build_pair_tables()
+        return True
+
     def _build_pair_tables(self) -> None:
-        """Precompute offset keys and deltas for every (src, dst) pair."""
+        """Precompute offset keys and deltas for every (src, dst) pair,
+        and the node-translation table behind :meth:`_entry_slots`."""
         topo = self.topology
         V = topo.num_nodes
         s = np.repeat(np.arange(V, dtype=np.int64), V)
@@ -355,6 +367,18 @@ class Router(abc.ABC):
         self._pair_deltas = deltas
         self._pair_keys = self._keys_for(deltas)
         self._pair_cid = np.full(V * V, -1, dtype=np.int64)
+        # translate[src*V + w] = first slot of node (coords[src] +
+        # coords[w]) mod shape, built one dimension at a time so no
+        # (V*V, ndim) temporary is needed.
+        coords = topo.coords_array
+        node = np.zeros((V, V), dtype=np.int64)
+        for k in range(topo.ndim):
+            shifted = coords[:, k, None] + coords[None, :, k]
+            shifted %= topo.shape[k]
+            shifted *= topo.strides[k]
+            node += shifted
+        node *= 2 * topo.ndim
+        self._translate = node.ravel()
 
     # -- load computation -----------------------------------------------------------
     def link_loads(self, srcs, dsts, vols, out: np.ndarray | None = None) -> np.ndarray:
@@ -429,12 +453,7 @@ class Router(abc.ABC):
         """
         topo = self.topology
         V = topo.num_nodes
-        if (
-            self._pair_keys is None
-            and V * V * (topo.ndim + 1) <= 16_000_000
-        ):
-            self._build_pair_tables()
-        if self._pair_keys is not None:
+        if self.pair_tables_available():
             pid = srcs * V + dsts
             keys = self._pair_keys[pid]
             deltas = None
@@ -535,17 +554,24 @@ class Router(abc.ABC):
             i0 = i1
 
     def _entry_slots(self, src_nodes: np.ndarray, entries: np.ndarray) -> np.ndarray:
-        """Channel-slot ids for (source node, table entry) pairs."""
-        topo = self.topology
-        c = topo.coords_array[src_nodes] + self._tab_offsets[entries]
-        if self._all_wrap:
-            c %= self._shape_row
-        elif len(self._wrap_dims):
-            c[:, self._wrap_dims] %= self._wrap_extents
-        nodes = c @ topo.strides
-        return (nodes * topo.ndim + self._tab_dims[entries]) * 2 + self._tab_dirs[
-            entries
-        ]
+        """Channel-slot ids for (source node, table entry) pairs.
+
+        With the pair tables built this is two gathers and an add: the
+        entry's channel leaves node ``src (+) offset``, looked up in the
+        translation table by the offset's node id mod the shape. On a
+        wrapped dimension that is the torus sum itself; on a mesh
+        dimension a routed channel's source stays inside the mesh, so
+        ``(x + (o mod k)) mod k == x + o`` there too and the lookup is
+        exact everywhere.
+        """
+        dimdir = self._tab_dimdir[entries]
+        if self._translate is None:
+            return self._coord_slots(src_nodes, self._tab_offsets[entries], dimdir)
+        pos = src_nodes * self.topology.num_nodes
+        pos += self._tab_offnode[entries]
+        slots = self._translate[pos]
+        slots += dimdir
+        return slots
 
     def link_loads_many(
         self,
@@ -606,59 +632,7 @@ class Router(abc.ABC):
             np.add.at(flat_out, rows * S + slots, contrib)
         return out
 
-    def scatter_plan(self, srcs, dsts) -> ScatterPlan:
-        """Precompute the load scatter for a fixed endpoint set.
-
-        The returned :class:`ScatterPlan` replays
-        ``link_loads(srcs, dsts, vols, out=...)`` bitwise for any
-        ``vols`` of the same length (on-node flows contribute nothing
-        and are dropped from the plan).
-        """
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        if srcs.shape != dsts.shape or srcs.ndim != 1:
-            raise RoutingError("srcs and dsts must be equal-length 1-D arrays")
-        keep = np.flatnonzero(srcs != dsts)
-        if len(keep) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return ScatterPlan(empty, np.empty(0), empty.copy())
-        flows_exp, entries_exp = self._expand_entries(srcs[keep], dsts[keep])
-        if len(flows_exp) == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return ScatterPlan(empty, np.empty(0), empty.copy())
-        slots = self._entry_slots(srcs[keep][flows_exp], entries_exp)
-        return ScatterPlan(
-            slots, self._tab_fracs[entries_exp], keep[flows_exp]
-        )
-
-    def pair_tables_available(self) -> bool:
-        """True when the all-pairs key/delta tables exist (or fit)."""
-        if self._pair_keys is not None:
-            return True
-        topo = self.topology
-        V = topo.num_nodes
-        if V * V * (topo.ndim + 1) <= 16_000_000:
-            self._build_pair_tables()
-            return True
-        return False
-
-    def _pair_entry(self, pid: int, src: int) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, fracs) entry stream for one (src, dst) pair."""
-        dkey = tuple(int(x) for x in self._pair_deltas[pid])
-        self.stencil(dkey)
-        self._refresh_table()
-        sid = self._stencil_ids[dkey]
-        i0 = int(self._tab_indptr[sid])
-        i1 = int(self._tab_indptr[sid + 1])
-        if i0 == i1:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        entries = np.arange(i0, i1, dtype=np.int64)
-        slots = self._entry_slots(
-            np.full(i1 - i0, src, dtype=np.int64), entries
-        )
-        return slots, self._tab_fracs[i0:i1].copy()
-
-    def pair_scatter(self, srcs, dsts, vols) -> PairPlan | None:
+    def pair_scatter(self, srcs, dsts, vols) -> PairPlan:
         """Build a :class:`PairPlan` from per-pair cached expansions.
 
         ``plan.add_into(out)`` is bitwise-identical to
@@ -666,85 +640,77 @@ class Router(abc.ABC):
         ``plan.add_into(out, sign=-1)`` to the same call with ``-vols``:
         the flow stream is the identical stable key sort, each pair's
         entry block is the identical stencil slice, and IEEE negation
-        distributes exactly over the products. Returns ``None`` when the
-        all-pairs tables don't fit (callers fall back to
-        :meth:`scatter_plan`).
+        distributes exactly over the products.
 
-        Unlike :meth:`scatter_plan` the per-pair expansions are cached
-        across calls, so hot loops that revisit the same endpoints (the
-        refine pass) skip the grouping/expansion machinery entirely.
+        Per-pair expansions are cached across calls, so hot loops that
+        revisit the same endpoints (the refine pass) skip the
+        grouping/expansion machinery entirely. When the all-pairs tables
+        don't fit, or the cache is full, the plan comes from the uncached
+        expansion, which yields the same stream.
         """
-        if self.scalar_fallback or not self.pair_tables_available():
-            return None
-        topo = self.topology
-        V = topo.num_nodes
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         vols = np.asarray(vols, dtype=np.float64)
         if not (srcs.shape == dsts.shape == vols.shape) or srcs.ndim != 1:
             raise RoutingError("srcs, dsts, vols must be equal-length 1-D arrays")
         keep = np.flatnonzero(srcs != dsts)
-        empty_plan = PairPlan(np.empty(0, dtype=np.int64), np.empty(0))
-        if len(keep) == 0:
-            return empty_plan
-        s = srcs[keep]
-        pid = s * V + dsts[keep]
-        order = np.argsort(self._pair_keys[pid], kind="stable")
-        pid_s = pid[order]
-        cids = self._pair_cid[pid_s]
-        for j in np.flatnonzero(cids < 0):
-            p = int(pid_s[j])
-            c = int(self._pair_cid[p])  # a duplicate pid may be cached now
-            if c < 0 and self._pp_count < self._pair_cache_cap:
-                slots_e, fracs_e = self._pair_entry(p, int(s[order[j]]))
-                c = self._pair_pool_append(slots_e, fracs_e)
-                self._pair_cid[p] = c
-            cids[j] = c
-        if (cids < 0).any():
-            # Cache cap exhausted: same stream via the uncached expansion.
-            vols_k = vols[keep]
-            flows_exp, entries_exp = self._expand_entries(s, dsts[keep])
-            if len(flows_exp) == 0:
-                return empty_plan
-            slots = self._entry_slots(s[flows_exp], entries_exp)
-            return PairPlan(
-                slots, vols_k[flows_exp] * self._tab_fracs[entries_exp]
-            )
-        indptr = self._pp_indptr
-        counts = indptr[cids + 1] - indptr[cids]
-        total = int(counts.sum())
-        self._m_scatter_entries.inc(total)
-        if total == 0:
-            return empty_plan
-        starts = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        idx = np.repeat(indptr[cids], counts) + within
-        contrib = np.repeat(vols[keep[order]], counts) * self._pp_fracs[idx]
-        return PairPlan(self._pp_slots[idx], contrib)
+        s, d, v = srcs[keep], dsts[keep], vols[keep]
+        if len(keep) and self.pair_tables_available():
+            pid = s * self.topology.num_nodes + d
+            order = np.argsort(self._pair_keys[pid], kind="stable")
+            pid = pid[order]
+            cids = self._pair_cid[pid]
+            if (cids < 0).any():
+                self._pair_cache_fill(pid[cids < 0])
+                cids = self._pair_cid[pid]
+            if (cids >= 0).all():
+                indptr = self._pp_indptr
+                counts = indptr[cids + 1] - indptr[cids]
+                total = int(counts.sum())
+                self._m_scatter_entries.inc(total)
+                starts = np.cumsum(counts) - counts
+                shift = np.repeat(indptr[cids] - starts, counts)
+                idx = np.arange(total, dtype=np.int64) + shift
+                contrib = np.repeat(v[order], counts) * self._pp_fracs[idx]
+                return PairPlan(self._pp_slots[idx], contrib)
+        flows_exp, entries_exp = self._expand_entries(s, d)
+        return PairPlan(
+            self._entry_slots(s[flows_exp], entries_exp),
+            v[flows_exp] * self._tab_fracs[entries_exp],
+        )
 
-    def _pair_pool_append(self, slots: np.ndarray, fracs: np.ndarray) -> int:
-        """Append one pair's entry stream to the pooled CSR (amortized O(1))."""
-        n = len(fracs)
+    def _pair_cache_fill(self, pids: np.ndarray) -> None:
+        """Expand uncached (src*V + dst) pairs into the pooled CSR in one
+        vectorized pass, as many as the cache cap leaves room for."""
+        room = max(self._pair_cache_cap - self._pp_count, 0)
+        pids = np.unique(pids)[:room]
+        if len(pids) == 0:
+            return
+        V = self.topology.num_nodes
+        srcs = pids // V
+        order, per_flow, entry_start = self._expansion_parts(srcs, pids % V)
+        flows_exp, entries_exp = self._materialize_expansion(
+            order, per_flow, entry_start
+        )
+        slots = self._entry_slots(srcs[flows_exp], entries_exp)
+        # Each pair's entries are one contiguous run in expansion order,
+        # so appending the stream lays out one CSR row per pair.
         cnt = self._pp_count
         end = int(self._pp_indptr[cnt])
-        need = end + n
+        need = end + len(slots)
         if need > len(self._pp_slots):
             cap = max(1024, 2 * len(self._pp_slots), need)
-            grown = np.empty(cap, dtype=np.int64)
-            grown[:end] = self._pp_slots[:end]
-            self._pp_slots = grown
-            grownf = np.empty(cap, dtype=np.float64)
-            grownf[:end] = self._pp_fracs[:end]
-            self._pp_fracs = grownf
-        if cnt + 2 > len(self._pp_indptr):
-            grown = np.empty(2 * len(self._pp_indptr), dtype=np.int64)
-            grown[: cnt + 1] = self._pp_indptr[: cnt + 1]
-            self._pp_indptr = grown
+            self._pp_slots = _grown(self._pp_slots, end, cap)
+            self._pp_fracs = _grown(self._pp_fracs, end, cap)
+        rows = cnt + len(pids)
+        if rows + 1 > len(self._pp_indptr):
+            cap = max(2 * len(self._pp_indptr), rows + 1)
+            self._pp_indptr = _grown(self._pp_indptr, cnt + 1, cap)
         self._pp_slots[end:need] = slots
-        self._pp_fracs[end:need] = fracs
-        self._pp_indptr[cnt + 1] = need
-        self._pp_count = cnt + 1
-        return cnt
+        self._pp_fracs[end:need] = self._tab_fracs[entries_exp]
+        self._pp_indptr[cnt + 1 : rows + 1] = end + np.cumsum(per_flow)
+        self._pair_cid[pids[order]] = np.arange(cnt, rows, dtype=np.int64)
+        self._pp_count = rows
 
     # -- metrics ---------------------------------------------------------------------
     def max_channel_load(self, srcs, dsts, vols) -> float:
@@ -768,3 +734,10 @@ class Router(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.topology!r})"
+
+
+def _grown(arr: np.ndarray, used: int, cap: int) -> np.ndarray:
+    """A ``cap``-long copy of ``arr`` keeping its first ``used`` items."""
+    out = np.empty(cap, dtype=arr.dtype)
+    out[:used] = arr[:used]
+    return out

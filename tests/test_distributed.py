@@ -17,6 +17,7 @@ import json
 import io
 import os
 import sys
+import signal
 import threading
 import time
 import urllib.error
@@ -191,6 +192,38 @@ def test_worker_free_cache_hit_skips_the_mapper(tmp_path):
     assert published == 1 and worker.executed == 0
     receipt = board.read_receipt(key)
     assert receipt["executed"] is False and receipt["error"] is None
+
+
+def test_signal_handler_returns_while_stop_lock_is_held(tmp_path,
+                                                        monkeypatch):
+    """The SIGTERM handler must not take the stop Event's lock: the
+    signal can land while the main thread holds it inside
+    ``_stop.wait(poll)``, and a handler blocking there never returns."""
+    import repro.distributed.worker as worker_mod
+
+    installed = {}
+    real_signal = worker_mod.signal.signal
+
+    def record(sig, handler):
+        installed.setdefault(sig, handler)
+        return worker_mod.signal.SIG_DFL
+
+    monkeypatch.setattr(worker_mod.signal, "signal", record)
+    worker = FleetWorker(tmp_path, worker_id="sig-w", poll=0.01, once=True)
+    worker.run()
+    monkeypatch.setattr(worker_mod.signal, "signal", real_signal)
+    handler = installed[signal.SIGTERM]
+    assert callable(handler)
+
+    with worker._stop._cond:
+        caller = threading.Thread(
+            target=handler, args=(signal.SIGTERM, None), daemon=True)
+        caller.start()
+        caller.join(timeout=1.0)
+        returned = not caller.is_alive()
+    caller.join(timeout=5.0)
+    assert returned
+    assert worker.stopping
 
 
 def test_heartbeat_stall_injection_goes_quiet(tmp_path):

@@ -269,13 +269,21 @@ def test_engine_poison_job_writes_postmortem_and_doctor_lists_it(
 def test_engine_drain_persists_pending_queue(tmp_path):
     cache = tmp_path / "cache"
     engine = MappingEngine(cache_dir=str(cache), jobs=2)
-    timer = threading.Timer(
-        0.3, lambda: os.kill(os.getpid(), signal.SIGTERM))
-    timer.start()
-    try:
-        outcomes = engine.run([_job(i) for i in range(8)])
-    finally:
-        timer.cancel()
+    # SIGTERM on the first job completion: the pool holds at most
+    # workers + 1 calls, so at least four of the eight jobs are still
+    # queued and must drain, however fast the mapper runs.
+    forward = engine.executor.on_event
+    fired = []
+
+    def on_event(event, info):
+        forward(event, info)
+        if event == "finished" and not fired:
+            fired.append(info["index"])
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    engine.executor.on_event = on_event
+    outcomes = engine.run([_job(i) for i in range(8)])
+    assert fired
     drained = [o for o in outcomes if o.drained]
     assert drained
     assert engine.stats.drained == len(drained)

@@ -4,8 +4,9 @@ The vectorized CSR routing path, the batched orientation transform, the
 pair-delta scatter plans and the chunked expansion are all *defined* as
 bitwise-identical reorderings-free rewrites of the scalar reference
 loops. These tests pin that contract on mixed-radix tori up to the
-paper's 4x4x4x4x2 BG/Q shape: every comparison is ``==`` on float64
-arrays, never ``allclose``.
+paper's 4x4x4x4x2 BG/Q shape, and on meshes and mixed-wrap shapes
+with arity-1 and arity-2 dimensions: every comparison is ``==`` on
+float64 arrays, never ``allclose``.
 """
 
 import numpy as np
@@ -27,6 +28,19 @@ ROUTERS = [
     ("dor", DimensionOrderRouter),
     ("valiant", ValiantRouter),
 ]
+
+# Meshes and mixed-wrap shapes, including partition-local shapes with
+# arity-1 and arity-2 dimensions. The slot lookup reduces every stencil
+# offset mod the shape, which is exact on a mesh dimension only because
+# routed channels never leave the mesh; these shapes pin that.
+MESH_SHAPES = [
+    ((4, 4), False),
+    ((3, 5, 2), (True, False, True)),
+    ((4, 4, 4, 1), (True, True, True, False)),
+    ((2, 4, 2), (False, True, False)),
+    ((4, 4, 4, 2), (True, False, True, False)),
+]
+MESH_ROUTERS = ROUTERS[:2]  # Valiant is defined on tori only
 
 
 def flows_for(topo, n, seed):
@@ -94,14 +108,109 @@ def test_chunked_expansion_is_bitwise_invariant(chunk):
     assert np.array_equal(out_a, out_b)
 
 
-def test_scatter_plan_replays_link_loads_bitwise():
+def test_pair_scatter_without_pair_tables_replays_link_loads_bitwise():
+    """With the all-pairs tables over their size limit, pair_scatter
+    falls back to the uncached expansion (and the coordinate slot
+    formula) and still replays link_loads bit for bit."""
     topo = CartesianTopology((4, 4, 4), wrap=True)
     router = MinimalAdaptiveRouter(topo)
+    router._pair_table_limit = 0
     srcs, dsts, vols = flows_for(topo, 200, seed=3)
-    plan = router.scatter_plan(srcs, dsts)
+    plan = router.pair_scatter(srcs, dsts, vols)
+    assert not router.pair_tables_available() and router._translate is None
     out = np.zeros(topo.num_channel_slots)
-    plan.add_into(out, vols)
+    plan.add_into(out)
     assert np.array_equal(out, router.link_loads(srcs, dsts, vols))
+    assert np.array_equal(
+        out,
+        MinimalAdaptiveRouter(topo, scalar_fallback=True).link_loads(
+            srcs, dsts, vols
+        ),
+    )
+
+
+def _shape_ids(cases):
+    return [f"{shape}-{wrap}" for shape, wrap in cases]
+
+
+@pytest.mark.parametrize("tables", [True, False], ids=["lookup", "coords"])
+@pytest.mark.parametrize("shape,wrap", MESH_SHAPES, ids=_shape_ids(MESH_SHAPES))
+@pytest.mark.parametrize("name,cls", MESH_ROUTERS,
+                         ids=[r[0] for r in MESH_ROUTERS])
+def test_mesh_kernels_bitwise_equal_scalar(shape, wrap, name, cls, tables):
+    """link_loads, every row of link_loads_many and pair_scatter equal
+    the scalar reference on meshes and mixed-wrap shapes, with the
+    translation-table lookup and with the coordinate formula."""
+    clear_stencil_cache()
+    topo = CartesianTopology(shape, wrap=wrap)
+    fast = cls(topo)
+    if not tables:
+        fast._pair_table_limit = 0
+    slow = cls(topo, scalar_fallback=True)
+    srcs, dsts, vols = flows_for(topo, 300, seed=hash((shape, name)) % 2**31)
+    reference = slow.link_loads(srcs, dsts, vols)
+    assert np.array_equal(fast.link_loads(srcs, dsts, vols), reference)
+    assert (fast._translate is not None) == tables
+
+    B, m = 4, 75
+    bs, bd = srcs.reshape(B, m), dsts.reshape(B, m)
+    out = np.zeros((B, topo.num_channel_slots))
+    fast.link_loads_many(bs, bd, vols[:m], out)
+    for b in range(B):
+        assert np.array_equal(out[b], slow.link_loads(bs[b], bd[b], vols[:m]))
+
+    for _ in range(2):  # first call fills the pair cache, second reads it
+        plan = fast.pair_scatter(srcs, dsts, vols)
+        got = np.zeros(topo.num_channel_slots)
+        plan.add_into(got)
+        assert np.array_equal(got, reference)
+
+
+def test_pair_scatter_duplicate_pairs_in_one_batch():
+    """A batch naming the same (src, dst) pair several times caches it
+    once and replays every copy in the scalar order."""
+    topo = CartesianTopology((4, 4, 2), wrap=(True, True, False))
+    router = MinimalAdaptiveRouter(topo)
+    slow = MinimalAdaptiveRouter(topo, scalar_fallback=True)
+    rng = np.random.default_rng(21)
+    base_s = rng.integers(0, topo.num_nodes, size=10)
+    base_d = rng.integers(0, topo.num_nodes, size=10)
+    pick = rng.integers(0, 10, size=90)
+    srcs, dsts = base_s[pick], base_d[pick]
+    vols = rng.random(90) * 1e3
+    plan = router.pair_scatter(srcs, dsts, vols)
+    got = np.zeros(topo.num_channel_slots)
+    plan.add_into(got)
+    assert np.array_equal(got, slow.link_loads(srcs, dsts, vols))
+    distinct = len({(int(s), int(d)) for s, d in zip(base_s, base_d) if s != d})
+    assert router._pp_count == distinct
+
+
+def test_pair_scatter_cache_cap_runs_out_mid_fill():
+    """When the per-pair cache fills partway through a batched fill, the
+    pairs that fit are cached, the call falls back to the uncached
+    expansion, and later calls keep matching the scalar reference."""
+    topo = CartesianTopology((4, 4, 4), wrap=True)
+    router = MinimalAdaptiveRouter(topo)
+    router._pair_cache_cap = 25
+    slow = MinimalAdaptiveRouter(topo, scalar_fallback=True)
+    for seed in (31, 32, 33):
+        srcs, dsts, vols = flows_for(topo, 40, seed=seed)
+        plan = router.pair_scatter(srcs, dsts, vols)
+        got = np.zeros(topo.num_channel_slots)
+        plan.add_into(got)
+        assert np.array_equal(got, slow.link_loads(srcs, dsts, vols))
+        assert router._pp_count == 25
+    cached = np.flatnonzero(router._pair_cid >= 0)
+    assert len(cached) == 25
+    # A batch of cached pairs only is served from the pool.
+    pairs = cached[:10]
+    srcs, dsts = pairs // topo.num_nodes, pairs % topo.num_nodes
+    vols = np.arange(1.0, 11.0)
+    plan = router.pair_scatter(srcs, dsts, vols)
+    got = np.zeros(topo.num_channel_slots)
+    plan.add_into(got)
+    assert np.array_equal(got, slow.link_loads(srcs, dsts, vols))
 
 
 def test_pair_scatter_propose_rollback_is_exact():
