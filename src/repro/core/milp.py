@@ -137,7 +137,6 @@ def solve_cluster_milp(
     mip_rel_gap: float | None = None,
     enforce_minimal: bool = True,
     fix_first: bool = True,
-    warm_assignment: np.ndarray | None = None,
 ) -> MILPResult:
     """Solve the Table II MILP: place ``graph``'s clusters on ``cube``.
 
@@ -157,12 +156,6 @@ def solve_cluster_milp(
     fix_first:
         Pin the heaviest cluster to vertex 0 — valid symmetry breaking on
         vertex-transitive cubes, cuts solve time substantially.
-    warm_assignment:
-        Optional injective placement to warm-start from (e.g. the previous
-        hierarchy level's solution to a congruent subproblem). Its
-        LP-routed MCL is a valid incumbent objective, so ``z`` is bounded
-        above by it — pruning the branch-and-bound tree without ever
-        cutting off the optimum. Ignored if it is not a valid placement.
     """
     A = graph.num_tasks
     V = cube.num_nodes
@@ -234,23 +227,6 @@ def solve_cluster_milp(
             np.r_[srcs, dsts], weights=np.r_[vols, vols], minlength=A
         )))
         model.add_constraint(g[heaviest][0] == 1, name="symbreak")
-    warm_mcl = None
-    if warm_assignment is not None:
-        warm = np.asarray(warm_assignment, dtype=np.int64)
-        if (
-            warm.shape == (A,)
-            and len(np.unique(warm)) == A
-            and warm.min() >= 0
-            and warm.max() < V
-        ):
-            # The warm placement with optimal minimal routing is feasible,
-            # so its objective is a true upper bound on z. The slack term
-            # absorbs solver tolerance so the incumbent itself is never
-            # excluded numerically.
-            warm_mcl = solve_routing_lp(cube, warm[srcs], warm[dsts], vols)
-            model.add_constraint(
-                z <= warm_mcl * (1.0 + 1e-7) + 1e-9, name="warmbound"
-            )
     model.set_objective(z, sense="min")
 
     registry = get_registry()
@@ -284,7 +260,6 @@ def solve_cluster_milp(
         solve_seconds=sol.solve_seconds,
         num_vars=model.num_vars,
         num_constraints=model.num_constraints,
-        extras={} if warm_mcl is None else {"warm_mcl": float(warm_mcl)},
     )
 
 

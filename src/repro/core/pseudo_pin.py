@@ -74,7 +74,6 @@ def pseudo_pin(
     enforce_minimal: bool = True,
     fix_first: bool = True,
     use_milp: bool = True,
-    warm_start: bool = False,
     budget=None,
     degradation=None,
 ) -> PinResult:
@@ -83,13 +82,6 @@ def pseudo_pin(
     Parameters mirror :func:`repro.core.milp.solve_cluster_milp`;
     ``use_milp=False`` swaps in the greedy placer (ablation of the paper's
     optimal-leaf-solve design decision).
-
-    ``warm_start=True`` seeds each MILP with the previously solved
-    congruent subproblem's placement (the previous level's solution, or
-    an earlier sibling's): its LP-routed MCL upper-bounds ``z`` and
-    prunes the branch-and-bound tree. The bound never excludes the
-    optimum, but it can change *which* optimal incumbent the solver
-    reports, so it defaults off to keep results bitwise-stable.
 
     ``budget`` (a :class:`~repro.resilience.Budget`) turns on the
     degradation ladder: each MILP's ``time_limit`` shrinks to an even
@@ -113,9 +105,6 @@ def pseudo_pin(
         q: np.zeros(1, dtype=np.int64)
     }
     cache: dict[tuple, np.ndarray] = {}
-    # Last solved placement per cube geometry, used as the warm seed for
-    # the next congruent subproblem (typically the previous level's).
-    warm_seeds: dict[tuple, np.ndarray] = {}
     stats: list[MILPResult] = []
     cache_hits = 0
 
@@ -168,15 +157,12 @@ def pseudo_pin(
                         limit = time_limit
                         if budget is not None:
                             limit = budget.solver_slice(time_limit, parts=level)
-                        geo = (cube.shape, cube.wrap, branching)
-                        seed = warm_seeds.get(geo) if warm_start else None
                         try:
                             res = solve_cluster_milp(
                                 cube, local,
                                 time_limit=limit, mip_rel_gap=mip_rel_gap,
                                 enforce_minimal=enforce_minimal,
                                 fix_first=fix_first,
-                                warm_assignment=seed,
                             )
                         except SolverError as exc:
                             mode, reason = "greedy", "solver-error"
@@ -192,8 +178,6 @@ def pseudo_pin(
                         else:
                             assignment = res.assignment
                             stats.append(res)
-                            if warm_start:
-                                warm_seeds[geo] = assignment
                     if mode == "greedy":
                         assignment, mcl = greedy_assignment(cube, local)
                         stats.append(MILPResult(

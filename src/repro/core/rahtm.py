@@ -67,11 +67,6 @@ class RAHTMConfig:
         Phase-2 solver budget per subproblem.
     use_milp:
         ``False`` swaps phase 2's MILP for the greedy placer (ablation).
-    milp_warm_start:
-        Seed each phase-2 MILP with the previously solved congruent
-        subproblem's placement (its LP-routed MCL upper-bounds ``z``).
-        Never worsens the optimum but may change which optimal incumbent
-        the solver reports, so it defaults off for bitwise stability.
     enforce_minimal:
         Emit the C3 minimal-routing constraints (paper notes they may be
         omitted; ablation knob).
@@ -101,7 +96,6 @@ class RAHTMConfig:
     milp_time_limit: float | None = 60.0
     milp_rel_gap: float | None = None
     use_milp: bool = True
-    milp_warm_start: bool = False
     enforce_minimal: bool = True
     fix_first: bool = True
     routing: str = "mar"
@@ -307,7 +301,6 @@ class RAHTMMapper:
                     enforce_minimal=self.config.enforce_minimal,
                     fix_first=self.config.fix_first,
                     use_milp=self.config.use_milp,
-                    warm_start=self.config.milp_warm_start,
                     budget=budget, degradation=self.degradation,
                 )
             cluster_to_node = pin.cluster_to_node

@@ -12,13 +12,16 @@ The coordinator's poll loop is the **reaper**: per posted job it watches
 for a receipt (done), a store hit (done elsewhere), or a claim whose
 heartbeat mtime has gone quiet past its lease — in which case the claim
 is reclaimed with the DirectoryLock rename-aside discipline and the
-entry requeued with jittered backoff and a bounded reclaim count.
-``poison_threshold`` consecutive lease deaths quarantine the spec as a
-poison job (the engine's existing ``"poisoned"`` event handler writes
-the quarantine report), mirroring the process-pool supervision ladder.
+entry requeued with jittered backoff. ``poison_threshold`` lease deaths
+quarantine the spec as a poison job (the engine's existing
+``"poisoned"`` event handler writes the quarantine report). Outcomes,
+events and drain go through the same
+:class:`~repro.service.supervision.BatchLedger` and
+:class:`~repro.service.supervision.Supervised` plumbing as the process
+pool. A failed receipt is final: the fleet does not retry it.
 
-Stragglers past ``speculation_seconds`` (or a fraction of the job
-timeout) get one speculative re-execution slot; the receipt's O_EXCL
+Stragglers past ``speculation_seconds`` (or ``SPECULATION_FRACTION`` of
+the job timeout) get one speculative re-execution slot; the receipt's O_EXCL
 publish is the first-commit-wins arbiter, and because results land in
 the content-addressed store first, losing the race costs a duplicate
 *solve* only when the original never committed.
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import os
 import socket
-import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -41,15 +43,30 @@ from repro.errors import ConfigError
 from repro.distributed.board import BOARD_SCHEMA_VERSION, JobBoard
 from repro.observability.metrics import get_registry
 from repro.resilience import faultinject
-from repro.service.executor import JobOutcome
 from repro.service.jobs import JobRuntime, MappingJob
 from repro.service.store import ResultStore
-from repro.service.supervision import full_jitter_delay
+from repro.service.supervision import (
+    BatchLedger,
+    JobOutcome,
+    Supervised,
+    full_jitter_delay,
+)
 from repro.utils.logconf import get_logger
 
 __all__ = ["DistributedConfig", "DistributedExecutor"]
 
 log = get_logger("distributed.coordinator")
+
+#: Full-jitter backoff cap base (seconds) of a reclaimed job's
+#: ``not_before`` requeue window.
+RECLAIM_BACKOFF = 0.25
+#: Times a vanished board entry is reposted before its job fails.
+MAX_REPOSTS = 3
+#: Share of ``timeout`` a healthy claim may run before it is speculated
+#: on, when ``speculation_seconds`` is unset.
+SPECULATION_FRACTION = 0.75
+#: Board poll interval (seconds) of spawned workers.
+WORKER_POLL = 0.05
 
 
 @dataclass(frozen=True)
@@ -71,11 +88,6 @@ class DistributedConfig:
     poison_threshold:
         Lease deaths attributable to one job before it is quarantined
         as poison instead of requeued (mirrors the process-pool ladder).
-    reclaim_backoff:
-        Full-jitter backoff cap base applied to a reclaimed job's
-        ``not_before`` requeue window.
-    max_reposts:
-        Times a vanished queue entry is reposted before the job fails.
     spawn_workers:
         Local worker subprocesses the coordinator launches and
         supervises (0 = external workers only, e.g. ``repro worker``
@@ -89,7 +101,7 @@ class DistributedConfig:
         worker registrations, claims, stats, and poison reports. The
         coordinator publishes the host list to ``board/hosts.json`` so
         the doctor can flag registrations from unknown hosts.
-    worker_poll / worker_idle_exit:
+    worker_idle_exit:
         Passed to spawned workers; idle-exit keeps abandoned fleets
         from running forever.
     worker_python:
@@ -101,7 +113,7 @@ class DistributedConfig:
         whole-batch semantics.
     speculation_seconds:
         Age of a healthy claim before a speculative re-execution slot
-        opens (None = derive from ``timeout`` x ``speculation_fraction``;
+        opens (None = derive from ``timeout`` x ``SPECULATION_FRACTION``;
         both None disables speculation).
     cleanup:
         Remove queue entries and receipts for completed jobs whose
@@ -117,16 +129,12 @@ class DistributedConfig:
     poll: float = 0.05
     timeout: float | None = None
     poison_threshold: int = 2
-    reclaim_backoff: float = 0.25
-    max_reposts: int = 3
     spawn_workers: int = 0
     hosts: tuple = ()
-    worker_poll: float = 0.05
     worker_idle_exit: float | None = 300.0
     worker_python: str = "python3"
     max_worker_respawns: int = 8
     speculation_seconds: float | None = None
-    speculation_fraction: float = 0.75
     cleanup: bool = True
     worker_env: tuple = ()
 
@@ -139,10 +147,6 @@ class DistributedConfig:
             raise ConfigError("timeout must be > 0 (or None)")
         if self.poison_threshold < 1:
             raise ConfigError("poison_threshold must be >= 1")
-        if self.reclaim_backoff < 0:
-            raise ConfigError("reclaim_backoff must be >= 0")
-        if self.max_reposts < 0:
-            raise ConfigError("max_reposts must be >= 0")
         if self.spawn_workers < 0:
             raise ConfigError("spawn_workers must be >= 0")
         if self.max_worker_respawns < 0:
@@ -150,8 +154,6 @@ class DistributedConfig:
         if (self.speculation_seconds is not None
                 and self.speculation_seconds <= 0):
             raise ConfigError("speculation_seconds must be > 0 (or None)")
-        if not (0.0 < self.speculation_fraction):
-            raise ConfigError("speculation_fraction must be > 0")
         object.__setattr__(
             self, "worker_env",
             tuple(sorted((str(k), str(v))
@@ -170,7 +172,7 @@ class DistributedConfig:
         if self.speculation_seconds is not None:
             return self.speculation_seconds
         if self.timeout is not None:
-            return self.timeout * self.speculation_fraction
+            return self.timeout * SPECULATION_FRACTION
         return None
 
 
@@ -208,7 +210,7 @@ class _HostState:
         self.respawns = 0
 
 
-class DistributedExecutor:
+class DistributedExecutor(Supervised):
     """Shard mapping batches across fleet workers via the shared board.
 
     Drop-in for :class:`~repro.service.executor.BatchExecutor` from the
@@ -217,6 +219,8 @@ class DistributedExecutor:
     :meth:`snapshot` for health endpoints.
     """
 
+    drain_counter = "fleet.drains"
+
     def __init__(self, store: ResultStore,
                  config: DistributedConfig | None = None, on_event=None):
         if store is None:
@@ -224,33 +228,17 @@ class DistributedExecutor:
                 "the distributed backend requires a result store (a cache "
                 "directory): the store is the coordination substrate"
             )
+        super().__init__(on_event)
         self.store = store
         self.config = config or DistributedConfig()
-        self.on_event = on_event
         self.board = JobBoard.under_cache(store.root)
         #: Batch runtime, assigned by the engine before each ``run``.
         self.runtime: JobRuntime | None = None
-        self._drain = threading.Event()
         self._host_states: list[_HostState] | None = None
 
-    # -- drain / events ------------------------------------------------------------
-    @property
-    def draining(self) -> bool:
-        return self._drain.is_set()
-
-    def request_drain(self, reason: str = "drain requested") -> None:
-        if self._drain.is_set():
-            return
-        log.warning("draining fleet coordinator: %s", reason)
-        get_registry().counter("fleet.drains").inc()
-        self._drain.set()
-        self._emit("drain_requested", reason=reason)
+    def _on_drain(self) -> None:
         for handle in self._handles:
             handle.terminate()
-
-    def _emit(self, event: str, **info) -> None:
-        if self.on_event is not None:
-            self.on_event(event, info)
 
     # -- spawned-worker supervision --------------------------------------------------
     @property
@@ -285,7 +273,7 @@ class DistributedExecutor:
         self._host_states = [
             _HostState(spec, build_spawner(
                 spec, self.store.root,
-                poll=cfg.worker_poll,
+                poll=WORKER_POLL,
                 idle_exit=cfg.worker_idle_exit,
                 env=dict(cfg.worker_env),
                 python=cfg.worker_python,
@@ -340,12 +328,10 @@ class DistributedExecutor:
         :class:`MappingJob`\\ s.
         """
         del fn
-        items = list(items)
+        ledger = BatchLedger(items, self._emit, self.config.poison_threshold)
+        items = ledger.items
         cfg = self.config
         registry = get_registry()
-        outcomes: list[JobOutcome | None] = [None] * len(items)
-        for i, item in enumerate(items):
-            self._emit("queued", index=i, item=item)
 
         runtime_doc = None
         if self.runtime is not None and self.runtime.active:
@@ -363,13 +349,10 @@ class DistributedExecutor:
                 # Content-addressed file workloads cannot be rebuilt on
                 # another host from the payload alone; fail fast rather
                 # than posting a job no worker can run.
-                error = ("file-backed workload specs cannot run on the "
-                         "distributed backend (content digest only, not "
-                         "reconstructible worker-side); use the local "
-                         "backend")
-                outcomes[i] = JobOutcome(i, job, None, error, 0, 0.0)
-                self._emit("finished", index=i, item=job, attempts=0,
-                           wall_seconds=0.0, error=error, timed_out=False)
+                ledger.finish(i, None, "file-backed workload specs cannot "
+                              "run on the distributed backend (content "
+                              "digest only, not reconstructible "
+                              "worker-side); use the local backend")
                 registry.counter("fleet.failed").inc()
                 continue
             key_indices.setdefault(job.cache_key(), []).append(i)
@@ -418,8 +401,7 @@ class DistributedExecutor:
             for key in sorted(pending):
                 outcome_info = self._poll_key(key, state[key], items)
                 if outcome_info is not None:
-                    self._settle(key, state[key], items, outcomes,
-                                 outcome_info)
+                    self._settle(ledger, key, state[key], outcome_info)
                     pending.discard(key)
             registry.gauge("fleet.board_depth").set(len(pending))
             registry.gauge("fleet.workers_alive").set(
@@ -434,7 +416,7 @@ class DistributedExecutor:
                 log.error("%s", error)
                 for key in sorted(pending):
                     registry.counter("fleet.failed").inc()
-                    self._settle(key, state[key], items, outcomes,
+                    self._settle(ledger, key, state[key],
                                  {"payload": None, "error": error})
                 pending.clear()
                 break
@@ -442,9 +424,9 @@ class DistributedExecutor:
                 time.sleep(cfg.poll)
 
         if pending:
-            self._drain_pending(pending, state, items, outcomes)
+            self._drain_pending(ledger, pending, state)
         registry.gauge("fleet.board_depth").set(0)
-        return outcomes  # type: ignore[return-value]
+        return ledger.outcomes  # type: ignore[return-value]
 
     def _fleet_dead(self, pending: set) -> bool:
         """True when nobody is left who could ever run the pending work.
@@ -542,7 +524,7 @@ class DistributedExecutor:
         # sweep may have removed it before any worker ran it).
         if self.board.read_entry(key) is None:
             st.reposts += 1
-            if st.reposts > cfg.max_reposts:
+            if st.reposts > MAX_REPOSTS:
                 return {
                     "payload": None,
                     "error": (f"job board entry for {key[:12]} vanished "
@@ -626,7 +608,7 @@ class DistributedExecutor:
         entry = self.board.read_entry(key) or dict(st.entry)
         entry["reclaims"] = st.reclaims
         entry["not_before"] = time.time() + full_jitter_delay(
-            cfg.reclaim_backoff, st.reclaims, key)
+            RECLAIM_BACKOFF, st.reclaims, key)
         entry["speculate"] = False
         self.board.rewrite_entry(key, entry)
         st.entry = entry
@@ -682,22 +664,15 @@ class DistributedExecutor:
                 "worker": receipt.get("worker")}
 
     # -- settling outcomes -----------------------------------------------------------
-    def _settle(self, key: str, st: _KeyState, items: list,
-                outcomes: list, info: dict) -> None:
-        attempts = 1 + st.reclaims
+    def _settle(self, ledger: BatchLedger, key: str, st: _KeyState,
+                info: dict) -> None:
         wall = time.perf_counter() - st.t0
         error = info.get("error")
         for index in st.indices:
-            outcomes[index] = JobOutcome(
-                index, items[index],
-                info.get("payload"), error, attempts, wall,
-                timed_out=bool(info.get("timed_out")),
-                poisoned=bool(info.get("poisoned")),
-            )
-            self._emit("finished", index=index, item=items[index],
-                       attempts=attempts, wall_seconds=wall, error=error,
-                       timed_out=bool(info.get("timed_out")),
-                       poisoned=bool(info.get("poisoned")))
+            ledger.finish(index, info.get("payload"), error,
+                          attempts=1 + st.reclaims, wall_seconds=wall,
+                          timed_out=bool(info.get("timed_out")),
+                          poisoned=bool(info.get("poisoned")))
         if self.config.cleanup and error is None and key in self.store:
             # The store is the durable record; the entry and receipt are
             # scaffolding. Degraded results (never cached) keep their
@@ -705,8 +680,8 @@ class DistributedExecutor:
             self.board.remove_entry(key)
             self.board.remove_receipt(key)
 
-    def _drain_pending(self, pending: set, state: dict, items: list,
-                       outcomes: list) -> None:
+    def _drain_pending(self, ledger: BatchLedger, pending: set,
+                       state: dict) -> None:
         for key in sorted(pending):
             st = state[key]
             claim, age = self.board.claim_info(key)
@@ -715,17 +690,12 @@ class DistributedExecutor:
                 # doesn't leak work nobody is waiting on. Claimed jobs
                 # stay — their workers will still commit to the store.
                 self.board.remove_entry(key)
-            error = ("drained: fleet batch shut down before this job "
-                     "completed")
             wall = time.perf_counter() - st.t0
             for index in st.indices:
-                outcomes[index] = JobOutcome(
-                    index, items[index], None, error, st.reclaims, wall,
-                    drained=True,
-                )
-                self._emit("finished", index=index, item=items[index],
-                           attempts=st.reclaims, wall_seconds=wall,
-                           error=error, timed_out=False, drained=True)
+                ledger.finish(index, None, "drained: fleet batch shut down "
+                              "before this job completed",
+                              attempts=st.reclaims, wall_seconds=wall,
+                              drained=True)
 
     # -- introspection ---------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -43,7 +43,7 @@ from repro.utils.logconf import get_logger
 __all__ = [
     "WorkerHandle", "RemoteWorkerHandle", "SubprocessSpawner",
     "SshSpawner", "SlurmSpawner", "HostSpec", "build_spawner",
-    "PID_MARKER",
+    "PID_MARKER", "worker_argv",
 ]
 
 log = get_logger("distributed.spawn")
@@ -152,6 +152,21 @@ class RemoteWorkerHandle(WorkerHandle):
                 return None
 
 
+def worker_argv(python: str, cache_dir: str, poll: float,
+                idle_exit: float | None, worker_id: str | None,
+                host_label: str | None) -> list[str]:
+    """The ``repro worker`` command line every spawner launches."""
+    argv = [python, "-m", "repro.cli", "worker", cache_dir,
+            "--poll", f"{poll:.6g}"]
+    if idle_exit is not None:
+        argv += ["--idle-exit", f"{float(idle_exit):.6g}"]
+    if worker_id:
+        argv += ["--id", worker_id]
+    if host_label:
+        argv += ["--host-label", host_label]
+    return argv
+
+
 def _prepare_env(extra: dict) -> dict:
     env = dict(os.environ)
     env.update(extra)
@@ -203,15 +218,8 @@ class SubprocessSpawner:
         self.host_label = host_label
 
     def command(self, worker_id: str | None = None) -> list[str]:
-        cmd = [sys.executable, "-m", "repro.cli", "worker",
-               str(self.cache_dir), "--poll", f"{self.poll:.6g}"]
-        if self.idle_exit is not None:
-            cmd += ["--idle-exit", f"{float(self.idle_exit):.6g}"]
-        if worker_id:
-            cmd += ["--id", worker_id]
-        if self.host_label:
-            cmd += ["--host-label", self.host_label]
-        return cmd
+        return worker_argv(sys.executable, str(self.cache_dir), self.poll,
+                           self.idle_exit, worker_id, self.host_label)
 
     def spawn(self, worker_id: str | None = None) -> WorkerHandle:
         label = worker_id or f"spawn-{os.getpid()}-{next(_spawn_seq)}"
@@ -250,14 +258,8 @@ class SshSpawner:
 
     def remote_command(self, worker_id: str | None = None) -> list[str]:
         """The worker argv as it runs on the remote host."""
-        remote = [self.python, "-m", "repro.cli", "worker", self.cache_dir,
-                  "--poll", f"{self.poll:.6g}"]
-        if self.idle_exit is not None:
-            remote += ["--idle-exit", f"{float(self.idle_exit):.6g}"]
-        if worker_id:
-            remote += ["--id", worker_id]
-        remote += ["--host-label", self.host]
-        return remote
+        return worker_argv(self.python, self.cache_dir, self.poll,
+                           self.idle_exit, worker_id, self.host)
 
     def command(self, worker_id: str | None = None) -> list[str]:
         return ["ssh", *self.ssh_options, self.host,
@@ -308,13 +310,9 @@ class SlurmSpawner:
         self.env = dict(env or {})
 
     def remote_command(self, worker_id: str | None = None) -> list[str]:
-        remote = [self.python, "-m", "repro.cli", "worker", self.cache_dir,
-                  "--poll", f"{self.poll:.6g}"]
-        if self.idle_exit is not None:
-            remote += ["--idle-exit", f"{float(self.idle_exit):.6g}"]
-        if worker_id:
-            remote += ["--id", worker_id]
-        return remote
+        # No host label: the worker's own gethostname() names the node.
+        return worker_argv(self.python, self.cache_dir, self.poll,
+                           self.idle_exit, worker_id, None)
 
     def command(self, worker_id: str | None = None) -> list[str]:
         cmd = ["srun", "--nodes=1", "--ntasks=1", "--unbuffered"]

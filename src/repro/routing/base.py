@@ -17,10 +17,8 @@ Two load paths share the stencil machinery:
   accumulation order — and therefore every float in the result — is
   bitwise-identical to the scalar reference.
 - the **scalar reference path**: the original one-scatter-per-offset-group
-  loop, retained as the correctness oracle for the property tests and as
-  an escape hatch (``REPRO_SCALAR_ROUTING=1`` in the environment, or
-  ``Router(..., scalar_fallback=True)``) for environments where the
-  batched numpy path misbehaves.
+  loop, retained as the correctness oracle for the property tests
+  (``Router(..., scalar_fallback=True)``).
 
 :meth:`Router.link_loads_many` scores many candidate flow sets (e.g. all
 orientations of a merge-phase block) in one batched scatter — the merge
@@ -30,7 +28,6 @@ hot path — again bitwise-identical to per-candidate calls.
 from __future__ import annotations
 
 import abc
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +40,8 @@ __all__ = [
     "Stencil",
     "Router",
     "PairPlan",
-    "scalar_routing_requested",
     "clear_stencil_cache",
 ]
-
-
-def scalar_routing_requested() -> bool:
-    """True when the environment forces the scalar reference path."""
-    return os.environ.get("REPRO_SCALAR_ROUTING", "").strip() not in ("", "0")
 
 
 # Process-wide stencil memo. Stencils are pure functions of (router type
@@ -130,19 +121,17 @@ class Router(abc.ABC):
         Target topology.
     scalar_fallback:
         ``True`` forces the scalar reference implementation of
-        :meth:`link_loads`; ``None`` (default) consults the
-        ``REPRO_SCALAR_ROUTING`` environment variable.
+        :meth:`link_loads` (the oracle the vectorized paths are tested
+        against).
     """
 
     name: str = "router"
 
     def __init__(
-        self, topology: CartesianTopology, scalar_fallback: bool | None = None
+        self, topology: CartesianTopology, scalar_fallback: bool = False
     ):
         self.topology = topology
         self._stencils: dict[tuple[int, ...], Stencil] = {}
-        if scalar_fallback is None:
-            scalar_fallback = scalar_routing_requested()
         self.scalar_fallback = bool(scalar_fallback)
         # CSR stencil table: per-key ids into concatenated entry arrays,
         # rebuilt lazily whenever a new offset's stencil lands in the cache.

@@ -38,7 +38,7 @@ class DimensionOrderRouter(Router):
 
     name = "dimension-order"
 
-    def __init__(self, topology, dim_order=None, scalar_fallback=None):
+    def __init__(self, topology, dim_order=None, scalar_fallback=False):
         super().__init__(topology, scalar_fallback=scalar_fallback)
         if dim_order is None:
             dim_order = tuple(range(topology.ndim))

@@ -38,7 +38,7 @@ class ValiantRouter(Router):
 
     name = "valiant"
 
-    def __init__(self, topology, scalar_fallback=None):
+    def __init__(self, topology, scalar_fallback=False):
         if not all(topology.wrap):
             raise RoutingError(
                 "ValiantRouter requires a fully-wrapped torus (loads on a "

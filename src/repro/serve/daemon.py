@@ -277,7 +277,6 @@ class MappingDaemon:
                 cache_dir=config.cache_dir,
                 executor_config=ExecutorConfig(
                     jobs=config.jobs, timeout=config.job_timeout,
-                    drain_on_signals=False,
                 ),
             )
         self.queue = FairQueue(

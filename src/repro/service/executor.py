@@ -3,8 +3,9 @@
 The executor is deliberately generic: it runs ``fn(item)`` for a list of
 picklable items with
 
-- a configurable worker count (``jobs=1`` falls back to in-process
-  serial execution — no pool, no pickling, easy debugging);
+- a configurable worker count (``jobs=1`` and one-item batches run
+  in this process through a one-slot stand-in pool — no pickling, easy
+  debugging — and go through the same dispatch loop as pooled batches);
 - a per-job wall-clock timeout, enforced *inside* the worker via
   ``SIGALRM`` so a hung job is cancelled without poisoning the pool
   (on platforms without ``SIGALRM`` the timeout is best-effort off);
@@ -16,7 +17,9 @@ picklable items with
   harvested;
 - **worker-death supervision**: a hard death (segfault, OOM-kill,
   ``os._exit``) breaks the whole pool and loses every in-flight future.
-  The pool is rebuilt and the lost jobs are re-run *one at a time*
+  At most one job per worker is ever in flight, so the death is charged
+  only to jobs that were running, never to ones still queued. The pool
+  is rebuilt and the lost jobs are re-run *one at a time*
   (probe mode) so the next crash is attributable to exactly one job. A
   job that kills its worker ``poison_threshold`` times (default 2) is a
   **poison job**: it is failed with a ``poisoned`` outcome and announced
@@ -28,11 +31,14 @@ picklable items with
   ``circuit_cooldown`` seconds pass; then a single half-open rebuild
   probe is admitted, and its success closes the circuit. The breaker
   persists across batches on the executor instance;
-- **graceful drain** on SIGTERM/SIGINT (and via
-  :meth:`BatchExecutor.request_drain`): dispatch stops, queued futures
-  are cancelled, in-flight jobs are harvested, and unfinished items are
+- **graceful drain** on SIGTERM/SIGINT (main thread only) and via
+  :meth:`BatchExecutor.request_drain`: dispatch stops, so queued jobs
+  never start, in-flight jobs are harvested, and unfinished items are
   reported with ``drained`` outcomes so the engine can persist the
   pending queue for a warm resume.
+
+Outcomes and events are settled through the shared
+:class:`~repro.service.supervision.BatchLedger`.
 """
 
 from __future__ import annotations
@@ -43,19 +49,23 @@ import time
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
-    CancelledError,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from repro.errors import ConfigError, JobTimeoutError
 from repro.observability.metrics import get_registry
 from repro.resilience import faultinject
 from repro.service.supervision import (
+    BatchLedger,
     CircuitBreaker,
+    JobOutcome,
+    Supervised,
     full_jitter_delay,
     jitter_token,
 )
@@ -73,7 +83,7 @@ class ExecutorConfig:
     Attributes
     ----------
     jobs:
-        Worker processes; ``1`` executes serially in-process.
+        Worker processes; ``1`` executes in this process.
     timeout:
         Per-attempt wall-clock budget in seconds (None = unlimited).
     retries:
@@ -94,9 +104,6 @@ class ExecutorConfig:
     circuit_cooldown:
         Seconds the breaker stays open before admitting a half-open
         rebuild probe.
-    drain_on_signals:
-        Install SIGTERM/SIGINT handlers for the duration of a pooled
-        ``run()`` that trigger a graceful drain (main thread only).
     """
 
     jobs: int = 1
@@ -107,7 +114,6 @@ class ExecutorConfig:
     poison_threshold: int = 2
     circuit_threshold: int = 3
     circuit_cooldown: float = 30.0
-    drain_on_signals: bool = True
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -124,25 +130,6 @@ class ExecutorConfig:
             raise ConfigError("circuit_threshold must be >= 1")
         if self.circuit_cooldown < 0:
             raise ConfigError("circuit_cooldown must be >= 0")
-
-
-@dataclass
-class JobOutcome:
-    """What happened to one item of a batch."""
-
-    index: int
-    item: object
-    result: object | None
-    error: str | None
-    attempts: int
-    wall_seconds: float
-    timed_out: bool = False
-    poisoned: bool = False
-    drained: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 @contextmanager
@@ -186,17 +173,33 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-class BatchExecutor:
+class _InlinePool:
+    """A one-slot pool that runs each call here, at submit time."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False):
+        pass
+
+
+class BatchExecutor(Supervised):
     """Run a batch of ``fn(item)`` calls per :class:`ExecutorConfig`.
 
     ``on_event(event, info)`` (optional) receives ``"queued"``,
     ``"started"`` (once per attempt), ``"finished"``, ``"pool_rebuild"``,
-    ``"poisoned"``, ``"circuit_open"`` and ``"drained"`` telemetry.
+    ``"poisoned"``, ``"circuit_open"`` and ``"drain_requested"``
+    telemetry.
     """
 
     def __init__(self, config: ExecutorConfig | None = None, on_event=None):
+        super().__init__(on_event)
         self.config = config or ExecutorConfig()
-        self.on_event = on_event
         #: Times a broken process pool was rebuilt (reset per batch).
         self.pool_rebuilds = 0
         #: Breaker over pool breaks; persists across batches.
@@ -204,31 +207,11 @@ class BatchExecutor:
             threshold=self.config.circuit_threshold,
             cooldown=self.config.circuit_cooldown,
         )
-        self._drain = threading.Event()
-
-    # -- drain ---------------------------------------------------------------------
-    @property
-    def draining(self) -> bool:
-        return self._drain.is_set()
-
-    def request_drain(self, reason: str = "drain requested") -> None:
-        """Stop dispatching; harvest in-flight work and return early.
-
-        Sticky across batches: a draining executor (a process told to
-        shut down) fails further dispatch fast until the process exits.
-        """
-        if not self._drain.is_set():
-            log.warning("draining batch executor: %s", reason)
-            get_registry().counter("executor.drains").inc()
-            self._drain.set()
-            self._emit("drain_requested", reason=reason)
 
     @contextmanager
     def _drain_signals(self):
         """SIGTERM/SIGINT trigger a graceful drain while a batch runs."""
-        usable = (self.config.drain_on_signals
-                  and threading.current_thread() is threading.main_thread())
-        if not usable:
+        if threading.current_thread() is not threading.main_thread():
             yield
             return
         previous = {}
@@ -247,10 +230,6 @@ class BatchExecutor:
             for sig, prev in previous.items():
                 signal.signal(sig, prev)
 
-    def _emit(self, event: str, **info) -> None:
-        if self.on_event is not None:
-            self.on_event(event, info)
-
     def _backoff_delay(self, item, attempt: int) -> float:
         if not self.config.jitter:
             return self.config.backoff * 2 ** (attempt - 1)
@@ -259,156 +238,62 @@ class BatchExecutor:
 
     def run(self, fn, items) -> list[JobOutcome]:
         """Execute every item; outcomes are positionally aligned to items."""
-        items = list(items)
-        for i in range(len(items)):
-            self._emit("queued", index=i, item=items[i])
-        with self._drain_signals():
-            if self.config.jobs == 1 or len(items) <= 1:
-                return [self._run_serial(fn, i, item)
-                        for i, item in enumerate(items)]
-            return self._run_pool(fn, items)
-
-    # -- serial fallback -----------------------------------------------------------
-    def _run_serial(self, fn, index: int, item) -> JobOutcome:
-        start = time.perf_counter()
-        attempt = 0
-        if self._drain.is_set():
-            outcome = JobOutcome(index, item, None,
-                                 "drained: batch shut down before this job "
-                                 "started", 0, 0.0, drained=True)
-            self._emit("finished", index=index, item=item, attempts=0,
-                       wall_seconds=0.0, error=outcome.error,
-                       timed_out=False, drained=True)
-            return outcome
-        while True:
-            attempt += 1
-            self._emit("started", index=index, item=item, attempt=attempt)
-            try:
-                result = _invoke(fn, item, self.config.timeout)
-            except JobTimeoutError as exc:
-                get_registry().counter("executor.timeouts").inc()
-                outcome = JobOutcome(index, item, None, _describe(exc),
-                                     attempt, time.perf_counter() - start,
-                                     timed_out=True)
-                break
-            except Exception as exc:
-                if attempt <= self.config.retries and not self._drain.is_set():
-                    get_registry().counter("executor.retries").inc()
-                    log.warning("job %d attempt %d failed (%s); retrying",
-                                index, attempt, _describe(exc))
-                    time.sleep(self._backoff_delay(item, attempt))
-                    continue
-                outcome = JobOutcome(index, item, None, _describe(exc),
-                                     attempt, time.perf_counter() - start)
-                break
-            else:
-                outcome = JobOutcome(index, item, result, None, attempt,
-                                     time.perf_counter() - start)
-                break
-        self._emit("finished", index=index, item=item, attempts=outcome.attempts,
-                   wall_seconds=outcome.wall_seconds, error=outcome.error,
-                   timed_out=outcome.timed_out)
-        return outcome
-
-    # -- pooled path ---------------------------------------------------------------
-    def _run_pool(self, fn, items: list) -> list[JobOutcome]:
-        registry = get_registry()
-        if self.breaker.state == CircuitBreaker.HALF_OPEN:
-            # A previous batch's probe never resolved (its work all
-            # finished through other paths); this batch is the probe.
-            pass
-        elif not self.breaker.allow():
+        ledger = BatchLedger(items, self._emit, self.config.poison_threshold)
+        pooled = self.config.jobs > 1 and len(ledger.items) > 1
+        if (pooled and self.breaker.state != CircuitBreaker.HALF_OPEN
+                and not self.breaker.allow()):
             # Opened by a previous batch and still cooling down: refuse
             # to build a pool at all rather than feed a sick substrate.
-            error = ("circuit breaker open after repeated worker crashes; "
-                     "refusing to dispatch until the cooldown "
-                     f"({self.config.circuit_cooldown:.3g}s) elapses")
-            return [JobOutcome(i, item, None, error, 0, 0.0)
-                    for i, item in enumerate(items)]
-        outcomes: list[JobOutcome | None] = [None] * len(items)
-        starts = [0.0] * len(items)
-        workers = min(self.config.jobs, len(items))
+            # (Half-open: a previous batch's probe never resolved, so
+            # this batch is the probe.)
+            ledger.finish_rest(
+                "circuit breaker open after repeated worker crashes; "
+                "refusing to dispatch until the cooldown "
+                f"({self.config.circuit_cooldown:.3g}s) elapses")
+            return ledger.outcomes  # type: ignore[return-value]
+        with self._drain_signals():
+            self._dispatch(fn, ledger, pooled)
+        return ledger.outcomes  # type: ignore[return-value]
+
+    def _dispatch(self, fn, ledger: BatchLedger, pooled: bool) -> None:
+        """Feed the pool from a queue, one job per worker in flight."""
+        registry = get_registry()
+        items = ledger.items
+        workers = min(self.config.jobs, len(items)) if pooled else 1
+        make_pool = (partial(ProcessPoolExecutor, max_workers=workers)
+                     if pooled else _InlinePool)
         self.pool_rebuilds = 0
-        pool = ProcessPoolExecutor(max_workers=workers)
-        pending: dict = {}                       # future -> (index, attempt)
-        retries: list[tuple[float, int, int]] = []  # (due, index, attempt)
-        suspects: deque[tuple[int, int]] = deque()  # (index, attempt) probes
-        deaths: dict[int, int] = {}              # index -> worker deaths
+        queue = deque(range(len(items)))  # never started
+        suspects: deque[int] = deque()    # lost to a pool break: probes
+        retries: list[tuple[float, int]] = []  # (due, index), sorted
+        pending: dict[Future, int] = {}   # in flight
+        pool = make_pool()
 
-        def submit(index: int, attempt: int) -> None:
-            if attempt == 1:
-                starts[index] = time.perf_counter()
-            self._emit("started", index=index, item=items[index],
-                       attempt=attempt)
-            future = pool.submit(_invoke, fn, items[index],
-                                 self.config.timeout)
-            pending[future] = (index, attempt)
-
-        def finish(index: int, attempt: int, result, error,
-                   timed_out: bool = False, poisoned: bool = False,
-                   drained: bool = False) -> None:
-            if outcomes[index] is not None:
+        def submit(index: int) -> None:
+            ledger.start(index)
+            try:
+                future = pool.submit(_invoke, fn, items[index],
+                                     self.config.timeout)
+            except BrokenProcessPool as exc:
+                # A worker died before this job reached the pool: it is
+                # re-run with the lost in-flight jobs but charged no death.
+                suspects.append(index)
+                on_pool_break(exc)
                 return
-            outcomes[index] = JobOutcome(
-                index, items[index], result, error, attempt,
-                time.perf_counter() - starts[index], timed_out=timed_out,
-                poisoned=poisoned, drained=drained,
-            )
-            self._emit("finished", index=index, item=items[index],
-                       attempts=attempt,
-                       wall_seconds=outcomes[index].wall_seconds,
-                       error=error, timed_out=timed_out, poisoned=poisoned,
-                       drained=drained)
+            pending[future] = index
 
-        def reschedule(index: int, attempt: int, exc: BaseException) -> None:
+        def reschedule(index: int, exc: BaseException) -> None:
             """Park a retry on the due-time queue, or fail the job."""
+            attempt = ledger.attempts[index]
             if attempt <= self.config.retries:
                 registry.counter("executor.retries").inc()
                 delay = self._backoff_delay(items[index], attempt)
                 log.warning("job %d attempt %d failed (%s); retry in %.3fs",
                             index, attempt, _describe(exc), delay)
-                retries.append((time.perf_counter() + delay, index,
-                                attempt + 1))
+                retries.append((time.perf_counter() + delay, index))
+                retries.sort()
             else:
-                finish(index, attempt, None, _describe(exc))
-
-        def poison(index: int, attempt: int, exc: BaseException) -> None:
-            registry.counter("executor.poison_jobs").inc()
-            error = (f"poison job: worker died {deaths[index]} time(s) "
-                     f"running it (last: {_describe(exc)}); quarantined")
-            log.error("job %d is poison (%d worker deaths); quarantining",
-                      index, deaths[index])
-            self._emit("poisoned", index=index, item=items[index],
-                       deaths=deaths[index], error=_describe(exc))
-            finish(index, attempt, None, error, poisoned=True)
-
-        def fail_unfinished(error: str) -> None:
-            """Fail everything still queued (suspects + parked retries)."""
-            while suspects:
-                index, attempt = suspects.popleft()
-                finish(index, max(attempt - 1, 1), None, error)
-            for _, index, attempt in retries:
-                finish(index, max(attempt - 1, 1), None, error)
-            retries.clear()
-
-        def drain_queued() -> None:
-            """Cancel not-yet-started futures and abandon queued work."""
-            for future, (index, attempt) in list(pending.items()):
-                if future.cancel():
-                    del pending[future]
-                    finish(index, max(attempt - 1, 0), None,
-                           "drained: cancelled before the job started",
-                           drained=True)
-            while suspects:
-                index, attempt = suspects.popleft()
-                finish(index, max(attempt - 1, 1), None,
-                       "drained: crash probe abandoned during shutdown",
-                       drained=True)
-            for _, index, attempt in retries:
-                finish(index, max(attempt - 1, 1), None,
-                       "drained: retry abandoned during shutdown",
-                       drained=True)
-            retries.clear()
+                ledger.finish(index, None, _describe(exc))
 
         def on_pool_break(exc: BrokenProcessPool) -> None:
             """A worker died hard, taking the pool and every in-flight
@@ -416,12 +301,11 @@ class BatchExecutor:
             rebuild — if the circuit breaker still lets us."""
             nonlocal pool
             registry.counter("executor.worker_deaths").inc()
-            for index, attempt in pending.values():
-                deaths[index] = deaths.get(index, 0) + 1
-                if deaths[index] >= self.config.poison_threshold:
-                    poison(index, attempt, exc)
+            for index in pending.values():
+                if ledger.charge_death(index, _describe(exc)):
+                    registry.counter("executor.poison_jobs").inc()
                 else:
-                    suspects.append((index, attempt + 1))
+                    suspects.append(index)
             pending.clear()
             pool.shutdown(wait=False)
             if self.breaker.record_failure():
@@ -431,14 +315,16 @@ class BatchExecutor:
                 self._emit("circuit_open",
                            failures=self.breaker.consecutive_failures,
                            error=_describe(exc))
-            if not (suspects or retries):
+            if not (queue or suspects or retries):
                 return  # every job already has an outcome; nothing to run
             if not self.breaker.allow():
-                fail_unfinished(
+                queue.clear()
+                suspects.clear()
+                retries.clear()
+                ledger.finish_rest(
                     f"circuit breaker open after repeated worker crashes "
                     f"(last: {_describe(exc)}); cooling down "
-                    f"{self.config.circuit_cooldown:.3g}s"
-                )
+                    f"{self.config.circuit_cooldown:.3g}s")
                 return
             self.pool_rebuilds += 1
             registry.counter("executor.pool_rebuilds").inc()
@@ -446,92 +332,75 @@ class BatchExecutor:
                         _describe(exc), self.pool_rebuilds)
             self._emit("pool_rebuild", rebuilds=self.pool_rebuilds,
                        error=_describe(exc))
-            pool = ProcessPoolExecutor(max_workers=workers)
+            pool = make_pool()
 
         try:
-            for i in range(len(items)):
-                submit(i, 1)
-            while pending or retries or suspects:
-                if self._drain.is_set():
-                    drain_queued()
+            while pending or queue or suspects or retries:
+                if self.draining:
+                    # Nothing new starts; in-flight jobs are harvested.
+                    queue.clear()
+                    suspects.clear()
+                    retries.clear()
                     if not pending:
                         break
-                now = time.perf_counter()
-                due = [r for r in retries if r[0] <= now]
-                retries = [r for r in retries if r[0] > now]
-                if suspects:
+                elif suspects:
                     # Probe mode: exactly one suspect in flight at a
                     # time, so the next pool break is attributable to
-                    # one job. Due retries are parked until it ends.
-                    if not pending and not self._drain.is_set():
-                        index, attempt = suspects.popleft()
-                        submit(index, attempt)
-                    for _, index, attempt in due:
-                        retries.append((now, index, attempt))
-                elif not self._drain.is_set():
-                    for _, index, attempt in due:
-                        submit(index, attempt)
+                    # one job. Retries and the queue wait until it ends.
+                    if not pending:
+                        submit(suspects.popleft())
+                else:
+                    now = time.perf_counter()
+                    while len(pending) < workers and not suspects:
+                        if retries and retries[0][0] <= now:
+                            submit(retries.pop(0)[1])
+                        elif queue:
+                            submit(queue.popleft())
+                        else:
+                            break
                 if not pending:
-                    if retries and not suspects:
-                        # Only future-dated retries left; sleep until the
-                        # earliest one (nothing else can make progress).
-                        time.sleep(max(0.0, min(r[0] for r in retries)
+                    # Only future-dated retries left (or a submit just
+                    # broke the pool): sleep until the earliest retry if
+                    # nothing else can make progress.
+                    if retries and not (queue or suspects):
+                        time.sleep(max(0.0, retries[0][0]
                                        - time.perf_counter()))
                     continue
-                # Harvest completions, but wake for the next retry
-                # due-time instead of blocking on the slowest in-flight
-                # job. In probe mode retries are parked, so just block
-                # on the probe.
-                wake = (max(0.0, min(r[0] for r in retries) - now)
-                        if retries and not suspects else None)
+                # Harvest completions, but with a free slot wake for the
+                # next retry due-time instead of blocking on the slowest
+                # in-flight job. With every slot busy, or in probe mode
+                # (retries parked), block until something completes.
+                wake = (max(0.0, retries[0][0] - time.perf_counter())
+                        if retries and not suspects and len(pending) < workers
+                        else None)
                 done, _ = wait(set(pending), timeout=wake,
                                return_when=FIRST_COMPLETED)
                 broken: BrokenProcessPool | None = None
                 for future in done:
-                    entry = pending.get(future)
-                    if entry is None:
-                        continue
-                    index, attempt = entry
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool as exc:
-                        # Leave it in pending: on_pool_break attributes
-                        # the death for every lost in-flight future.
+                    exc = future.exception()
+                    if isinstance(exc, BrokenProcessPool):
+                        # Left in pending: on_pool_break charges the
+                        # death to every lost in-flight job.
                         broken = exc
                         continue
-                    except CancelledError:
-                        del pending[future]
-                        finish(index, max(attempt - 1, 0), None,
-                               "drained: cancelled before the job started",
-                               drained=True)
-                        continue
-                    except JobTimeoutError as exc:
-                        # The worker survived (it raised, cleanly), so the
-                        # substrate is healthy even though the job is not.
-                        del pending[future]
-                        deaths.pop(index, None)
+                    index = pending.pop(future)
+                    # The worker survived (it returned or raised cleanly),
+                    # so the substrate is healthy even if the job is not.
+                    ledger.survived(index)
+                    if pooled:
                         self.breaker.record_success()
+                    if exc is None:
+                        ledger.finish(index, future.result())
+                    elif isinstance(exc, JobTimeoutError):
                         registry.counter("executor.timeouts").inc()
-                        finish(index, attempt, None, _describe(exc),
-                               timed_out=True)
-                        continue
-                    except Exception as exc:
-                        del pending[future]
-                        deaths.pop(index, None)
-                        self.breaker.record_success()
-                        reschedule(index, attempt, exc)
-                        continue
-                    del pending[future]
-                    deaths.pop(index, None)
-                    self.breaker.record_success()
-                    finish(index, attempt, result, None)
+                        ledger.finish(index, None, _describe(exc),
+                                      timed_out=True)
+                    else:
+                        reschedule(index, exc)
                 if broken is not None:
                     on_pool_break(broken)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-        for i, item in enumerate(items):
-            if outcomes[i] is None:  # pragma: no cover - defensive
-                outcomes[i] = JobOutcome(i, item, None,
-                                         "internal: job never completed",
-                                         0, 0.0)
-        return outcomes  # type: ignore[return-value]
+        # Only a drain leaves items unsettled once the loop ends.
+        ledger.finish_rest("drained: batch shut down before this job "
+                           "completed", drained=True)

@@ -9,9 +9,12 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.service.executor as executor_mod
 from repro.service import (
     BatchExecutor,
     CircuitBreaker,
@@ -163,6 +166,83 @@ def test_circuit_opens_under_repeated_pool_breaks_and_fails_fast():
     assert all(o.attempts == 0 for o in refused)
 
 
+def _die_or_sleep(item):
+    kind, value = item
+    if kind == "die":
+        os._exit(17)
+    time.sleep(0.3)
+    return value * 2
+
+
+def test_pool_break_charges_only_jobs_in_flight():
+    """Jobs still queued when a worker dies were never run; a death must
+    not be charged to them, so with ``poison_threshold=1`` they succeed."""
+    config = ExecutorConfig(jobs=2, retries=0, backoff=0.0,
+                            poison_threshold=1, circuit_threshold=50)
+    events = []
+    executor = BatchExecutor(
+        config, on_event=lambda e, info: events.append((e, info)))
+    items = [("die", 0)] + [("ok", i) for i in range(1, 7)]
+    outcomes = executor.run(_die_or_sleep, items)
+    assert outcomes[0].poisoned
+    poisoned = [o.index for o in outcomes if o.poisoned]
+    assert len(poisoned) <= 2  # the killer plus at most its one sibling
+    for o in outcomes[2:]:
+        assert o.ok, o.error
+        assert o.result == o.item[1] * 2
+    assert [info["index"] for e, info in events
+            if e == "poisoned"] == poisoned
+
+
+def test_submit_to_an_already_broken_pool_charges_no_death(monkeypatch):
+    """A worker can die between two submits of the lazy feed; the job
+    whose submit bounces never ran, so it is re-run uncharged."""
+    pools = []
+
+    class FlakyPool:
+        def __init__(self, max_workers):
+            self.first = not pools
+            self.submits = 0
+            pools.append(self)
+
+        def submit(self, fn, *args):
+            self.submits += 1
+            future = Future()
+            if self.first and self.submits == 1:
+                future.set_exception(BrokenProcessPool("worker died"))
+            elif self.first:
+                raise BrokenProcessPool("pool already broken")
+            else:
+                future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", FlakyPool)
+    executor = BatchExecutor(ExecutorConfig(jobs=2, poison_threshold=1))
+    outcomes = executor.run(_die_or_double, [("ok", 1), ("ok", 2)])
+    assert outcomes[0].poisoned  # in flight when the pool broke
+    assert outcomes[1].ok and outcomes[1].result == 4
+    assert executor.pool_rebuilds == 1
+
+
+def test_refused_batch_finishes_every_item():
+    config = ExecutorConfig(jobs=2, retries=0, backoff=0.0,
+                            poison_threshold=100, circuit_threshold=1,
+                            circuit_cooldown=60.0)
+    executor = BatchExecutor(config)
+    executor.run(_die_or_double, [("die", 0), ("ok", 1)])
+    assert executor.breaker.state == CircuitBreaker.OPEN
+    events = []
+    executor.on_event = lambda e, info: events.append((e, info["index"]))
+    refused = executor.run(_die_or_double, [("ok", 2), ("ok", 3),
+                                            ("ok", 4)])
+    assert all("circuit breaker open" in o.error for o in refused)
+    assert sorted(i for e, i in events if e == "queued") == [0, 1, 2]
+    assert sorted(i for e, i in events if e == "finished") == [0, 1, 2]
+
+
 def test_circuit_recovers_through_half_open_probe():
     config = ExecutorConfig(jobs=2, retries=2, backoff=0.0,
                             poison_threshold=1, circuit_threshold=1,
@@ -199,8 +279,21 @@ def test_serial_drain_skips_unstarted_jobs():
     assert all(o.drained and not o.ok for o in outcomes[1:])
 
 
+def test_draining_executor_starts_nothing_in_a_new_batch():
+    events = []
+    executor = BatchExecutor(
+        ExecutorConfig(jobs=2),
+        on_event=lambda e, info: events.append(e))
+    executor.request_drain("shutting down")
+    outcomes = executor.run(_slow_double, list(range(6)))
+    assert all(o.drained and not o.ok for o in outcomes)
+    assert all(o.attempts == 0 for o in outcomes)
+    assert "started" not in events
+    assert events.count("finished") == 6
+
+
 def test_pooled_drain_on_sigterm_harvests_in_flight(tmp_path):
-    executor = BatchExecutor(ExecutorConfig(jobs=2, drain_on_signals=True))
+    executor = BatchExecutor(ExecutorConfig(jobs=2))
     timer = threading.Timer(
         0.1, lambda: os.kill(os.getpid(), signal.SIGTERM))
     timer.start()

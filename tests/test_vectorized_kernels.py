@@ -12,12 +12,10 @@ float64 arrays, never ``allclose``.
 import numpy as np
 import pytest
 
-from repro.commgraph import CommGraph
 from repro.core.merge import MergeBlock, MergeConfig, _MergeEngine
-from repro.core.milp import solve_cluster_milp
 from repro.core.orientation import all_orientations, apply_batch
 from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
-from repro.routing.base import clear_stencil_cache, scalar_routing_requested
+from repro.routing.base import clear_stencil_cache
 from repro.routing.valiant import ValiantRouter
 from repro.topology import CartesianTopology
 
@@ -235,23 +233,6 @@ def test_pair_scatter_propose_rollback_is_exact():
     assert np.array_equal(undone, reference)
 
 
-def test_scalar_escape_hatch_env(monkeypatch):
-    """``REPRO_SCALAR_ROUTING=1`` flips new routers to the scalar
-    reference path — and the results still agree bitwise."""
-    topo = CartesianTopology((4, 2), wrap=True)
-    vec = MinimalAdaptiveRouter(topo)
-    monkeypatch.setenv("REPRO_SCALAR_ROUTING", "1")
-    assert scalar_routing_requested()
-    scal = MinimalAdaptiveRouter(topo)
-    assert scal.scalar_fallback and not vec.scalar_fallback
-    srcs, dsts, vols = flows_for(topo, 60, seed=9)
-    assert np.array_equal(
-        vec.link_loads(srcs, dsts, vols), scal.link_loads(srcs, dsts, vols)
-    )
-    monkeypatch.setenv("REPRO_SCALAR_ROUTING", "0")
-    assert not scalar_routing_requested()
-
-
 @pytest.mark.parametrize("ndim,shape", [(2, (4, 4)), (3, (2, 2, 2))])
 def test_apply_batch_bitwise_equals_per_orientation_apply(ndim, shape):
     orients = all_orientations(ndim)
@@ -290,43 +271,6 @@ def test_pair_mcl_batch_bitwise_equals_solo_pair_mcl():
     batch = engine.pair_mcl_batch(0, 0, 1, 1, pairs)
     solo = np.array([engine.pair_mcl(0, 0, o1, 1, 1, o2) for o1, o2 in pairs])
     assert np.array_equal(batch, solo)
-
-
-def test_milp_warm_start_preserves_optimum():
-    """The warm-start upper bound is a feasible incumbent's objective, so
-    it can never cut off the optimum: warm and cold solves agree."""
-    cube = CartesianTopology((2, 2, 2), wrap=False)
-    rng = np.random.default_rng(4)
-    edges = [
-        (int(s), int(d), float(v))
-        for s, d, v in zip(
-            rng.integers(0, 8, size=20),
-            rng.integers(0, 8, size=20),
-            rng.random(20) * 10 + 1,
-        )
-        if s != d
-    ]
-    local = CommGraph.from_edges(8, edges)
-    cold = solve_cluster_milp(cube, local, time_limit=30.0)
-    seed = np.arange(8, dtype=np.int64)[::-1].copy()
-    warm = solve_cluster_milp(cube, local, time_limit=30.0,
-                              warm_assignment=seed)
-    assert cold.optimal and warm.optimal
-    # Same optimum up to the solver's MIP tolerance; the bound may still
-    # change which optimal incumbent HiGHS reports (why warm start is
-    # opt-in for bitwise-gated runs).
-    assert warm.mcl == pytest.approx(cold.mcl, rel=1e-5)
-    assert "warm_mcl" in (warm.extras or {})
-
-
-def test_warm_start_ignores_invalid_seed():
-    cube = CartesianTopology((2, 2), wrap=False)
-    local = CommGraph.from_edges(4, [(0, 1, 5.0), (2, 3, 2.0)])
-    bad = np.zeros(4, dtype=np.int64)  # non-injective: silently unused
-    res = solve_cluster_milp(cube, local, time_limit=10.0,
-                             warm_assignment=bad)
-    assert res.optimal
-    assert "warm_mcl" not in (res.extras or {})
 
 
 def test_stencil_memo_shared_across_router_instances():
