@@ -28,7 +28,11 @@ writes one JSON document::
     }
 
 Timings take the *minimum* over ``--repeat`` runs, the standard
-noise-suppression trick for wall-clock benchmarks. The ``hotspot`` key
+noise-suppression trick for wall-clock benchmarks. Every cell's MCL is
+also recomputed from its mapping by the plain per-offset loop of
+``repro.routing.reference`` (an oracle independent of the optimized
+routing kernels); the snapshot exits non-zero, naming the cell, unless
+the two agree exactly. The ``hotspot`` key
 (the netview top-1 link per cell) is optional and deterministic: the
 compare gate uses it to *explain* MCL drift when it happens. Committed
 baselines form a trajectory — ``BENCH_PR3.json``, ``BENCH_PR4.json``, …
@@ -58,13 +62,16 @@ def run_grid(scale_name: str, explain: dict | None = None) -> dict:
     ``explain`` (optional dict) collects each cell's compact netview
     summary — the full attribution picture behind the snapshot, written
     separately via ``--explain-out`` so the committed baseline stays
-    small.
+    small. Raises ``SystemExit`` naming the cell when the reference
+    oracle's MCL differs from the reported one.
     """
     from repro.experiments.config import get_scale
     from repro.experiments.runner import (
         benchmark_workload_specs,
         default_mapper_configs,
     )
+    from repro.routing.minimal_adaptive import MinimalAdaptiveRouter
+    from repro.routing.reference import reference_link_loads
     from repro.service.engine import MappingEngine
     from repro.service.jobs import (
         JobRuntime,
@@ -81,8 +88,10 @@ def run_grid(scale_name: str, explain: dict | None = None) -> dict:
     # The netview flag attributes each cell's MCL to its hottest link so
     # the compare gate can explain drift, not just detect it.
     engine = MappingEngine(cache_dir=None, runtime=JobRuntime(netview=True))
+    oracle = MinimalAdaptiveRouter(topo_spec.build())
     for bench, workload in benchmark_workload_specs(scale).items():
         cells[bench] = {}
+        graph = WorkloadSpec(workload, seed=0).build_graph()
         for label, config in default_mapper_configs(scale):
             job = MappingJob(
                 topology=topo_spec,
@@ -90,6 +99,13 @@ def run_grid(scale_name: str, explain: dict | None = None) -> dict:
                 mapper=config,
             )
             result = engine.run_one(job)
+            flows = result.mapping.network_flows(graph)
+            mcl = float(reference_link_loads(oracle, *flows).max())
+            if mcl != result.report.mcl:
+                raise SystemExit(
+                    f"MCL oracle: {bench}/{label} reports "
+                    f"{result.report.mcl!r}, the reference router gives {mcl!r}"
+                )
             cells[bench][label] = {
                 "mcl": result.report.mcl,
                 "map_seconds": result.map_seconds,

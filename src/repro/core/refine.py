@@ -82,9 +82,7 @@ def refine_assignment(
     # rejected proposal reuses both plans negated instead of recomputing
     # the expansion (the propose/rollback symmetry), and the router
     # caches per-pair expansions across iterations (endpoints recur
-    # constantly in a swap walk). The scalar escape hatch keeps the
-    # reference per-call path.
-    use_plans = not router.scalar_fallback
+    # constantly in a swap walk).
     for _ in range(iterations):
         a, b = int(rng.integers(n)), int(rng.integers(n))
         if a == b:
@@ -92,31 +90,21 @@ def refine_assignment(
             continue
         edges = np.union1d(incident[a], incident[b])
         es, ed, ev = srcs[edges], dsts[edges], vols[edges]
-        if use_plans:
-            plan_old = router.pair_scatter(assignment[es], assignment[ed], ev)
-            plan_old.add_into(loads, -1.0)
-            assignment[a], assignment[b] = assignment[b], assignment[a]
-            plan_new = router.pair_scatter(assignment[es], assignment[ed], ev)
-            plan_new.add_into(loads, 1.0)
-        else:
-            nev = -ev
-            router.link_loads(assignment[es], assignment[ed], nev, out=loads)
-            assignment[a], assignment[b] = assignment[b], assignment[a]
-            router.link_loads(assignment[es], assignment[ed], ev, out=loads)
+        plan_old = router.pair_scatter(assignment[es], assignment[ed], ev)
+        plan_old.add_into(loads, -1.0)
+        assignment[a], assignment[b] = assignment[b], assignment[a]
+        plan_new = router.pair_scatter(assignment[es], assignment[ed], ev)
+        plan_new.add_into(loads, 1.0)
         new_cost = float(loads.max())
         delta = new_cost - cost
         if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-30)):
             cost = new_cost
             if cost < best_cost - 1e-12:
                 best_cost, best = cost, assignment.copy()
-        elif use_plans:
+        else:
             plan_new.add_into(loads, -1.0)
             assignment[a], assignment[b] = assignment[b], assignment[a]
             plan_old.add_into(loads, 1.0)
-        else:
-            router.link_loads(assignment[es], assignment[ed], nev, out=loads)
-            assignment[a], assignment[b] = assignment[b], assignment[a]
-            router.link_loads(assignment[es], assignment[ed], ev, out=loads)
         temp *= alpha
     log.debug("refined MCL to %.6g in %d proposals", best_cost, iterations)
     return best, best_cost

@@ -4,11 +4,11 @@
 decomposes the per-channel load vector into *who* put the bytes there.
 For a set of node-level flows under a :class:`~repro.routing.base.Router`
 it builds a sparse ``(flows x channel-slots)`` matrix of route fractions
-using the same stencil machinery (and the same
-:meth:`~repro.routing.base.Router.stencil_slots` slot arithmetic) that
-:meth:`~repro.routing.base.Router.link_loads` uses, so the attribution
-sums back to the load vector exactly — up to floating-point reassociation
-— by construction.
+from :meth:`~repro.routing.base.Router.entries`, the same channel-slot
+expansion :meth:`~repro.routing.base.Router.link_loads` scatters, so the
+attribution sums back to the load vector exactly — up to floating-point
+reassociation — by construction. The tests check each row against the
+plain per-offset loop in :mod:`repro.routing.reference`.
 
 Construction is chunked: triplets are flushed into CSR parts whenever the
 pending chunk exceeds ``chunk_nnz`` entries, so graphs with tens of
@@ -125,7 +125,6 @@ def attribute_flows(
             router, srcs, dsts, vols, sp.csr_matrix(shape)
         )
 
-    deltas, groups = router.group_flows_by_offset(srcs, dsts)
     parts: list[sp.csr_matrix] = []
     rows_buf: list[np.ndarray] = []
     cols_buf: list[np.ndarray] = []
@@ -150,16 +149,11 @@ def attribute_flows(
         data_buf.clear()
         pending = 0
 
-    for rows in groups:
-        st = router.stencil(deltas[rows[0]])
-        if st.num_entries == 0:
-            continue
-        slots = router.stencil_slots(st, srcs[rows])  # (g, E)
-        g, e = slots.shape
-        rows_buf.append(np.repeat(rows, e))
-        cols_buf.append(slots.ravel())
-        data_buf.append(np.broadcast_to(st.fracs, (g, e)).ravel())
-        pending += g * e
+    for flows, slots, fracs in router.entries(srcs, dsts):
+        rows_buf.append(flows)
+        cols_buf.append(slots)
+        data_buf.append(fracs)
+        pending += len(flows)
         if pending >= chunk_nnz:
             flush()
     flush()

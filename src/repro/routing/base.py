@@ -5,24 +5,19 @@ which channels a unit flow touches and with what fraction, *relative to the
 flow's source node*. Translation invariance of tori/meshes makes stencils
 reusable across all flows sharing a ``delta``.
 
-Two load paths share the stencil machinery:
-
-- the **vectorized CSR path** (default): every cached stencil's entries
-  live in one concatenated entry table (``indptr``-sliced, CSR style — the
-  same flow x link representation the attribution layer derives); a call
-  expands all flows to table entries at once, looks each entry's channel
-  slot up in a node-translation table, and performs a *single* ordered
-  ``np.add.at`` scatter. Entry expansion follows exactly the
-  (offset-group, flow, entry) order of the scalar path, so per-slot
-  accumulation order — and therefore every float in the result — is
-  bitwise-identical to the scalar reference.
-- the **scalar reference path**: the original one-scatter-per-offset-group
-  loop, retained as the correctness oracle for the property tests
-  (``Router(..., scalar_fallback=True)``).
-
-:meth:`Router.link_loads_many` scores many candidate flow sets (e.g. all
-orientations of a merge-phase block) in one batched scatter — the merge
-hot path — again bitwise-identical to per-candidate calls.
+Every cached stencil's entries live in one concatenated entry table
+(``indptr``-sliced, CSR style). :meth:`Router.entries` is the one place
+flows become channel slots: it expands all flows to table entries at
+once, looks each entry's channel slot up in a node-translation table and
+yields ``(flows, slots, fracs)`` chunks of one ordered stream.
+:meth:`Router.link_loads`, :meth:`Router.link_loads_many` (all candidate
+flow sets of a merge-phase block in one scatter), :meth:`Router.pair_scatter`
+and the attribution engine all consume that stream. Its order is the
+(offset group, flow, entry) order of the plain per-offset loop in
+:mod:`repro.routing.reference`, so per-slot accumulation order — and
+therefore every float in the result — is bitwise-identical to it. That
+module shares only :meth:`Router.stencil` with this one and serves the
+tests and the snapshot's MCL oracle; no production path imports it.
 """
 
 from __future__ import annotations
@@ -114,25 +109,13 @@ class Router(abc.ABC):
 
     Subclasses implement :meth:`_build_stencil`; everything else (caching,
     grouping, scatter-adds, MCL) is shared.
-
-    Parameters
-    ----------
-    topology:
-        Target topology.
-    scalar_fallback:
-        ``True`` forces the scalar reference implementation of
-        :meth:`link_loads` (the oracle the vectorized paths are tested
-        against).
     """
 
     name: str = "router"
 
-    def __init__(
-        self, topology: CartesianTopology, scalar_fallback: bool = False
-    ):
+    def __init__(self, topology: CartesianTopology):
         self.topology = topology
         self._stencils: dict[tuple[int, ...], Stencil] = {}
-        self.scalar_fallback = bool(scalar_fallback)
         # CSR stencil table: per-key ids into concatenated entry arrays,
         # rebuilt lazily whenever a new offset's stencil lands in the cache.
         self._stencil_seq: list[Stencil] = []
@@ -254,24 +237,11 @@ class Router(abc.ABC):
             self._tab_dimdir = 2 * dims + dirs
         self._table_dirty = False
 
-    def stencil_slots(self, st: Stencil, src_nodes) -> np.ndarray:
-        """Channel-slot ids ``st`` touches for each source node, shape (m, E).
-
-        Shared by :meth:`link_loads`, the fluid simulator's usage matrix
-        and the attribution engine so the three can never disagree on
-        which channels a flow crosses. This is the coordinate-formula
-        reference; the vectorized paths' table lookup
-        (:meth:`_entry_slots`) is exact integer arithmetic on the same
-        ids and the property tests hold the two equal.
-        """
-        src_nodes = np.asarray(src_nodes, dtype=np.int64)
-        dimdir = 2 * st.dims + st.dirs
-        return self._coord_slots(src_nodes[:, None], st.offsets[None], dimdir[None])
-
     def _coord_slots(self, src_nodes, offsets, dimdir) -> np.ndarray:
         """Slot ids by coordinates: ``node(src + offset)`` with wrapped
         dimensions reduced mod the shape, times ``2*ndim``, plus
-        ``2*dim + dir``. Broadcasts over leading axes."""
+        ``2*dim + dir``. The slot lookup for topologies whose pair
+        tables do not fit."""
         topo = self.topology
         c = topo.coords_array[src_nodes] + offsets
         if self._all_wrap:
@@ -280,23 +250,13 @@ class Router(abc.ABC):
             c[..., self._wrap_dims] %= self._wrap_extents
         return (c @ topo.strides) * (2 * topo.ndim) + dimdir
 
-    def group_flows_by_offset(self, srcs, dsts):
-        """Group flow indices by their routing offset.
-
-        Returns ``(deltas, groups)`` where ``deltas`` is the (m, ndim)
-        signed offset array and ``groups`` is a list of flow-index
-        arrays — one per distinct offset, covering all flows. Grouping
-        uses a mixed-radix key (offsets are bounded by the shape, so
-        shifting into ``[0, 2k)`` per dim is collision-free).
-        """
-        deltas = self.topology.delta(srcs, dsts)
-        order, starts, sizes = self._offset_groups(deltas)
-        bounds = np.concatenate((starts, [len(order)]))
-        groups = [order[bounds[i]: bounds[i + 1]] for i in range(len(starts))]
-        return deltas, groups
-
     def _keys_for(self, deltas: np.ndarray) -> np.ndarray:
-        """Collision-free mixed-radix key per offset row (sort == group)."""
+        """Collision-free mixed-radix key per offset row (sort == group).
+
+        Offsets are bounded by the shape, so shifting each dimension into
+        ``[0, 2k]`` makes the key order the lexicographic order of the
+        offset rows.
+        """
         shape_arr = np.asarray(self.topology.shape, dtype=np.int64)
         keys = np.zeros(deltas.shape[0], dtype=np.int64)
         for d in range(self.topology.ndim):
@@ -320,15 +280,6 @@ class Router(abc.ABC):
         sizes[:-1] = starts[1:] - starts[:-1]
         sizes[-1] = n - starts[-1]
         return order, starts, sizes
-
-    def _offset_groups(self, deltas: np.ndarray):
-        """Stable grouping of flows by offset key.
-
-        Returns ``(order, starts, sizes)``: flow indices sorted stably by
-        mixed-radix offset key, the start position of each distinct-key
-        group within ``order``, and each group's size.
-        """
-        return self._group_sorted(self._keys_for(deltas))
 
     # The all-pairs tables cost about V^2 * (ndim + 1) int64 words; they
     # are built only when that stays under this many.
@@ -406,29 +357,36 @@ class Router(abc.ABC):
             if len(srcs) == 0:
                 return out
 
-        if self.scalar_fallback:
-            return self._link_loads_scalar(srcs, dsts, vols, out)
-
-        for flows_exp, entries_exp in self._iter_expanded(srcs, dsts):
-            slots = self._entry_slots(srcs[flows_exp], entries_exp)
-            np.add.at(out, slots, vols[flows_exp] * self._tab_fracs[entries_exp])
+        for flows, slots, fracs in self.entries(srcs, dsts):
+            np.add.at(out, slots, vols[flows] * fracs)
         return out
 
-    def _link_loads_scalar(self, srcs, dsts, vols, out) -> np.ndarray:
-        """Scalar reference path: one scatter-add per distinct offset.
+    def entries(self, srcs, dsts):
+        """Yield the channel-slot expansion of the flows ``srcs -> dsts``.
 
-        The vectorized path is defined as bitwise-equal to this loop;
-        property tests enforce the equivalence.
+        Each item is ``(flows, slots, fracs)``: per entry, the flow's
+        index into ``srcs``/``dsts``, the channel slot it crosses and the
+        fraction of the flow's volume that slot carries. The chunks are
+        consecutive slices of one stream ordered by (ascending offset
+        key, flow position within its key group, stencil entry); each
+        holds at most ``_expansion_chunk`` entries unless one flow alone
+        is larger, and no flow straddles two chunks. Scattering the
+        chunks in order applies the additions of
+        :func:`repro.routing.reference.reference_link_loads` in its
+        order, bit for bit. Flows with ``src == dst`` yield nothing.
         """
-        deltas, groups = self.group_flows_by_offset(srcs, dsts)
-        for rows in groups:
-            st = self.stencil(deltas[rows[0]])
-            if st.num_entries == 0:
-                continue
-            slots = self.stencil_slots(st, srcs[rows])
-            contrib = vols[rows][:, None] * st.fracs[None, :]
-            np.add.at(out, slots.ravel(), contrib.ravel())
-        return out
+        srcs = np.asarray(srcs, dtype=np.int64)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        for flows, ents in self._iter_expanded(srcs, dsts):
+            yield flows, self._entry_slots(srcs[flows], ents), self._tab_fracs[ents]
+
+    def _all_entries(self, srcs, dsts):
+        """The whole :meth:`entries` stream as three flat arrays."""
+        chunks = list(self.entries(srcs, dsts))
+        if not chunks:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0)
+        return tuple(np.concatenate(part) for part in zip(*chunks))
 
     def _expansion_parts(self, srcs: np.ndarray, dsts: np.ndarray):
         """Group-level expansion metadata for a set of off-node flows.
@@ -496,19 +454,6 @@ class Router(abc.ABC):
         )
         entries_exp = np.repeat(entry_start, per_flow) + within
         return flows_exp, entries_exp
-
-    def _expand_entries(self, srcs: np.ndarray, dsts: np.ndarray):
-        """Expand off-node flows into (flow_index, table_entry) pairs.
-
-        The pair stream is ordered by (ascending offset key, flow position
-        within the key group, stencil entry) — exactly the order the
-        scalar path scatters in, which is what keeps the single
-        ``np.add.at`` bitwise-faithful to the per-group loop.
-        """
-        order, per_flow, entry_start = self._expansion_parts(srcs, dsts)
-        total = int(per_flow.sum())
-        self._m_scatter_entries.inc(total)
-        return self._materialize_expansion(order, per_flow, entry_start)
 
     # Expanded (flow, entry) pairs processed per scatter pass. Bounding the
     # pass keeps every temporary at a few MB so the allocator reuses warm
@@ -583,7 +528,7 @@ class Router(abc.ABC):
             row ``b`` receiving exactly what
             ``link_loads(srcs[b], dsts[b], vols, out=out[b])`` would add
             (bitwise — candidates scatter into disjoint rows and each
-            row's entry stream keeps the scalar order).
+            row's entry stream keeps the single-call order).
         """
         topo = self.topology
         self._m_batch_calls.inc()
@@ -600,10 +545,6 @@ class Router(abc.ABC):
             raise RoutingError(f"out has shape {out.shape}, expected ({B}, {S})")
         if m == 0 or B == 0:
             return out
-        if self.scalar_fallback:
-            for b in range(B):
-                self.link_loads(srcs[b], dsts[b], vols, out=out[b])
-            return out
 
         flat_s = srcs.ravel()
         flat_d = dsts.ravel()
@@ -611,14 +552,9 @@ class Router(abc.ABC):
         if len(keep) == 0:
             return out
         flat_out = out.reshape(-1)
-        for pairs_exp, entries_exp in self._iter_expanded(
-            flat_s[keep], flat_d[keep]
-        ):
-            flat_idx = keep[pairs_exp]
-            slots = self._entry_slots(flat_s[flat_idx], entries_exp)
-            rows = flat_idx // m
-            contrib = vols[flat_idx % m] * self._tab_fracs[entries_exp]
-            np.add.at(flat_out, rows * S + slots, contrib)
+        for flows, slots, fracs in self.entries(flat_s[keep], flat_d[keep]):
+            flat_idx = keep[flows]
+            np.add.at(flat_out, (flat_idx // m) * S + slots, vols[flat_idx % m] * fracs)
         return out
 
     def pair_scatter(self, srcs, dsts, vols) -> PairPlan:
@@ -662,11 +598,8 @@ class Router(abc.ABC):
                 idx = np.arange(total, dtype=np.int64) + shift
                 contrib = np.repeat(v[order], counts) * self._pp_fracs[idx]
                 return PairPlan(self._pp_slots[idx], contrib)
-        flows_exp, entries_exp = self._expand_entries(s, d)
-        return PairPlan(
-            self._entry_slots(s[flows_exp], entries_exp),
-            v[flows_exp] * self._tab_fracs[entries_exp],
-        )
+        flows, slots, fracs = self._all_entries(s, d)
+        return PairPlan(slots, v[flows] * fracs)
 
     def _pair_cache_fill(self, pids: np.ndarray) -> None:
         """Expand uncached (src*V + dst) pairs into the pooled CSR in one
@@ -676,14 +609,12 @@ class Router(abc.ABC):
         if len(pids) == 0:
             return
         V = self.topology.num_nodes
-        srcs = pids // V
-        order, per_flow, entry_start = self._expansion_parts(srcs, pids % V)
-        flows_exp, entries_exp = self._materialize_expansion(
-            order, per_flow, entry_start
-        )
-        slots = self._entry_slots(srcs[flows_exp], entries_exp)
+        flows, slots, fracs = self._all_entries(pids // V, pids % V)
         # Each pair's entries are one contiguous run in expansion order,
         # so appending the stream lays out one CSR row per pair.
+        starts = np.flatnonzero(np.diff(flows, prepend=-1))
+        order = flows[starts]
+        per_flow = np.diff(starts, append=len(flows))
         cnt = self._pp_count
         end = int(self._pp_indptr[cnt])
         need = end + len(slots)
@@ -691,12 +622,12 @@ class Router(abc.ABC):
             cap = max(1024, 2 * len(self._pp_slots), need)
             self._pp_slots = _grown(self._pp_slots, end, cap)
             self._pp_fracs = _grown(self._pp_fracs, end, cap)
-        rows = cnt + len(pids)
+        rows = cnt + len(order)
         if rows + 1 > len(self._pp_indptr):
             cap = max(2 * len(self._pp_indptr), rows + 1)
             self._pp_indptr = _grown(self._pp_indptr, cnt + 1, cap)
         self._pp_slots[end:need] = slots
-        self._pp_fracs[end:need] = self._tab_fracs[entries_exp]
+        self._pp_fracs[end:need] = fracs
         self._pp_indptr[cnt + 1 : rows + 1] = end + np.cumsum(per_flow)
         self._pair_cid[pids[order]] = np.arange(cnt, rows, dtype=np.int64)
         self._pp_count = rows
@@ -706,20 +637,6 @@ class Router(abc.ABC):
         """MCL: the load on the most-loaded channel."""
         loads = self.link_loads(srcs, dsts, vols)
         return float(loads.max()) if loads.size else 0.0
-
-    def average_hops(self, srcs, dsts, vols) -> float:
-        """Volume-weighted mean hop count under this router."""
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        vols = np.asarray(vols, dtype=np.float64)
-        total_v = vols.sum()
-        if total_v == 0:
-            return 0.0
-        deltas = self.topology.delta(srcs, dsts)
-        hops = np.array(
-            [self.stencil(d).mean_path_length for d in deltas]
-        )
-        return float((hops * vols).sum() / total_v)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.topology!r})"

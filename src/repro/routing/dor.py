@@ -32,14 +32,12 @@ class DimensionOrderRouter(Router):
     dim_order:
         Order in which dimensions are corrected; defaults to
         ``0, 1, ..., ndim-1``.
-    scalar_fallback:
-        Force the scalar reference load path (see :class:`Router`).
     """
 
     name = "dimension-order"
 
-    def __init__(self, topology, dim_order=None, scalar_fallback=False):
-        super().__init__(topology, scalar_fallback=scalar_fallback)
+    def __init__(self, topology, dim_order=None):
+        super().__init__(topology)
         if dim_order is None:
             dim_order = tuple(range(topology.ndim))
         dim_order = tuple(int(d) for d in dim_order)

@@ -38,13 +38,13 @@ class ValiantRouter(Router):
 
     name = "valiant"
 
-    def __init__(self, topology, scalar_fallback=False):
+    def __init__(self, topology):
         if not all(topology.wrap):
             raise RoutingError(
                 "ValiantRouter requires a fully-wrapped torus (loads on a "
                 "mesh are not translation-invariant)"
             )
-        super().__init__(topology, scalar_fallback=scalar_fallback)
+        super().__init__(topology)
         self._minimal = MinimalAdaptiveRouter(topology)
 
     def _build_stencil(self, delta: tuple[int, ...]) -> Stencil:

@@ -95,9 +95,11 @@ class FluidPhaseSimulator:
         self.max_events = int(max_events)
 
     def _usage_matrix(self, srcs, dsts) -> sp.csr_matrix:
-        # The attribution engine builds the same (flows x slots) route
-        # fractions the routers scatter-add from, vectorized per distinct
-        # offset; unit volumes keep every off-node flow's column.
+        # The attribution engine builds the (flows x slots) route
+        # fractions from the router's one channel-slot expansion
+        # (Router.entries), the stream link_loads scatters; the tests
+        # hold it to repro.routing.reference. Unit volumes keep every
+        # off-node flow's column.
         from repro.observability.attribution import attribute_flows
 
         att = attribute_flows(

@@ -1,10 +1,12 @@
 """Property tests for the per-flow link-load attribution engine.
 
 The attribution matrix must agree with ``Router.link_loads`` by
-construction: both run the same stencil slot arithmetic. These tests
-pin that property across routers (DOR, MAR, Valiant), mixed-radix tori
-(including the BG/Q 4x4x4x4x2 shape), chunk sizes, and random mappings,
-to 1e-9 *relative* tolerance.
+construction: both consume the router's one channel-slot expansion,
+``Router.entries``. These tests pin that property across routers (DOR,
+MAR, Valiant), mixed-radix tori (including the BG/Q 4x4x4x4x2 shape),
+chunk sizes, and random mappings, to 1e-9 *relative* tolerance, and
+check every matrix row against the stencil placed by the independent
+slot formula of :mod:`repro.routing.reference`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.routing import (
     MinimalAdaptiveRouter,
     ValiantRouter,
 )
+from repro.routing.reference import reference_slots
 from repro.topology import CartesianTopology
 from repro.workloads import halo2d, random_uniform
 
@@ -106,9 +109,12 @@ def test_flows_through_sums_to_slot_load(mar44, rng):
 
 
 def test_chunked_construction_is_exact(mar44, rng):
-    """Tiny chunk_nnz forces many CSR part flushes; result is identical."""
+    """Tiny chunk_nnz (with a tiny expansion chunk, so the entry stream
+    arrives in many pieces) forces many CSR part flushes; result is
+    identical."""
     srcs, dsts, vols = _random_flows(mar44.topology, 300, rng)
     whole = attribute_flows(mar44, srcs, dsts, vols)
+    mar44._expansion_chunk = 8
     chunked = attribute_flows(mar44, srcs, dsts, vols, chunk_nnz=8)
     assert (whole.fractions != chunked.fractions).nnz == 0
 
@@ -151,3 +157,48 @@ def test_load_matrix_row_sums_scale_with_hops(mar44):
     att = attribute_flows(mar44, srcs, dsts, vols)
     row_sum = float(np.asarray(att.load_matrix().sum(axis=1)).ravel()[0])
     assert row_sum == pytest.approx(6.0, rel=RELTOL)
+
+
+REGRESSION_SHAPES = [
+    ((4, 4), False),
+    ((3, 5, 2), (True, False, True)),
+    ((4, 4, 4, 4, 2), True),
+]
+
+
+@pytest.mark.parametrize("router_cls", [DimensionOrderRouter, MinimalAdaptiveRouter])
+@pytest.mark.parametrize(
+    "shape,wrap",
+    REGRESSION_SHAPES,
+    ids=[f"{s}-{w}" for s, w in REGRESSION_SHAPES],
+)
+def test_attribution_rows_match_reference_stencils(router_cls, shape, wrap):
+    """The CSR arrays are identical with the pair tables, with the
+    coordinate slot fallback and with many small chunks, and row ``i``
+    is flow ``i``'s stencil placed by the reference slot formula."""
+    topo = CartesianTopology(shape, wrap=wrap)
+    srcs, dsts, vols = _random_flows(topo, 300, np.random.default_rng(17))
+    base = attribute_flows(router_cls(topo), srcs, dsts, vols).fractions
+    coords = router_cls(topo)
+    coords._pair_table_limit = 0
+    small = router_cls(topo)
+    small._expansion_chunk = 500  # the stream arrives in many pieces
+    runs = [
+        attribute_flows(coords, srcs, dsts, vols),
+        attribute_flows(small, srcs, dsts, vols, chunk_nnz=500),
+    ]
+    assert coords._translate is None
+    for att in runs:
+        m = att.fractions
+        assert np.array_equal(m.indptr, base.indptr)
+        assert np.array_equal(m.indices, base.indices)
+        assert np.array_equal(m.data, base.data)
+
+    # A stencil may name one channel twice (both ways round a wrapped
+    # dimension of arity 2), so rows are compared as dense sums.
+    att = runs[0]
+    for i, (s, d) in enumerate(zip(att.srcs, att.dsts)):
+        st = att.router.stencil(topo.delta(s, d))
+        expected = np.zeros(topo.num_channel_slots)
+        np.add.at(expected, reference_slots(topo, [s], st)[0], st.fracs)
+        assert np.array_equal(base[i].toarray().ravel(), expected)

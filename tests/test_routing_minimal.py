@@ -161,12 +161,6 @@ def test_stencil_mean_path_length():
     assert r.stencil((2, 2)).mean_path_length == pytest.approx(4.0)
 
 
-def test_average_hops():
-    topo = torus(4, 4)
-    r = MinimalAdaptiveRouter(topo)
-    assert r.average_hops([0, 0], [1, 5], [1.0, 1.0]) == pytest.approx(1.5)
-
-
 @given(st.integers(0, 35), st.integers(0, 35))
 @settings(max_examples=30, deadline=None)
 def test_load_sum_equals_hops_times_volume_property(src, dst):

@@ -1,9 +1,12 @@
 """Bitwise-equivalence properties of the vectorized hot-path kernels.
 
-The vectorized CSR routing path, the batched orientation transform, the
-pair-delta scatter plans and the chunked expansion are all *defined* as
-bitwise-identical reorderings-free rewrites of the scalar reference
-loops. These tests pin that contract on mixed-radix tori up to the
+The router's channel-slot expansion (``Router.entries``) behind
+``link_loads``, ``link_loads_many`` and the pair-scatter plans, the
+batched orientation transform and the chunked expansion are all
+*defined* as bitwise-identical, reordering-free rewrites of plain
+loops. The routing kernels are checked against the per-offset loop in
+:mod:`repro.routing.reference`, which shares only ``Router.stencil``
+with them. These tests pin that contract on mixed-radix tori up to the
 paper's 4x4x4x4x2 BG/Q shape, and on meshes and mixed-wrap shapes
 with arity-1 and arity-2 dimensions: every comparison is ``==`` on
 float64 arrays, never ``allclose``.
@@ -16,6 +19,7 @@ from repro.core.merge import MergeBlock, MergeConfig, _MergeEngine
 from repro.core.orientation import all_orientations, apply_batch
 from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
 from repro.routing.base import clear_stencil_cache
+from repro.routing.reference import reference_link_loads
 from repro.routing.valiant import ValiantRouter
 from repro.topology import CartesianTopology
 
@@ -52,15 +56,14 @@ def flows_for(topo, n, seed):
 @pytest.mark.parametrize("shape", SHAPES, ids=[str(s) for s in SHAPES])
 @pytest.mark.parametrize("name,cls", ROUTERS, ids=[r[0] for r in ROUTERS])
 def test_vectorized_link_loads_bitwise_equals_scalar(shape, name, cls):
-    """The CSR scatter path reproduces the per-group scalar loop bit for
-    bit, on every router family and mixed-radix torus."""
+    """The CSR scatter path reproduces the per-offset reference loop bit
+    for bit, on every router family and mixed-radix torus."""
     clear_stencil_cache()
     topo = CartesianTopology(shape, wrap=True)
     fast = cls(topo)
-    slow = cls(topo, scalar_fallback=True)
     srcs, dsts, vols = flows_for(topo, 300, seed=hash((shape, name)) % 2**31)
     a = fast.link_loads(srcs, dsts, vols)
-    b = slow.link_loads(srcs, dsts, vols)
+    b = reference_link_loads(cls(topo), srcs, dsts, vols)
     assert np.array_equal(a, b)
 
 
@@ -121,9 +124,7 @@ def test_pair_scatter_without_pair_tables_replays_link_loads_bitwise():
     assert np.array_equal(out, router.link_loads(srcs, dsts, vols))
     assert np.array_equal(
         out,
-        MinimalAdaptiveRouter(topo, scalar_fallback=True).link_loads(
-            srcs, dsts, vols
-        ),
+        reference_link_loads(MinimalAdaptiveRouter(topo), srcs, dsts, vols),
     )
 
 
@@ -137,16 +138,16 @@ def _shape_ids(cases):
                          ids=[r[0] for r in MESH_ROUTERS])
 def test_mesh_kernels_bitwise_equal_scalar(shape, wrap, name, cls, tables):
     """link_loads, every row of link_loads_many and pair_scatter equal
-    the scalar reference on meshes and mixed-wrap shapes, with the
+    the reference loop on meshes and mixed-wrap shapes, with the
     translation-table lookup and with the coordinate formula."""
     clear_stencil_cache()
     topo = CartesianTopology(shape, wrap=wrap)
     fast = cls(topo)
     if not tables:
         fast._pair_table_limit = 0
-    slow = cls(topo, scalar_fallback=True)
+    plain = cls(topo)
     srcs, dsts, vols = flows_for(topo, 300, seed=hash((shape, name)) % 2**31)
-    reference = slow.link_loads(srcs, dsts, vols)
+    reference = reference_link_loads(plain, srcs, dsts, vols)
     assert np.array_equal(fast.link_loads(srcs, dsts, vols), reference)
     assert (fast._translate is not None) == tables
 
@@ -155,7 +156,9 @@ def test_mesh_kernels_bitwise_equal_scalar(shape, wrap, name, cls, tables):
     out = np.zeros((B, topo.num_channel_slots))
     fast.link_loads_many(bs, bd, vols[:m], out)
     for b in range(B):
-        assert np.array_equal(out[b], slow.link_loads(bs[b], bd[b], vols[:m]))
+        assert np.array_equal(
+            out[b], reference_link_loads(plain, bs[b], bd[b], vols[:m])
+        )
 
     for _ in range(2):  # first call fills the pair cache, second reads it
         plan = fast.pair_scatter(srcs, dsts, vols)
@@ -166,10 +169,10 @@ def test_mesh_kernels_bitwise_equal_scalar(shape, wrap, name, cls, tables):
 
 def test_pair_scatter_duplicate_pairs_in_one_batch():
     """A batch naming the same (src, dst) pair several times caches it
-    once and replays every copy in the scalar order."""
+    once and replays every copy in the reference order."""
     topo = CartesianTopology((4, 4, 2), wrap=(True, True, False))
     router = MinimalAdaptiveRouter(topo)
-    slow = MinimalAdaptiveRouter(topo, scalar_fallback=True)
+    plain = MinimalAdaptiveRouter(topo)
     rng = np.random.default_rng(21)
     base_s = rng.integers(0, topo.num_nodes, size=10)
     base_d = rng.integers(0, topo.num_nodes, size=10)
@@ -179,7 +182,7 @@ def test_pair_scatter_duplicate_pairs_in_one_batch():
     plan = router.pair_scatter(srcs, dsts, vols)
     got = np.zeros(topo.num_channel_slots)
     plan.add_into(got)
-    assert np.array_equal(got, slow.link_loads(srcs, dsts, vols))
+    assert np.array_equal(got, reference_link_loads(plain, srcs, dsts, vols))
     distinct = len({(int(s), int(d)) for s, d in zip(base_s, base_d) if s != d})
     assert router._pp_count == distinct
 
@@ -187,17 +190,17 @@ def test_pair_scatter_duplicate_pairs_in_one_batch():
 def test_pair_scatter_cache_cap_runs_out_mid_fill():
     """When the per-pair cache fills partway through a batched fill, the
     pairs that fit are cached, the call falls back to the uncached
-    expansion, and later calls keep matching the scalar reference."""
+    expansion, and later calls keep matching the reference loop."""
     topo = CartesianTopology((4, 4, 4), wrap=True)
     router = MinimalAdaptiveRouter(topo)
     router._pair_cache_cap = 25
-    slow = MinimalAdaptiveRouter(topo, scalar_fallback=True)
+    plain = MinimalAdaptiveRouter(topo)
     for seed in (31, 32, 33):
         srcs, dsts, vols = flows_for(topo, 40, seed=seed)
         plan = router.pair_scatter(srcs, dsts, vols)
         got = np.zeros(topo.num_channel_slots)
         plan.add_into(got)
-        assert np.array_equal(got, slow.link_loads(srcs, dsts, vols))
+        assert np.array_equal(got, reference_link_loads(plain, srcs, dsts, vols))
         assert router._pp_count == 25
     cached = np.flatnonzero(router._pair_cid >= 0)
     assert len(cached) == 25
@@ -208,7 +211,7 @@ def test_pair_scatter_cache_cap_runs_out_mid_fill():
     plan = router.pair_scatter(srcs, dsts, vols)
     got = np.zeros(topo.num_channel_slots)
     plan.add_into(got)
-    assert np.array_equal(got, slow.link_loads(srcs, dsts, vols))
+    assert np.array_equal(got, reference_link_loads(plain, srcs, dsts, vols))
 
 
 def test_pair_scatter_propose_rollback_is_exact():
