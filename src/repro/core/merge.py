@@ -18,10 +18,8 @@ incremental beam:
 
 MCL is evaluated with the all-minimal-paths oblivious router on the global
 topology (minimal paths never leave the parent's bounding box, so global
-channel space is exact); an optional ``evaluator="lp"`` mode scores each
-candidate with the exact routing LP instead — far slower, used to ablate
-the uniform-split approximation. Identical sibling merge problems are
-solved once and copied (the paper's symmetry exploitation).
+channel space is exact). Identical sibling merge problems are solved once
+and copied (the paper's symmetry exploitation).
 """
 
 from __future__ import annotations
@@ -73,10 +71,6 @@ class MergeConfig:
         Also search which congruent slot each block occupies (the paper's
         repositioning freedom). Grows the branching factor by the number
         of congruent free slots per step.
-    evaluator:
-        ``"uniform"`` — stencil-based all-minimal-paths loads (fast,
-        incremental, the paper's evaluation); ``"lp"`` — exact routing LP
-        per candidate (slow; ablation of the approximation).
     seed:
         Randomness seed (orientation sampling only).
     """
@@ -86,7 +80,6 @@ class MergeConfig:
     order_mode: str = "sampled"
     order_samples: int = 4
     reposition: bool = False
-    evaluator: str = "uniform"
     seed: int = 0
 
     def __post_init__(self):
@@ -94,8 +87,6 @@ class MergeConfig:
             raise ConfigError(f"beam_width must be >= 1, got {self.beam_width}")
         if self.order_mode not in ("identity", "sampled", "exhaustive"):
             raise ConfigError(f"invalid order_mode {self.order_mode!r}")
-        if self.evaluator not in ("uniform", "lp"):
-            raise ConfigError(f"invalid evaluator {self.evaluator!r}")
 
 
 @dataclass
@@ -122,7 +113,7 @@ class _State:
     __slots__ = ("loads", "positions", "used_slots", "mcl", "order")
 
     def __init__(self, loads, positions, used_slots, mcl, order):
-        self.loads = loads            # dense channel loads or None (lp mode)
+        self.loads = loads            # dense channel loads
         self.positions = positions    # dense (num_clusters,), -1 = unplaced
         self.used_slots = used_slots  # frozenset of occupied slot indices
         self.mcl = mcl
@@ -207,17 +198,6 @@ class _MergeEngine:
         return dense
 
     # -- evaluation --------------------------------------------------------------
-    def _mcl_lp(self, positions: np.ndarray) -> float:
-        from repro.core.milp import solve_routing_lp
-
-        placed = positions >= 0
-        m = placed[self.srcs] & placed[self.dsts]
-        self.evaluations += 1
-        return solve_routing_lp(
-            self.topo,
-            positions[self.srcs[m]], positions[self.dsts[m]], self.vols[m],
-        )
-
     def edges_between(self, group_a, group_b):
         in_a = np.isin(self.bsrc, group_a) | np.isin(self.bsrc, group_b)
         in_b = np.isin(self.bdst, group_a) | np.isin(self.bdst, group_b)
@@ -353,7 +333,6 @@ class _MergeEngine:
         flows. Per-candidate results are bitwise-identical to the scalar
         per-candidate loop (the property suite pins this).
         """
-        cfg = self.config
         intra = (self.bsrc == bi) & (self.bdst == bi)
         ies, ied, iev = self.srcs[intra], self.dsts[intra], self.vols[intra]
         placed_src = np.isin(self.bsrc, placed_blocks)
@@ -368,19 +347,6 @@ class _MergeEngine:
             for oi in range(len(self.orients[bi]))
         ]
         out: list[_State] = []
-        if cfg.evaluator == "lp":
-            for slot, oi in cands:
-                dense = self.positions_for(bi, slot, oi)
-                pos = state.positions.copy()
-                sel = dense >= 0
-                pos[sel] = dense[sel]
-                mcl = self._mcl_lp(pos)
-                out.append(_State(
-                    None, pos, state.used_slots | {slot}, mcl, self.seq
-                ))
-                self.seq += 1
-            return out
-
         if not cands:
             return out
         denses = [self.positions_for(bi, slot, oi) for slot, oi in cands]
@@ -412,12 +378,9 @@ class _MergeEngine:
         return states[: self.config.beam_width]
 
     def empty_state(self) -> _State:
-        loads = (
-            None if self.config.evaluator == "lp"
-            else np.zeros(self.topo.num_channel_slots)
-        )
         return _State(
-            loads, np.full(self.num_clusters, -1, dtype=np.int64),
+            np.zeros(self.topo.num_channel_slots),
+            np.full(self.num_clusters, -1, dtype=np.int64),
             frozenset(), 0.0, -1,
         )
 
@@ -426,14 +389,11 @@ class _MergeEngine:
         blocks = self.blocks
         if len(blocks) == 1:
             dense = self.positions_for(0, 0, 0)
-            if self.config.evaluator == "lp":
-                mcl = self._mcl_lp(dense)
-            else:
-                loads = self.router.link_loads(
-                    dense[self.srcs], dense[self.dsts], self.vols
-                )
-                self.evaluations += 1
-                mcl = float(loads.max()) if loads.size else 0.0
+            loads = self.router.link_loads(
+                dense[self.srcs], dense[self.dsts], self.vols
+            )
+            self.evaluations += 1
+            mcl = float(loads.max()) if loads.size else 0.0
             return MergeOutcome(
                 positions={int(c): int(dense[c]) for c in blocks[0].clusters},
                 mcl=mcl, evaluations=self.evaluations,
@@ -467,7 +427,7 @@ class _MergeEngine:
                 # Surviving loads are rows (views) of per-expand batch
                 # buffers; detach them so pruned siblings' buffers free.
                 for st in states:
-                    if st.loads is not None and st.loads.base is not None:
+                    if st.loads.base is not None:
                         st.loads = st.loads.copy()
             placed.append(bi)
         states = self.top_n(states)
@@ -606,7 +566,6 @@ def hierarchical_merge(
                 order_mode=config.order_mode,
                 order_samples=config.order_samples,
                 reposition=config.reposition,
-                evaluator=config.evaluator,
                 seed=config.seed + 1009 * level + pb,
             )
             with span("rahtm.merge.block", level=level, parent=pb) as msp:

@@ -15,7 +15,10 @@ channel load:
   links, which we model as arc multiplicity 2).
 
 The objective is the max channel load ``z`` with ``sum_i f_i(arc) <=
-mult(arc) * z`` per arc.
+mult(arc) * z`` per arc. The program is built directly as sparse arrays —
+columns ``z``, ``g``, ``f``, ``r``; row blocks C1, C2, C3, the per-arc load
+rows and the symmetry break — and solved by :func:`scipy.optimize.milp`
+(HiGHS).
 
 Companions: :func:`solve_routing_lp` (optimal minimal routing for a fixed
 placement — pure LP), :func:`brute_force_mapping` (exhaustive placement
@@ -26,13 +29,15 @@ search for cross-checking optimality on tiny cubes), and
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.optimize as spo
+import scipy.sparse as sp
 
 from repro.commgraph.graph import CommGraph
-from repro.errors import SolverError
-from repro.lp import Model, SolveStatus, lpsum
+from repro.errors import InfeasibleError, SolverError
 from repro.observability.metrics import get_registry
 from repro.observability.trace import span
 from repro.resilience import faultinject
@@ -130,6 +135,66 @@ def _network_flows(graph: CommGraph):
     return graph.srcs[mask], graph.dsts[mask], graph.vols[mask]
 
 
+class _Rows:
+    """Row blocks of a sparse constraint matrix, appended in order.
+
+    Each block is ``count`` rows with bounds ``lb``/``ub`` (scalars or one
+    value per row) and terms ``(rows, cols, coeffs)`` that broadcast
+    together; ``rows`` are local to the block. Callers write zero
+    right-hand sides as ``-0.0``: the solver input then stays byte-equal
+    to the one that produced the recorded MCLs.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.entries: list[tuple[np.ndarray, ...]] = []
+        self.lb: list[np.ndarray] = []
+        self.ub: list[np.ndarray] = []
+
+    def add(self, count: int, lb, ub, *terms) -> None:
+        for rows, cols, coeffs in terms:
+            rows, cols, coeffs = np.broadcast_arrays(rows, cols, coeffs)
+            self.entries.append(
+                (self.count + rows.ravel(), cols.ravel(), coeffs.ravel())
+            )
+        self.lb.append(np.broadcast_to(np.ravel(lb), count))
+        self.ub.append(np.broadcast_to(np.ravel(ub), count))
+        self.count += count
+
+    def matrix(self, num_cols: int):
+        """``(A, lb, ub)`` with ``A`` in CSR; exact-zero coefficients dropped."""
+        rows, cols, data = (np.concatenate(part) for part in zip(*self.entries))
+        keep = data != 0.0
+        a = sp.csr_matrix(
+            (data[keep], (rows[keep], cols[keep])),
+            shape=(self.count, num_cols),
+        )
+        return a, np.concatenate(self.lb), np.concatenate(self.ub)
+
+
+def _highs_status(res, raise_infeasible: bool = False) -> str:
+    """Name a HiGHS result: ``optimal``, ``feasible`` (stopped at a limit
+    with an incumbent), ``limit`` (stopped before any incumbent),
+    ``infeasible`` or ``unbounded``.
+
+    Infeasibility raises :class:`InfeasibleError` when ``raise_infeasible``;
+    any other failure is status ``error`` and raises :class:`SolverError`.
+    """
+    if res.status == 0:
+        return "optimal"
+    if res.status == 2:
+        if raise_infeasible:
+            raise InfeasibleError(f"model is infeasible: {res.message}")
+        return "infeasible"
+    if res.status == 3:
+        return "unbounded"
+    if res.x is not None:
+        return "feasible"
+    if res.status == 1:
+        return "limit"
+    raise SolverError(f"solver status error: {res.message}")
+
+
 def solve_cluster_milp(
     cube: CartesianTopology,
     graph: CommGraph,
@@ -171,95 +236,97 @@ def solve_cluster_milp(
             mcl=0.0, optimal=True, status="trivial", method="trivial",
         )
     arcs = CubeArcs.from_topology(cube)
-    E = arcs.num_arcs
+    E, D = arcs.num_arcs, cube.ndim
 
-    model = Model(f"rahtm-fission-{A}x{V}")
-    z = model.add_var("mcl", lb=0.0)
-    g = [[model.add_var(f"g[{a},{v}]", binary=True) for v in range(V)]
-         for a in range(A)]
-    f = [[model.add_var(f"f[{i},{e}]", lb=0.0, ub=float(vols[i]))
-          for e in range(E)] for i in range(m)]
+    # Columns: z, then g[a, v], f[i, e] and (with C3) r[i, d].
+    g = 1 + np.arange(A * V).reshape(A, V)
+    f = 1 + A * V + np.arange(m * E).reshape(m, E)
+    r = 1 + A * V + m * E + np.arange(m * D).reshape(m, D)
+    num_vars = 1 + A * V + m * E + (m * D if enforce_minimal else 0)
+    vol = vols[:, None]
+    rows = _Rows()
 
     # C1: each cluster on exactly one vertex; each vertex at most one cluster.
-    for a in range(A):
-        model.add_constraint(lpsum(g[a]) == 1, name=f"C1a[{a}]")
-    for v in range(V):
-        model.add_constraint(lpsum(g[a][v] for a in range(A)) <= 1,
-                             name=f"C1v[{v}]")
+    rows.add(A, 1.0, 1.0, (np.arange(A)[:, None], g, 1.0))
+    rows.add(V, -np.inf, 1.0, (np.arange(V), g, 1.0))
 
-    # Arc incidence lists per vertex.
-    out_arcs = [np.flatnonzero(arcs.srcs == v) for v in range(V)]
-    in_arcs = [np.flatnonzero(arcs.dsts == v) for v in range(V)]
+    # C2: flow conservation with floating endpoints, row (i, v):
+    # out_i(v) - in_i(v) - l_i g[s_i, v] + l_i g[d_i, v] == 0.
+    iv = np.arange(m)[:, None] * V
+    rows.add(m * V, -0.0, -0.0,
+             (iv + arcs.srcs, f, 1.0), (iv + arcs.dsts, f, -1.0),
+             (iv + np.arange(V), g[srcs], -vol), (iv + np.arange(V), g[dsts], vol))
 
-    # C2: flow conservation with floating endpoints.
-    for i in range(m):
-        li = float(vols[i])
-        si, di = int(srcs[i]), int(dsts[i])
-        for v in range(V):
-            net = lpsum(f[i][int(e)] for e in out_arcs[v]) - lpsum(
-                f[i][int(e)] for e in in_arcs[v]
-            )
-            model.add_constraint(
-                net == li * g[si][v] - li * g[di][v], name=f"C2[{i},{v}]"
-            )
-
-    # C3: minimal routing via one-direction-per-dimension binaries.
+    # C3: minimal routing via one-direction-per-dimension binaries, row
+    # (i, e): f[i, e] <= l_i r[i, d_e] on + arcs, l_i (1 - r[i, d_e]) on -.
     if enforce_minimal:
-        r = [[model.add_var(f"r[{i},{d}]", binary=True)
-              for d in range(cube.ndim)] for i in range(m)]
-        for i in range(m):
-            li = float(vols[i])
-            for e in range(E):
-                d = int(arcs.dims[e])
-                if arcs.signs[e] > 0:
-                    model.add_constraint(f[i][e] <= li * r[i][d])
-                else:
-                    model.add_constraint(f[i][e] <= li * (1 - r[i][d]))
+        up = arcs.signs > 0
+        ie = np.arange(m * E).reshape(m, E)
+        rows.add(m * E, -np.inf, np.where(up, -0.0, vol),
+                 (ie, f, 1.0), (ie, r[:, arcs.dims], np.where(up, -vol, vol)))
 
     # Objective: minimize max per-link load (arc load / multiplicity).
-    for e in range(E):
-        model.add_constraint(
-            lpsum(f[i][e] for i in range(m)) <= float(arcs.mults[e]) * z,
-            name=f"mcl[{e}]",
-        )
+    rows.add(E, -np.inf, -0.0,
+             (np.arange(E), f, 1.0), (np.arange(E), 0, -arcs.mults))
     if fix_first:
         heaviest = int(np.argmax(np.bincount(
             np.r_[srcs, dsts], weights=np.r_[vols, vols], minlength=A
         )))
-        model.add_constraint(g[heaviest][0] == 1, name="symbreak")
-    model.set_objective(z, sense="min")
+        rows.add(1, 1.0, 1.0, (0, g[heaviest, 0], 1.0))
+    matrix, row_lb, row_ub = rows.matrix(num_vars)
+    num_constraints = rows.count
+
+    c = np.zeros(num_vars)
+    c[0] = 1.0
+    col_ub = np.ones(num_vars)  # g and r are binary
+    col_ub[0] = np.inf
+    col_ub[f] = vol
+    integrality = np.ones(num_vars, dtype=np.int64)
+    integrality[0] = 0
+    integrality[f] = 0
+    options: dict = {}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    if mip_rel_gap is not None:
+        options["mip_rel_gap"] = float(mip_rel_gap)
 
     registry = get_registry()
-    registry.histogram("milp.lp_rows").record(model.num_constraints)
-    registry.histogram("milp.lp_cols").record(model.num_vars)
+    registry.histogram("milp.lp_rows").record(num_constraints)
+    registry.histogram("milp.lp_cols").record(num_vars)
     with span("milp.solve", clusters=A, vertices=V,
-              rows=model.num_constraints, cols=model.num_vars) as solve_span:
-        sol = model.solve(time_limit=time_limit, mip_rel_gap=mip_rel_gap)
-        solve_span.set(status=sol.status.value)
+              rows=num_constraints, cols=num_vars) as solve_span:
+        start = time.perf_counter()
+        res = spo.milp(
+            c,
+            constraints=spo.LinearConstraint(matrix, row_lb, row_ub),
+            integrality=integrality,
+            bounds=spo.Bounds(np.zeros(num_vars), col_ub),
+            options=options,
+        )
+        solve_seconds = time.perf_counter() - start
+        status = _highs_status(res)
+        solve_span.set(status=status)
     registry.counter("milp.solves").inc()
-    registry.histogram("milp.solve_seconds").record(sol.solve_seconds)
-    if not sol.has_solution:
-        log.warning("MILP found no incumbent (%s); greedy fallback", sol.status)
+    registry.histogram("milp.solve_seconds").record(solve_seconds)
+    if status not in ("optimal", "feasible"):
+        log.warning("MILP found no incumbent (%s); greedy fallback", status)
         assignment, mcl = greedy_assignment(cube, graph)
         return MILPResult(
             assignment=assignment, mcl=mcl, optimal=False,
-            status=f"fallback:{sol.status.value}", method="greedy",
-            num_vars=model.num_vars, num_constraints=model.num_constraints,
+            status=f"fallback:{status}", method="greedy",
+            num_vars=num_vars, num_constraints=num_constraints,
         )
-    assignment = np.empty(A, dtype=np.int64)
-    for a in range(A):
-        vals = np.array([sol.value(g[a][v]) for v in range(V)])
-        assignment[a] = int(np.argmax(vals))
+    assignment = np.argmax(res.x[g], axis=1)
     if len(np.unique(assignment)) != A:
         raise SolverError("MILP solution decodes to a non-injective placement")
     return MILPResult(
         assignment=assignment,
-        mcl=float(sol.objective),
-        optimal=sol.is_optimal,
-        status=sol.status.value,
-        solve_seconds=sol.solve_seconds,
-        num_vars=model.num_vars,
-        num_constraints=model.num_constraints,
+        mcl=float(res.x[0]),
+        optimal=status == "optimal",
+        status=status,
+        solve_seconds=solve_seconds,
+        num_vars=num_vars,
+        num_constraints=num_constraints,
     )
 
 
@@ -288,49 +355,55 @@ def solve_routing_lp(
     if m == 0:
         return 0.0
     arcs = CubeArcs.from_topology(cube)
-    E = arcs.num_arcs
-    model = Model("routing-lp")
-    z = model.add_var("mcl", lb=0.0)
+    V = cube.num_nodes
 
-    deltas = cube.delta(srcs, dsts)
-    fvars: list[dict[int, object]] = []
-    for i in range(m):
-        allowed: dict[int, object] = {}
-        for e in range(E):
-            d = int(arcs.dims[e])
-            off = int(deltas[i, d])
-            k = cube.shape[d]
-            if off == 0:
-                continue
-            tie = cube.wrap[d] and k % 2 == 0 and abs(off) == k // 2
-            if minimal and not tie and np.sign(off) != arcs.signs[e]:
-                continue
-            allowed[e] = model.add_var(f"f[{i},{e}]", lb=0.0, ub=float(vols[i]))
-        fvars.append(allowed)
+    # Columns: z, then one f per (flow, arc) the flow may use, flow-major.
+    off = cube.delta(srcs, dsts)[:, arcs.dims]
+    k = np.asarray(cube.shape)[arcs.dims]
+    tie = np.asarray(cube.wrap)[arcs.dims] & (k % 2 == 0) & (np.abs(off) == k // 2)
+    allowed = off != 0
+    if minimal:
+        allowed &= tie | (np.sign(off) == arcs.signs)
+    fi, fe = np.nonzero(allowed)
+    f = 1 + np.arange(len(fi))
+    num_vars = 1 + len(fi)
 
-    for i in range(m):
-        li = float(vols[i])
-        si, di = int(srcs[i]), int(dsts[i])
-        for v in range(cube.num_nodes):
-            terms = [fvars[i][e] for e in fvars[i] if arcs.srcs[e] == v]
-            terms_in = [fvars[i][e] for e in fvars[i] if arcs.dsts[e] == v]
-            net = lpsum(terms) - lpsum(terms_in)
-            rhs = li * ((v == si) - (v == di))
-            model.add_constraint(net == rhs)
-    for e in range(E):
-        terms = [fvars[i][e] for i in range(m) if e in fvars[i]]
-        if terms:
-            model.add_constraint(lpsum(terms) <= float(arcs.mults[e]) * z)
-    model.set_objective(z, sense="min")
+    # Conservation, row (i, v) — empty where flow i can reach no arc of v:
+    # out_i(v) - in_i(v) == l_i at s_i, -l_i at d_i, 0 elsewhere.
+    rhs = np.full((m, V), -0.0)
+    rhs[np.arange(m), srcs] = vols
+    rhs[np.arange(m), dsts] = -vols
+    conserve = _Rows()
+    conserve.add(m * V, rhs, rhs,
+                 (fi * V + arcs.srcs[fe], f, 1.0),
+                 (fi * V + arcs.dsts[fe], f, -1.0))
+    # Loads on the arcs some flow may use: sum_i f[i, e] <= mult_e z.
+    used = allowed.any(axis=0)
+    loads = _Rows()
+    loads.add(int(used.sum()), -np.inf, -0.0,
+              ((np.cumsum(used) - 1)[fe], f, 1.0),
+              (np.arange(used.sum()), 0, -arcs.mults[used]))
+    a_eq, b_eq, _ = conserve.matrix(num_vars)
+    a_ub, _, b_ub = loads.matrix(num_vars)
+
+    c = np.zeros(num_vars)
+    c[0] = 1.0
+    bounds = np.column_stack([np.zeros(num_vars), np.r_[np.inf, vols[fi]]])
+    options: dict = {}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
     registry = get_registry()
     registry.counter("lp.routing_solves").inc()
-    registry.histogram("lp.lp_rows").record(model.num_constraints)
-    registry.histogram("lp.lp_cols").record(model.num_vars)
-    sol = model.solve(time_limit=time_limit, raise_on_infeasible=True)
-    registry.histogram("lp.solve_seconds").record(sol.solve_seconds)
-    if not sol.has_solution:
-        raise SolverError(f"routing LP failed: {sol.status}")
-    return float(sol.objective)
+    registry.histogram("lp.lp_rows").record(conserve.count + loads.count)
+    registry.histogram("lp.lp_cols").record(num_vars)
+    start = time.perf_counter()
+    res = spo.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs", options=options)
+    registry.histogram("lp.solve_seconds").record(time.perf_counter() - start)
+    status = _highs_status(res, raise_infeasible=True)
+    if status != "optimal":
+        raise SolverError(f"routing LP failed: {status}")
+    return float(res.x[0])
 
 
 def brute_force_mapping(

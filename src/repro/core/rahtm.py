@@ -79,9 +79,6 @@ class RAHTMConfig:
     reposition:
         Enable the merge phase's repositioning freedom (blocks may swap
         congruent slots — the paper's second degree of freedom).
-    merge_evaluator:
-        ``"uniform"`` (stencil loads; the paper's evaluation) or ``"lp"``
-        (exact routing LP per merge candidate; ablation, slow).
     refine_iterations:
         Post-merge annealed swap proposals on the final placement
         (Section VI's cheap-refinement direction); 0 disables.
@@ -100,7 +97,6 @@ class RAHTMConfig:
     fix_first: bool = True
     routing: str = "mar"
     reposition: bool = False
-    merge_evaluator: str = "uniform"
     refine_iterations: int = 0
     seed: int = 0
 
@@ -130,11 +126,6 @@ class RAHTMConfig:
             raise ConfigError(
                 f"milp_rel_gap must be > 0 or None, got {self.milp_rel_gap}"
             )
-        if self.merge_evaluator not in ("uniform", "lp"):
-            raise ConfigError(
-                f"merge_evaluator must be 'uniform' or 'lp', "
-                f"got {self.merge_evaluator!r}"
-            )
         if self.routing not in ("mar", "dor"):
             raise ConfigError(f"routing must be 'mar' or 'dor', got {self.routing!r}")
         if self.refine_iterations < 0:
@@ -147,7 +138,6 @@ class RAHTMConfig:
             order_mode=self.order_mode,
             order_samples=self.order_samples,
             reposition=self.reposition,
-            evaluator=self.merge_evaluator,
             seed=self.seed + seed_offset,
         )
 

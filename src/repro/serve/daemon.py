@@ -777,11 +777,8 @@ class MappingDaemon:
             store.clear_pending()
             return
         leftover.sort(key=lambda r: r.submitted_unix)
-        doc = {
-            "kind": "pending_batch",
-            "schema": 1,
-            "time_unix": time.time(),
-            "jobs": [
+        try:
+            store.write_pending([
                 {
                     "index": i,
                     "key": record.key,
@@ -792,10 +789,7 @@ class MappingDaemon:
                     "deadline_seconds": record.requested_deadline,
                 }
                 for i, record in enumerate(leftover)
-            ],
-        }
-        try:
-            atomic_write_json(store.pending_path, doc)
+            ])
         except OSError as exc:  # pragma: no cover - disk full
             log.warning("could not persist pending queue: %s", exc)
             return

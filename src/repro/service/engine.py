@@ -34,7 +34,7 @@ from repro.service.jobs import (
     attach_netview,
     execute_mapping_job,
 )
-from repro.service.store import PENDING_NAME, ResultStore, atomic_write_json
+from repro.service.store import ResultStore
 from repro.utils.logconf import get_logger
 
 __all__ = ["EngineStats", "MappingEngine"]
@@ -390,22 +390,16 @@ class MappingEngine:
         """
         if self.store is None:
             return
-        pending_path = self.store.root / PENDING_NAME
         drained = [o for o in outcomes
                    if o is not None and o.drained]
         if not drained:
             try:
-                pending_path.unlink()
-            except FileNotFoundError:
-                pass
+                self.store.clear_pending()
             except OSError:  # pragma: no cover - permissions
                 pass
             return
-        doc = {
-            "kind": "pending_batch",
-            "schema": 1,
-            "time_unix": time.time(),
-            "jobs": [
+        try:
+            pending_path = self.store.write_pending([
                 {
                     "index": o.index,
                     "key": jobs[o.index].cache_key(),
@@ -414,10 +408,7 @@ class MappingEngine:
                     "error": o.error,
                 }
                 for o in drained
-            ],
-        }
-        try:
-            atomic_write_json(pending_path, doc)
+            ])
         except OSError as exc:  # pragma: no cover - disk full
             log.warning("could not persist pending queue: %s", exc)
             return

@@ -90,12 +90,9 @@ class ExecutorConfig:
         Extra attempts after the first failure (timeouts never retry —
         a job that blew its budget once will blow it again).
     backoff:
-        Cap base of the backoff slept before retry ``k``: with jitter,
-        ``uniform(0, backoff * 2**(k-1))`` seconds (seeded from the job
-        key); without, exactly ``backoff * 2**(k-1)``.
-    jitter:
-        Apply full jitter to retry backoff (default). Disable for
-        tests that assert exact sleep lengths.
+        Cap base of the full-jitter backoff slept before retry ``k``:
+        ``uniform(0, backoff * 2**(k-1))`` seconds, seeded from the job
+        key.
     poison_threshold:
         Worker deaths attributable to one job before it is quarantined
         as a poison job instead of re-run.
@@ -110,7 +107,6 @@ class ExecutorConfig:
     timeout: float | None = None
     retries: int = 1
     backoff: float = 0.05
-    jitter: bool = True
     poison_threshold: int = 2
     circuit_threshold: int = 3
     circuit_cooldown: float = 30.0
@@ -231,8 +227,6 @@ class BatchExecutor(Supervised):
                 signal.signal(sig, prev)
 
     def _backoff_delay(self, item, attempt: int) -> float:
-        if not self.config.jitter:
-            return self.config.backoff * 2 ** (attempt - 1)
         return full_jitter_delay(self.config.backoff, attempt,
                                  jitter_token(item))
 

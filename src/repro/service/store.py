@@ -356,6 +356,20 @@ class ResultStore:
             return None
         return doc
 
+    def write_pending(self, entries: list[dict]) -> Path:
+        """Atomically write the drained-batch document listing ``entries``.
+
+        Each entry describes one job that never ran (its ``key``, ``spec``
+        and ``describe``, plus whatever the writer adds); :meth:`read_pending`
+        reads the document back.
+        """
+        return atomic_write_json(self.pending_path, {
+            "kind": "pending_batch",
+            "schema": 1,
+            "time_unix": time.time(),
+            "jobs": entries,
+        })
+
     def clear_pending(self) -> bool:
         """Remove the drained-batch file; True if one existed."""
         try:

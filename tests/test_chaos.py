@@ -124,12 +124,15 @@ def _chaos_item_fn(item):
     return "ok"
 
 
-def test_retry_backoff_does_not_block_harvesting(tmp_path):
+def test_retry_backoff_does_not_block_harvesting(tmp_path, monkeypatch):
     """A job awaiting its retry due-time must not delay other completions."""
-    # jitter=False: the test reasons about the exact 1.5s backoff length.
-    executor = BatchExecutor(
-        ExecutorConfig(jobs=2, retries=1, backoff=1.5, jitter=False)
+    # Sleep the full-jitter cap: the test reasons about the exact 1.5s
+    # backoff length.
+    monkeypatch.setattr(
+        "repro.service.executor.full_jitter_delay",
+        lambda base, attempt, token: base * 2 ** (attempt - 1),
     )
+    executor = BatchExecutor(ExecutorConfig(jobs=2, retries=1, backoff=1.5))
     items = [
         ("fail-once", str(tmp_path / "marker")),
         ("sleep", 0.05),

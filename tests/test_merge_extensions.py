@@ -1,4 +1,4 @@
-"""Tests for the merge extensions: repositioning, LP evaluator, refinement."""
+"""Tests for the merge extensions: repositioning and refinement."""
 
 import numpy as np
 import pytest
@@ -75,31 +75,6 @@ def test_reposition_swaps_blocks_when_profitable():
         num_clusters=16,
     )
     assert out_repo.mcl <= out_fixed.mcl + 1e-9
-
-
-def test_lp_evaluator_small_merge():
-    topo, router, blocks = four_blocks()
-    g = random_uniform(16, 25, max_volume=10.0, seed=4)
-    out = merge_blocks(
-        topo, router, blocks[:2], g.srcs, g.dsts, g.vols,
-        MergeConfig(beam_width=2, max_orientations=2, order_mode="identity",
-                    evaluator="lp", seed=0),
-        num_clusters=16,
-    )
-    assert len(out.positions) == 8
-    # the LP optimum never exceeds the uniform-split evaluation
-    uniform = merge_blocks(
-        topo, router, blocks[:2], g.srcs, g.dsts, g.vols,
-        MergeConfig(beam_width=2, max_orientations=2, order_mode="identity",
-                    seed=0),
-        num_clusters=16,
-    )
-    assert out.mcl <= uniform.mcl + 1e-6
-
-
-def test_invalid_evaluator():
-    with pytest.raises(ConfigError):
-        MergeConfig(evaluator="psychic")
 
 
 # -- refinement -----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize as spo
 
 from repro.commgraph import CommGraph
 from repro.core.milp import (
@@ -11,7 +12,8 @@ from repro.core.milp import (
     solve_cluster_milp,
     solve_routing_lp,
 )
-from repro.errors import SolverError
+from repro.errors import InfeasibleError, SolverError
+from repro.observability.trace import Tracer, activate
 from repro.routing import MinimalAdaptiveRouter
 from repro.topology import hypercube, mesh
 from repro.utils.rng import as_rng
@@ -119,6 +121,96 @@ def test_minimal_constraint_can_only_help_or_match():
     without = solve_cluster_milp(cube, g, enforce_minimal=False)
     # dropping C3 relaxes the model: optimum can only improve or match
     assert without.mcl <= with_c3.mcl + 1e-6
+
+
+def test_model_size_matches_column_and_row_blocks():
+    """Columns z, g[A x V], f[m x E], r[m x ndim]; rows C1a, C1v, C2
+    (m*V), C3 (m*E), the E load rows and the symmetry break."""
+    cube = hypercube(2)
+    g = random_graph(4, 0)
+    A, V, ndim = g.num_tasks, cube.num_nodes, cube.ndim
+    E = CubeArcs.from_topology(cube).num_arcs
+    m = int((g.srcs != g.dsts).sum())
+    tracer = Tracer()
+    with activate(tracer):
+        full = solve_cluster_milp(cube, g)
+    assert full.num_vars == 1 + A * V + m * E + m * ndim
+    assert full.num_constraints == A + V + m * V + m * E + E + 1
+    (solve,) = tracer.roots
+    assert solve.name == "milp.solve"
+    assert solve.attrs["rows"] == full.num_constraints
+    assert solve.attrs["cols"] == full.num_vars
+    assert solve.attrs["status"] == "optimal"
+
+    reduced = solve_cluster_milp(cube, g, enforce_minimal=False,
+                                 fix_first=False)
+    assert reduced.num_vars == 1 + A * V + m * E
+    assert reduced.num_constraints == A + V + m * V + E
+
+
+# -- solver status mapping ---------------------------------------------------------
+def _patch_solver(monkeypatch, name, **fields):
+    """Replace ``scipy.optimize.<name>`` with a wrapper that solves for
+    real, then overrides the result's ``fields``."""
+    real = getattr(spo, name)
+
+    def fake(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.update(fields)
+        return res
+
+    monkeypatch.setattr(spo, name, fake)
+
+
+def test_status_optimal(monkeypatch):
+    cube, g = hypercube(2), random_graph(4, 0)
+    _patch_solver(monkeypatch, "milp")
+    res = solve_cluster_milp(cube, g)
+    assert res.status == "optimal" and res.optimal and res.method == "milp"
+
+
+def test_status_incumbent_at_limit_is_feasible(monkeypatch):
+    cube, g = hypercube(2), random_graph(4, 0)
+    want = solve_cluster_milp(cube, g)
+    _patch_solver(monkeypatch, "milp", status=1,
+                  message="Time limit reached.")
+    res = solve_cluster_milp(cube, g)
+    assert res.status == "feasible"
+    assert res.optimal is False
+    assert res.mcl == want.mcl
+    assert res.assignment.tolist() == want.assignment.tolist()
+
+
+@pytest.mark.parametrize("status,name", [(1, "limit"), (2, "infeasible")])
+def test_status_no_incumbent_falls_back_to_greedy(monkeypatch, status, name):
+    cube, g = hypercube(2), random_graph(4, 0)
+    _patch_solver(monkeypatch, "milp", status=status, x=None)
+    res = solve_cluster_milp(cube, g)
+    assert res.status == f"fallback:{name}"
+    assert res.method == "greedy" and res.optimal is False
+    assignment, mcl = greedy_assignment(cube, g)
+    assert res.assignment.tolist() == assignment.tolist()
+    assert res.mcl == mcl
+
+
+def test_status_solver_error_raises(monkeypatch):
+    _patch_solver(monkeypatch, "milp", status=4, x=None,
+                  message="HiGHS failed")
+    with pytest.raises(SolverError, match="HiGHS failed"):
+        solve_cluster_milp(hypercube(2), random_graph(4, 0))
+
+
+def test_status_routing_lp_infeasible_raises(monkeypatch):
+    _patch_solver(monkeypatch, "linprog", status=2, x=None)
+    with pytest.raises(InfeasibleError):
+        solve_routing_lp(mesh(2, 2), [0], [3], [100.0])
+
+
+@pytest.mark.parametrize("status", [1, 3, 4])
+def test_status_routing_lp_failure_raises(monkeypatch, status):
+    _patch_solver(monkeypatch, "linprog", status=status, x=None)
+    with pytest.raises(SolverError):
+        solve_routing_lp(mesh(2, 2), [0], [3], [100.0])
 
 
 # -- routing LP -------------------------------------------------------------------

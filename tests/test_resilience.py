@@ -140,7 +140,6 @@ class TestConfigValidation:
         {"milp_time_limit": 0.0},
         {"milp_time_limit": -5.0},
         {"milp_rel_gap": 0.0},
-        {"merge_evaluator": "magic"},
         {"routing": "teleport"},
         {"refine_iterations": -1},
     ])
