@@ -68,11 +68,13 @@ def batch() -> list:
     ]
     # One deliberately slow job (~3s): the annealer holds its claim
     # across several heartbeats, so the injected partition strikes a
-    # worker *mid-claim* — and keeps running past the reaper's ~2-lease
-    # horizon, so the reclaim happens while the partitioned worker is
-    # still computing and its completion MUST be fenced. A faster job
-    # would commit to the store before its claim ever looked stale, and
-    # the worker would legitimately keep its lease.
+    # worker *mid-claim*. Whether that worker commits to the store
+    # before or after its claim looks stale, the coordinator never
+    # settles from a store hit while the job is claimed or posted: it
+    # reclaims the silent claim once the reaper's ~2-lease horizon
+    # passes, the partitioned worker, waiting out that verdict, MUST
+    # fence its completion, and the requeued attempt (a free cache hit
+    # when the commit came first) publishes the receipt.
     jobs.append(MappingJob(
         topology=TopologySpec((4, 4)),
         workload=WorkloadSpec("halo2d:4x4", seed=1),

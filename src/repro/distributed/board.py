@@ -10,7 +10,6 @@ any host that can read the content-addressed store can also claim work::
       claims/<key>.claim     leases: created O_EXCL by exactly one
                              worker; heartbeat = the file's mtime,
                              refreshed by the holder
-      claims/<key>.spec.claim  one optional speculative re-execution slot
       done/<key>.json        receipts (created O_EXCL: first commit wins)
       workers/<id>.json      worker registrations (mtime heartbeat)
       workers/<id>.stats.json  periodic worker telemetry snapshots
@@ -178,7 +177,7 @@ class JobBoard:
         return read_json(self.entry_path(key))
 
     def rewrite_entry(self, key: str, entry: dict) -> None:
-        """Atomically replace a job entry (reclaim/speculation updates).
+        """Atomically replace a job entry (reclaim bookkeeping).
 
         Coordination state is rebuildable, so the fsync steps of the
         commit protocol are skipped — atomicity is what matters here.
@@ -203,15 +202,13 @@ class JobBoard:
         return [p.stem for p in paths]
 
     # -- claims / leases -----------------------------------------------------------
-    def claim_path(self, key: str, speculative: bool = False) -> Path:
-        suffix = ".spec.claim" if speculative else ".claim"
-        return self.claims_dir / f"{key}{suffix}"
+    def claim_path(self, key: str) -> Path:
+        return self.claims_dir / f"{key}.claim"
 
     def try_claim(self, key: str, worker_id: str, lease_seconds: float,
-                  speculative: bool = False,
                   host: str | None = None) -> Path | None:
         """Take the claim for ``key`` with O_EXCL; None when already held."""
-        path = self.claim_path(key, speculative=speculative)
+        path = self.claim_path(key)
         doc = {
             "kind": "fleet_claim",
             "schema": BOARD_SCHEMA_VERSION,
@@ -221,7 +218,6 @@ class JobBoard:
             "pid": os.getpid(),
             "claimed_unix": time.time(),
             "lease_seconds": float(lease_seconds),
-            "speculative": bool(speculative),
             "seq": 0,
         }
         return path if exclusive_publish_json(path, doc) else None
@@ -246,10 +242,10 @@ class JobBoard:
           :meth:`claim_info`'s unparseable-claim grace for one beat.
 
         When ``worker_id`` is given, a claim now owned by someone else
-        (speculation slot reassigned, requeue re-claimed) also returns
-        False — the caller must treat that as a fence, not a beat.
-        Unparseable claim files degrade to a bare ``os.utime`` so a
-        legacy or half-written document still carries liveness.
+        (reclaimed and re-claimed after a requeue) also returns False —
+        the caller must treat that as a fence, not a beat. Unparseable
+        claim files degrade to a bare ``os.utime`` so a legacy or
+        half-written document still carries liveness.
         """
         doc = read_json(claim_path)
         if doc is None:
@@ -283,7 +279,7 @@ class JobBoard:
             os.close(fd)
         return True
 
-    def claim_info(self, key: str, speculative: bool = False,
+    def claim_info(self, key: str,
                    now: float | None = None) -> tuple[dict | None, float | None]:
         """``(claim_doc, heartbeat_age_seconds)`` for a claim file.
 
@@ -291,20 +287,20 @@ class JobBoard:
         exists but is unparseable (treated as held until its lease-sized
         grace passes — mirroring DirectoryLock's ``stale_grace``).
         """
-        path = self.claim_path(key, speculative=speculative)
+        path = self.claim_path(key)
         age = _mtime_age(path, now=now)
         if age is None:
             return None, None
         return read_json(path), age
 
-    def reclaim(self, key: str, speculative: bool = False) -> bool:
+    def reclaim(self, key: str) -> bool:
         """Atomically remove an expired claim (rename-aside discipline).
 
         Returns True when *this* caller reclaimed it; False when the
         claim vanished first (the holder released it, or another reaper
         won the ``os.replace`` race).
         """
-        path = self.claim_path(key, speculative=speculative)
+        path = self.claim_path(key)
         aside = path.with_name(
             f"{path.name}.reclaimed-{os.getpid()}-{time.monotonic_ns()}")
         try:

@@ -9,22 +9,20 @@ and lets fleet workers (this host or any host mounting the cache
 directory) claim and execute them.
 
 The coordinator's poll loop is the **reaper**: per posted job it watches
-for a receipt (done), a store hit (done elsewhere), or a claim whose
-heartbeat mtime has gone quiet past its lease — in which case the claim
-is reclaimed with the DirectoryLock rename-aside discipline and the
-entry requeued with jittered backoff. ``poison_threshold`` lease deaths
-quarantine the spec as a poison job (the engine's existing
-``"poisoned"`` event handler writes the quarantine report). Outcomes,
-events and drain go through the same
+for a receipt (done), or a claim whose heartbeat mtime has gone quiet
+past its lease — in which case the claim is reclaimed with the
+DirectoryLock rename-aside discipline and the entry requeued with
+jittered backoff. A store hit decides only a job that has left the
+board (no claim, no entry: another coordinator settled it); a job still
+claimed or posted ends in a receipt or a reclaim, so no receipt lands
+after the settle. Each claim is one ledger attempt and
+each reclaim one :meth:`~repro.service.supervision.BatchLedger.charge_death`;
+``poison_threshold`` deaths quarantine the spec as a poison job (the
+engine's ``"poisoned"`` event handler writes the quarantine report).
+Outcomes, events and drain go through the same
 :class:`~repro.service.supervision.BatchLedger` and
 :class:`~repro.service.supervision.Supervised` plumbing as the process
 pool. A failed receipt is final: the fleet does not retry it.
-
-Stragglers past ``speculation_seconds`` (or ``SPECULATION_FRACTION`` of
-the job timeout) get one speculative re-execution slot; the receipt's O_EXCL
-publish is the first-commit-wins arbiter, and because results land in
-the content-addressed store first, losing the race costs a duplicate
-*solve* only when the original never committed.
 
 ``fn`` is accepted for interface compatibility and ignored: the fleet
 always runs :func:`~repro.service.jobs.execute_mapping_job` worker-side
@@ -62,9 +60,6 @@ log = get_logger("distributed.coordinator")
 RECLAIM_BACKOFF = 0.25
 #: Times a vanished board entry is reposted before its job fails.
 MAX_REPOSTS = 3
-#: Share of ``timeout`` a healthy claim may run before it is speculated
-#: on, when ``speculation_seconds`` is unset.
-SPECULATION_FRACTION = 0.75
 #: Board poll interval (seconds) of spawned workers.
 WORKER_POLL = 0.05
 
@@ -84,7 +79,7 @@ class DistributedConfig:
         Coordinator reaper poll interval.
     timeout:
         Per-attempt wall-clock budget enforced worker-side (None =
-        unlimited); also the default base for the speculation horizon.
+        unlimited).
     poison_threshold:
         Lease deaths attributable to one job before it is quarantined
         as poison instead of requeued (mirrors the process-pool ladder).
@@ -111,10 +106,6 @@ class DistributedConfig:
         host** (a backstop, not a health policy — the reaper already
         recovers their jobs). A single-host fleet keeps the old
         whole-batch semantics.
-    speculation_seconds:
-        Age of a healthy claim before a speculative re-execution slot
-        opens (None = derive from ``timeout`` x ``SPECULATION_FRACTION``;
-        both None disables speculation).
     cleanup:
         Remove queue entries and receipts for completed jobs whose
         results are in the store (the durable substrate); disable to
@@ -134,7 +125,6 @@ class DistributedConfig:
     worker_idle_exit: float | None = 300.0
     worker_python: str = "python3"
     max_worker_respawns: int = 8
-    speculation_seconds: float | None = None
     cleanup: bool = True
     worker_env: tuple = ()
 
@@ -151,9 +141,6 @@ class DistributedConfig:
             raise ConfigError("spawn_workers must be >= 0")
         if self.max_worker_respawns < 0:
             raise ConfigError("max_worker_respawns must be >= 0")
-        if (self.speculation_seconds is not None
-                and self.speculation_seconds <= 0):
-            raise ConfigError("speculation_seconds must be > 0 (or None)")
         object.__setattr__(
             self, "worker_env",
             tuple(sorted((str(k), str(v))
@@ -167,35 +154,26 @@ class DistributedConfig:
                 tuple(HostSpec.parse(spec) for spec in self.hosts),
             )
 
-    @property
-    def speculation_after(self) -> float | None:
-        if self.speculation_seconds is not None:
-            return self.speculation_seconds
-        if self.timeout is not None:
-            return self.timeout * SPECULATION_FRACTION
-        return None
-
 
 class _KeyState:
     """Reaper bookkeeping for one distinct job key in a batch."""
 
-    __slots__ = ("indices", "entry", "posted", "reclaims", "reposts",
-                 "started", "speculated", "t0", "lease_seq")
+    __slots__ = ("indices", "entry", "posted", "reposts", "started", "t0",
+                 "lease_seq")
 
     def __init__(self, indices: list[int], entry: dict, posted: bool):
         self.indices = indices
         self.entry = entry
         self.posted = posted
-        self.reclaims = 0
         self.reposts = 0
+        #: The current claim's attempt is on the ledger (reset by a
+        #: reclaim, so the next claim is the next attempt).
         self.started = False
-        self.speculated = False
         self.t0 = time.perf_counter()
-        #: Per claim slot (speculative flag -> (last seen heartbeat seq,
-        #: coordinator-monotonic time it was first seen)). The reaper's
-        #: skew defence: a stale-mtime claim is only dead once its seq
-        #: also stops advancing on *our* clock.
-        self.lease_seq: dict[bool, tuple[int, float]] = {}
+        #: (last seen heartbeat seq, coordinator-monotonic time it was
+        #: first seen). The reaper's skew defence: a stale-mtime claim is
+        #: only dead once its seq also stops advancing on *our* clock.
+        self.lease_seq: tuple[int, float] | None = None
 
 
 class _HostState:
@@ -382,7 +360,6 @@ class DistributedExecutor(Supervised):
                 "owner": {"host": socket.gethostname(), "pid": os.getpid()},
                 "reclaims": 0,
                 "not_before": 0.0,
-                "speculate": False,
             }
             posted = self.board.post(key, entry)
             if posted:
@@ -399,7 +376,7 @@ class DistributedExecutor(Supervised):
         pending = set(state)
         while pending and not self._drain.is_set():
             for key in sorted(pending):
-                outcome_info = self._poll_key(key, state[key], items)
+                outcome_info = self._poll_key(key, state[key], ledger)
                 if outcome_info is not None:
                     self._settle(ledger, key, state[key], outcome_info)
                     pending.discard(key)
@@ -450,97 +427,79 @@ class DistributedExecutor(Supervised):
         if self.board.alive_workers() > 0:
             return False
         for key in pending:
-            for speculative in (False, True):
-                _, age = self.board.claim_info(key, speculative=speculative)
-                # 2x lease matches the skew-tolerant reap horizon: a
-                # claim can stay un-reaped that long while its seq is
-                # checked, and it is a sign of life for just as long.
-                if age is not None and age <= 2.0 * cfg.lease_seconds:
-                    return False
+            _, age = self.board.claim_info(key)
+            # 2x lease matches the skew-tolerant reap horizon: a claim
+            # can stay un-reaped that long while its seq is checked, and
+            # it is a sign of life for just as long.
+            if age is not None and age <= 2.0 * cfg.lease_seconds:
+                return False
         return True
 
     # -- per-key reaper step ---------------------------------------------------------
-    def _poll_key(self, key: str, st: _KeyState, items: list) -> dict | None:
+    def _poll_key(self, key: str, st: _KeyState,
+                  ledger: BatchLedger) -> dict | None:
         """One reaper pass over a pending key; non-None = decided."""
-        cfg = self.config
-        registry = get_registry()
         receipt = self.board.read_receipt(key)
         if receipt is not None:
-            return self._decide_from_receipt(key, st, receipt)
+            # A claim we never saw (made and finished between two
+            # passes) is still an attempt.
+            self._start_attempt(st, ledger)
+            return self._decide_from_receipt(key, receipt)
+
+        claim, age = self.board.claim_info(key)
+        if age is not None:
+            # A held claim ends in its holder's receipt or in a reclaim,
+            # never in a store hit: settling (and cleaning up) from the
+            # store would let the holder's receipt land after the settle.
+            self._start_attempt(st, ledger)
+            if ((self._claim_expired(st, claim, age)
+                    or faultinject.fires("lease-expire"))
+                    and self.board.reclaim(key)
+                    and self._on_reclaim(key, st, ledger, claim, age)):
+                return {"payload": None,
+                        "error": ledger.outcomes[st.indices[0]].error}
+            return None
+
+        if self.board.read_entry(key) is not None:
+            # Posted and unclaimed. Even with the result already durable
+            # (its holder died between store commit and receipt), the
+            # requeued attempt is a worker's free cache hit and receipt.
+            return None
+        registry = get_registry()
         if key in self.store:
-            # No receipt (cleaned up by another coordinator, or the
-            # worker died between store commit and receipt publish) but
-            # the result is durable: that is all we need.
+            # Off the board with a durable result: another coordinator
+            # settled it and cleaned up its entry and receipt.
             payload = self.store.get(key)
             if payload is not None:
                 registry.counter("fleet.completed").inc()
                 return {"payload": payload, "error": None}
 
-        now = time.time()
-        claim_seen = False
-        for speculative in (False, True):
-            claim, age = self.board.claim_info(key, speculative=speculative)
-            if age is None:
-                continue
-            claim_seen = True
-            if not speculative and not st.started and claim is not None:
-                st.started = True
-                registry.counter("fleet.claims").inc()
-                self._emit("started", index=st.indices[0],
-                           item=items[st.indices[0]],
-                           attempt=1 + st.reclaims,
-                           worker=claim.get("worker"))
-            lease = cfg.lease_seconds
-            if claim is not None:
-                try:
-                    lease = float(claim.get("lease_seconds")
-                                  or cfg.lease_seconds)
-                except (TypeError, ValueError):
-                    pass
-            expired = (self._claim_expired(st, speculative, claim, age,
-                                           lease)
-                       or faultinject.fires("lease-expire"))
-            if expired:
-                if self.board.reclaim(key, speculative=speculative):
-                    decided = self._on_reclaim(key, st, items, claim, age,
-                                               speculative)
-                    if decided is not None:
-                        return decided
-                continue
-            if (not speculative and not st.speculated
-                    and cfg.speculation_after is not None
-                    and claim is not None):
-                try:
-                    claim_age = now - float(claim.get("claimed_unix") or now)
-                except (TypeError, ValueError):
-                    claim_age = 0.0
-                if claim_age > cfg.speculation_after:
-                    self._open_speculation(key, st, items, claim, claim_age)
-        if claim_seen:
-            return None
-
-        # No receipt, no store hit, no claim: make sure the entry is
-        # still on the board (another coordinator's cleanup or a manual
-        # sweep may have removed it before any worker ran it).
-        if self.board.read_entry(key) is None:
-            st.reposts += 1
-            if st.reposts > MAX_REPOSTS:
-                return {
-                    "payload": None,
-                    "error": (f"job board entry for {key[:12]} vanished "
-                              f"{st.reposts} time(s) without a durable "
-                              "result; giving up"),
-                }
-            registry.counter("fleet.reposts").inc()
-            entry = dict(st.entry)
-            entry["reclaims"] = st.reclaims
-            entry["posted_unix"] = time.time()
-            self.board.post(key, entry)
+        # Off the board without a result: another coordinator's cleanup
+        # or a manual sweep removed the entry before any worker ran it.
+        st.reposts += 1
+        if st.reposts > MAX_REPOSTS:
+            return {
+                "payload": None,
+                "error": (f"job board entry for {key[:12]} vanished "
+                          f"{st.reposts} time(s) without a durable "
+                          "result; giving up"),
+            }
+        registry.counter("fleet.reposts").inc()
+        entry = dict(st.entry)
+        entry["posted_unix"] = time.time()
+        self.board.post(key, entry)
         return None
 
-    def _claim_expired(self, st: _KeyState, speculative: bool,
-                       claim: dict | None, age: float,
-                       lease: float) -> bool:
+    def _start_attempt(self, st: _KeyState, ledger: BatchLedger) -> None:
+        """Put the current claim on the ledger as one attempt, once."""
+        if st.started:
+            return
+        st.started = True
+        get_registry().counter("fleet.claims").inc()
+        ledger.start(st.indices[0])
+
+    def _claim_expired(self, st: _KeyState, claim: dict | None,
+                       age: float) -> bool:
         """Is this claim dead, or merely on a skewed/slow host?
 
         A fresh mtime is always alive (and resets the seq watch). A
@@ -556,82 +515,68 @@ class DistributedExecutor(Supervised):
         renewal latency exceeds the lease.) Legacy claims without a seq
         keep the original mtime-only rule.
         """
+        lease = self.config.lease_seconds
+        if claim is not None:
+            try:
+                lease = float(claim.get("lease_seconds") or lease)
+            except (TypeError, ValueError):
+                pass
         if age <= lease:
-            st.lease_seq.pop(speculative, None)
+            st.lease_seq = None
             return False
-        seq = claim.get("seq") if isinstance(claim, dict) else None
+        seq = claim.get("seq") if claim is not None else None
         if not isinstance(seq, int):
             return True
         now = time.monotonic()
-        prev = st.lease_seq.get(speculative)
+        prev = st.lease_seq
         if prev is None or prev[0] != seq:
-            if prev is not None and prev[0] != seq:
+            if prev is not None:
                 # Stale mtime but the seq moved: a live worker on a
                 # skewed clock or slow mount. Tolerated, observable.
                 get_registry().counter("fleet.skew_tolerated").inc()
-            st.lease_seq[speculative] = (seq, now)
+            st.lease_seq = (seq, now)
             return False
         return now - prev[1] > lease
 
-    def _on_reclaim(self, key: str, st: _KeyState, items: list,
-                    claim: dict | None, age: float,
-                    speculative: bool) -> dict | None:
-        """This coordinator won the rename-aside race for a dead lease."""
-        cfg = self.config
+    def _on_reclaim(self, key: str, st: _KeyState, ledger: BatchLedger,
+                    claim: dict | None, age: float) -> bool:
+        """This coordinator won the rename-aside race for a dead lease.
+
+        The lease death is charged to the key's lead index on the
+        ledger. True once that poisons the job (the ledger emits
+        ``poisoned`` and settles the lead); otherwise the entry is
+        requeued behind a jittered backoff.
+        """
         registry = get_registry()
-        st.reclaims += 1
-        st.lease_seq.pop(speculative, None)
         registry.counter("fleet.reclaims").inc()
+        st.started = False
+        st.lease_seq = None
+        lead = st.indices[0]
         worker = claim.get("worker") if claim else None
         host = claim.get("host") if claim else None
-        log.warning("reclaimed %s lease on %s from %s@%s (heartbeat %.2fs "
-                    "old, lease death %d/%d)",
-                    "speculative" if speculative else "expired", key[:12],
-                    worker or "<unparseable claim>", host or "?", age,
-                    st.reclaims, cfg.poison_threshold)
-        self._emit("reclaimed", index=st.indices[0],
-                   item=items[st.indices[0]], reclaims=st.reclaims,
-                   worker=worker, host=host, heartbeat_age=age,
-                   speculative=speculative)
-        if st.reclaims >= cfg.poison_threshold:
+        holder = f"{worker or '<unparseable claim>'}@{host or '?'}"
+        self._emit("reclaimed", index=lead, item=ledger.items[lead],
+                   worker=worker, host=host, heartbeat_age=age)
+        poisoned = ledger.charge_death(
+            lead, f"lease expired on {holder}, heartbeat {age:.2f}s old",
+            worker=worker, host=host)
+        deaths = ledger.deaths[lead]
+        log.warning("reclaimed expired lease on %s from %s (heartbeat "
+                    "%.2fs old, lease death %d/%d)", key[:12], holder, age,
+                    deaths, self.config.poison_threshold)
+        if poisoned:
             registry.counter("fleet.poisoned").inc()
             self.board.remove_entry(key)
-            # Clear the sibling claim slot too, so no third worker picks
-            # up a spec we just declared poison.
-            self.board.reclaim(key, speculative=not speculative)
-            error = (f"poison job: worker lease expired {st.reclaims} "
-                     "consecutive time(s) running it; quarantined")
-            self._emit("poisoned", index=st.indices[0],
-                       item=items[st.indices[0]], deaths=st.reclaims,
-                       worker=worker, host=host, error=error)
-            return {"payload": None, "error": error, "poisoned": True}
+            return True
         entry = self.board.read_entry(key) or dict(st.entry)
-        entry["reclaims"] = st.reclaims
+        entry["reclaims"] = deaths
         entry["not_before"] = time.time() + full_jitter_delay(
-            RECLAIM_BACKOFF, st.reclaims, key)
-        entry["speculate"] = False
+            RECLAIM_BACKOFF, deaths, key)
         self.board.rewrite_entry(key, entry)
         st.entry = entry
-        st.speculated = False
-        return None
+        return False
 
-    def _open_speculation(self, key: str, st: _KeyState, items: list,
-                          claim: dict, claim_age: float) -> None:
-        st.speculated = True
-        get_registry().counter("fleet.speculations").inc()
-        entry = self.board.read_entry(key) or dict(st.entry)
-        entry["speculate"] = True
-        self.board.rewrite_entry(key, entry)
-        st.entry = entry
-        log.warning("straggler %s: claim by %s is %.2fs old; opening a "
-                    "speculative slot", key[:12], claim.get("worker"),
-                    claim_age)
-        self._emit("speculated", index=st.indices[0],
-                   item=items[st.indices[0]], worker=claim.get("worker"),
-                   claim_age=claim_age)
-
-    def _decide_from_receipt(self, key: str, st: _KeyState,
-                             receipt: dict) -> dict:
+    def _decide_from_receipt(self, key: str, receipt: dict) -> dict:
         registry = get_registry()
         error = receipt.get("error")
         if error:
@@ -658,22 +603,27 @@ class DistributedExecutor(Supervised):
             registry.counter("fleet.completed").inc()
         else:
             registry.counter("fleet.worker_cache_hits").inc()
-        if receipt.get("speculative"):
-            registry.counter("fleet.speculation_wins").inc()
         return {"payload": payload, "error": None,
                 "worker": receipt.get("worker")}
 
     # -- settling outcomes -----------------------------------------------------------
     def _settle(self, ledger: BatchLedger, key: str, st: _KeyState,
                 info: dict) -> None:
-        wall = time.perf_counter() - st.t0
-        error = info.get("error")
-        for index in st.indices:
-            ledger.finish(index, info.get("payload"), error,
-                          attempts=1 + st.reclaims, wall_seconds=wall,
-                          timed_out=bool(info.get("timed_out")),
-                          poisoned=bool(info.get("poisoned")))
-        if self.config.cleanup and error is None and key in self.store:
+        """Settle every batch index of ``key`` with one outcome: the lead
+        index's (already on the ledger when it was poisoned)."""
+        lead = st.indices[0]
+        ledger.finish(lead, info.get("payload"), info.get("error"),
+                      wall_seconds=time.perf_counter() - st.t0,
+                      timed_out=bool(info.get("timed_out")),
+                      drained=bool(info.get("drained")))
+        done = ledger.outcomes[lead]
+        for index in st.indices[1:]:
+            ledger.finish(index, done.result, done.error,
+                          attempts=done.attempts,
+                          wall_seconds=done.wall_seconds,
+                          timed_out=done.timed_out, poisoned=done.poisoned,
+                          drained=done.drained)
+        if self.config.cleanup and done.error is None and key in self.store:
             # The store is the durable record; the entry and receipt are
             # scaffolding. Degraded results (never cached) keep their
             # receipt so a second coordinator can still read them.
@@ -684,18 +634,15 @@ class DistributedExecutor(Supervised):
                        state: dict) -> None:
         for key in sorted(pending):
             st = state[key]
-            claim, age = self.board.claim_info(key)
-            if st.posted and age is None:
+            if st.posted and self.board.claim_info(key)[1] is None:
                 # Never claimed: withdraw our own entry so the board
                 # doesn't leak work nobody is waiting on. Claimed jobs
                 # stay — their workers will still commit to the store.
                 self.board.remove_entry(key)
-            wall = time.perf_counter() - st.t0
-            for index in st.indices:
-                ledger.finish(index, None, "drained: fleet batch shut down "
-                              "before this job completed",
-                              attempts=st.reclaims, wall_seconds=wall,
-                              drained=True)
+            self._settle(ledger, key, st, {
+                "payload": None, "drained": True,
+                "error": ("drained: fleet batch shut down before this job "
+                          "completed")})
 
     # -- introspection ---------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -4,7 +4,8 @@
 loop is deliberately boring::
 
     scan queue -> claim one entry (O_EXCL) -> execute -> commit to the
-    checksummed store -> publish receipt (first commit wins) -> release
+    checksummed store -> publish receipt (first commit wins) -> withdraw
+    the entry -> release
 
 While a job runs, a daemon thread refreshes the claim file's mtime
 every quarter lease — the coordinator's reaper treats a heartbeat older
@@ -19,6 +20,9 @@ argument: a worker that dies after ``store.put`` but before the receipt
 has still made the result durable, so the reclaimed re-execution is a
 free cache hit — the re-claiming worker finds the key in the store and
 publishes an ``executed=False`` receipt without touching the mapper.
+A worker that publishes an ok receipt withdraws the queue entry *before*
+it releases its claim, and a worker whose claim lands on a withdrawn
+entry releases it untouched: finished work is never claimed twice.
 
 **Self-fencing** closes the partitioned-worker window the store cannot:
 before publishing a receipt, a worker whose heartbeat failed (the claim
@@ -279,24 +283,18 @@ class FleetWorker:
                     continue  # reclaim backoff window
             except (TypeError, ValueError):
                 pass
-            lease = self._lease_of(entry)
-            speculative = False
-            claim = self.board.try_claim(key, self.worker_id, lease,
+            claim = self.board.try_claim(key, self.worker_id,
+                                         self._lease_of(entry),
                                          host=self.host)
-            if claim is None and entry.get("speculate"):
-                # The primary holder is a straggler: race it through the
-                # one speculative slot. First receipt wins either way.
-                claim = self.board.try_claim(key, self.worker_id, lease,
-                                             speculative=True,
-                                             host=self.host)
-                speculative = claim is not None
             if claim is None:
                 continue
-            if self.board.read_receipt(key) is not None:
-                # Finished between our scan and our claim; nothing to do.
+            if (self.board.read_entry(key) is None
+                    or self.board.read_receipt(key) is not None):
+                # Finished between our scan and our claim (its worker
+                # withdrew the entry before releasing); nothing to do.
                 self.board.release_claim(claim, self.worker_id)
                 continue
-            self._process(key, entry, claim, speculative)
+            self._process(key, entry, claim)
             return True
         return False
 
@@ -309,15 +307,13 @@ class FleetWorker:
         return max(lease, 0.1)
 
     # -- executing one claim -------------------------------------------------------
-    def _process(self, key: str, entry: dict, claim_path: Path,
-                 speculative: bool) -> None:
+    def _process(self, key: str, entry: dict, claim_path: Path) -> None:
         # The worst moment to die: claim held, nothing durable yet. The
         # chaos suite arms this to prove the lease reaper recovers.
         faultinject.inject("worker-kill-after-claim")
         registry = get_registry()
         registry.counter("fleet.worker_claims").inc()
-        log.info("worker %s claimed %s%s (%s)", self.worker_id, key[:12],
-                 " [speculative]" if speculative else "",
+        log.info("worker %s claimed %s (%s)", self.worker_id, key[:12],
                  entry.get("describe", "?"))
         lease = self._lease_of(entry)
         stop_beat = threading.Event()
@@ -336,7 +332,6 @@ class FleetWorker:
             "worker": self.worker_id,
             "host": self.host,
             "pid": os.getpid(),
-            "speculative": speculative,
             "executed": False,
             "error": None,
             "timed_out": False,
@@ -415,11 +410,14 @@ class FleetWorker:
                         " after executing" if executed else "")
         elif self.board.publish_receipt(key, receipt):
             self.published += 1
+            if receipt["error"] is None:
+                # Withdraw before releasing: a worker whose claim lands
+                # after our release finds no entry and runs nothing.
+                self.board.remove_entry(key)
         elif executed:
             # Lost the first-commit-wins race *after* running the
             # mapper: record it, so duplicate executions are observable
-            # (the chaos suite asserts there are none without
-            # speculation in play).
+            # (the chaos suite asserts there are none).
             registry.counter("fleet.worker_duplicate_executions").inc()
             self.board.record_duplicate(key, self.worker_id, host=self.host)
             log.warning("worker %s: lost receipt race for %s after "

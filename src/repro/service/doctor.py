@@ -361,9 +361,7 @@ def _scan_board(root: Path, report: DoctorReport, repair: bool) -> None:
     except OSError:
         claim_paths = []
     for path in claim_paths:
-        speculative = path.name.endswith(".spec.claim")
-        key = path.name[: -len(".spec.claim" if speculative
-                               else ".claim")]
+        key = path.name[: -len(".claim")]
         try:
             age = now - path.stat().st_mtime
         except OSError:
@@ -394,7 +392,7 @@ def _scan_board(root: Path, report: DoctorReport, repair: bool) -> None:
                 kind="orphan-claim", path=_relative(path), key=key,
                 detail=(f"{holder}'s claim outlived its queue entry by "
                         f"{age:.1f}s (job settled or poisoned)"))
-        if repair and board.reclaim(key, speculative=speculative):
+        if repair and board.reclaim(key):
             finding.repaired = True
             finding.action = "reclaimed (rename-aside)"
         elif repair:

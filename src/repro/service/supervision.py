@@ -72,8 +72,9 @@ class BatchLedger:
 
     ``attempts`` counts the ``started`` events of each item and the wall
     clock runs from its first start; both are the defaults of
-    :meth:`finish`, which a backend with its own bookkeeping (the fleet
-    counts reclaims and times from the board post) may override.
+    :meth:`finish`, which a backend with its own clock (the fleet times
+    from the board post) may override. ``deaths`` counts the worker
+    deaths charged to each item since it last survived one.
     """
 
     def __init__(self, items, emit, poison_threshold: int):
@@ -82,7 +83,7 @@ class BatchLedger:
         self.attempts = [0] * len(self.items)
         self._emit = emit
         self._starts: list[float | None] = [None] * len(self.items)
-        self._deaths: dict[int, int] = {}
+        self.deaths: dict[int, int] = {}
         self._poison_threshold = poison_threshold
         for index, item in enumerate(self.items):
             emit("queued", index=index, item=item)
@@ -120,15 +121,19 @@ class BatchLedger:
             if outcome is None:
                 self.finish(index, None, error, **flags)
 
-    def charge_death(self, index: int, cause: str) -> bool:
-        """Charge a worker death to ``index``; True once it is poisoned."""
-        deaths = self._deaths[index] = self._deaths.get(index, 0) + 1
+    def charge_death(self, index: int, cause: str, **info) -> bool:
+        """Charge a worker death to ``index``; True once it is poisoned.
+
+        ``info`` (the fleet's ``worker``/``host``) rides the ``poisoned``
+        event into the quarantine report.
+        """
+        deaths = self.deaths[index] = self.deaths.get(index, 0) + 1
         if deaths < self._poison_threshold:
             return False
         log.error("job %d is poison (%d worker deaths); quarantining",
                   index, deaths)
         self._emit("poisoned", index=index, item=self.items[index],
-                   deaths=deaths, error=cause)
+                   deaths=deaths, error=cause, **info)
         self.finish(index, None,
                     f"poison job: worker died {deaths} time(s) running it "
                     f"(last: {cause}); quarantined", poisoned=True)
@@ -136,7 +141,7 @@ class BatchLedger:
 
     def survived(self, index: int) -> None:
         """The worker returned from ``index``: its death count restarts."""
-        self._deaths.pop(index, None)
+        self.deaths.pop(index, None)
 
 
 class Supervised:

@@ -52,6 +52,7 @@ from repro.service import (
     diagnose,
 )
 from repro.service.store import ResultStore
+from repro.service.supervision import BatchLedger
 
 
 def _jobs(n=3):
@@ -69,6 +70,11 @@ def _fleet_engine(cache, workers, **cfg):
         cache_dir=cache, backend="distributed",
         distributed=DistributedConfig(spawn_workers=workers, **cfg),
     )
+
+
+def _ledger(executor, jobs):
+    return BatchLedger(jobs, executor._emit,
+                       executor.config.poison_threshold)
 
 
 def _assert_parity(serial_outcomes, fleet_outcomes):
@@ -350,19 +356,144 @@ def test_injected_lease_expiry_reclaims_a_healthy_claim(tmp_path):
     job = _jobs(1)[0]
     key = job.cache_key()
     entry = {"key": key, "spec": job.payload(), "lease_seconds": 30.0,
-             "reclaims": 0, "not_before": 0.0, "speculate": False}
+             "reclaims": 0, "not_before": 0.0}
     board.post(key, entry)
     board.try_claim(key, "w-healthy", 30.0)
     st = _KeyState([0], entry, True)
+    ledger = _ledger(executor, [job])
     with injected_faults(FaultSpec("lease-expire")):
-        decided = executor._poll_key(key, st, [job])
+        decided = executor._poll_key(key, st, ledger)
     assert decided is None  # reclaimed + requeued, not yet settled
-    assert st.reclaims == 1
+    assert ledger.deaths == {0: 1}
     assert board.claim_info(key) == (None, None)
     requeued = board.read_entry(key)
     assert requeued["reclaims"] == 1
     assert requeued["not_before"] > 0.0
     assert get_registry().counter("fleet.reclaims").value == 1
+
+
+def test_repeated_spec_in_one_batch_is_poisoned_once(tmp_path):
+    """A spec submitted twice is one board key: its lease deaths are
+    charged once on the ledger, one poison report names the last
+    holder, and both batch items share the poison outcome."""
+    job = _jobs(1)[0]
+    engine = _fleet_engine(
+        tmp_path / "fleet", workers=1,
+        lease_seconds=0.5, poison_threshold=2, cleanup=False,
+        worker_env={
+            "REPRO_FAULTS": "worker-kill-after-claim:2",
+            "REPRO_FAULT_HITS_DIR": str(tmp_path / "hits"),
+        },
+    )
+    try:
+        outcomes = engine.run([job, job])
+    finally:
+        engine.executor.stop_workers()
+    assert [o.poisoned for o in outcomes] == [True, True]
+    assert [o.attempts for o in outcomes] == [2, 2]  # one per claim
+    assert outcomes[0].error == outcomes[1].error
+    assert "poison" in outcomes[0].error
+    assert engine.stats.poison_jobs == 1  # one "poisoned" event
+    reports = [entry["report"] for entry in engine.store.list_quarantine()
+               if "poison" in entry["file"]]
+    assert len(reports) == 1
+    assert reports[0]["deaths"] == 2
+    assert reports[0]["worker"] and reports[0]["host"]
+
+
+def test_store_hit_settles_only_a_job_off_the_board(tmp_path):
+    """A store hit while a live claim is held and no receipt exists is
+    the holder between its store commit and its receipt: the reaper
+    waits for the receipt (or the lease's death) and leaves the board
+    alone, so no receipt can land after the settle cleaned up. A posted
+    entry waits too (its next claim is a free cache hit); only a job
+    that left the board is settled from the store."""
+    from repro.distributed.coordinator import _KeyState
+
+    cache = tmp_path / "cache"
+    job = _jobs(1)[0]
+    MappingEngine(cache_dir=cache, jobs=1).run([job])  # the holder's commit
+    executor = DistributedExecutor(
+        ResultStore(cache),
+        DistributedConfig(spawn_workers=0, lease_seconds=30.0))
+    board = executor.board
+    board.ensure_dirs()
+    key = job.cache_key()
+    entry = {"key": key, "spec": job.payload(), "lease_seconds": 30.0,
+             "reclaims": 0, "not_before": 0.0}
+    board.post(key, entry)
+    board.try_claim(key, "w-holder", 30.0)
+    st = _KeyState([0], entry, True)
+    ledger = _ledger(executor, [job])
+    assert executor._poll_key(key, st, ledger) is None
+    assert board.read_entry(key) is not None
+    assert board.claim_info(key)[0]["worker"] == "w-holder"
+
+    assert board.reclaim(key)  # another reaper took the dead lease
+    assert executor._poll_key(key, st, ledger) is None
+    board.publish_receipt(key, {"worker": "w-next", "executed": False,
+                                "error": None})
+    decided = executor._poll_key(key, st, ledger)
+    assert decided["error"] is None and decided["worker"] == "w-next"
+
+    board.remove_receipt(key)  # another coordinator settled, cleaned up
+    board.remove_entry(key)
+    decided = executor._poll_key(key, _KeyState([0], entry, True), ledger)
+    assert decided["error"] is None and decided["payload"]["key"] == key
+
+
+def test_worker_withdraws_entry_before_releasing_its_claim(tmp_path,
+                                                          monkeypatch):
+    """An ok receipt withdraws the queue entry while the claim is still
+    held, so a worker whose claim lands after the release finds no
+    entry to run."""
+    cache = tmp_path / "cache"
+    board = JobBoard.under_cache(cache)
+    board.ensure_dirs()
+    job = _jobs(1)[0]
+    key = job.cache_key()
+    board.post(key, {"key": key, "spec": job.payload(),
+                     "lease_seconds": 5.0})
+    worker = FleetWorker(cache, worker_id="w-done", install_signals=False)
+    entry_at_release = []
+    real_release = worker.board.release_claim
+
+    def release(claim_path, worker_id):
+        entry_at_release.append(board.read_entry(key))
+        return real_release(claim_path, worker_id)
+
+    monkeypatch.setattr(worker.board, "release_claim", release)
+    claim = board.try_claim(key, "w-done", 5.0)
+    worker._process(key, board.read_entry(key), claim)
+    assert board.read_receipt(key)["executed"] is True
+    assert entry_at_release == [None]
+    assert board.claim_info(key) == (None, None)
+
+
+def test_claim_on_a_withdrawn_entry_runs_nothing(tmp_path, monkeypatch):
+    """The re-claim race: a worker read the entry, and its claim landed
+    after the finishing worker withdrew the entry and released. It must
+    release the claim untouched instead of running the job again."""
+    cache = tmp_path / "cache"
+    board = JobBoard.under_cache(cache)
+    board.ensure_dirs()
+    job = _jobs(1)[0]
+    key = job.cache_key()
+    board.post(key, {"key": key, "spec": job.payload(),
+                     "lease_seconds": 5.0})
+    worker = FleetWorker(cache, worker_id="w-late", install_signals=False)
+    real_claim = worker.board.try_claim
+
+    def claim_after_withdrawal(*args, **kwargs):
+        board.remove_entry(key)  # the first worker finished meanwhile
+        return real_claim(*args, **kwargs)
+
+    monkeypatch.setattr(worker.board, "try_claim", claim_after_withdrawal)
+    assert worker._scan_once() is False
+    assert worker.executed == 0 and worker.published == 0
+    assert key not in worker.store
+    assert board.claim_info(key) == (None, None)
+    assert board.read_receipt(key) is None
 
 
 # -- fencing & skew chaos -------------------------------------------------------------
@@ -442,10 +573,11 @@ def test_skew_tolerant_reaper_spares_an_advancing_seq(tmp_path):
     job = _jobs(1)[0]
     key = job.cache_key()
     entry = {"key": key, "spec": job.payload(), "lease_seconds": 30.0,
-             "reclaims": 0, "not_before": 0.0, "speculate": False}
+             "reclaims": 0, "not_before": 0.0}
     board.post(key, entry)
     claim = board.try_claim(key, "w-skewed", 30.0)
     st = _KeyState([0], entry, True)
+    ledger = _ledger(executor, [job])
 
     def _age_mtime():
         old = time.time() - 3600
@@ -453,8 +585,8 @@ def test_skew_tolerant_reaper_spares_an_advancing_seq(tmp_path):
 
     _age_mtime()
     for _ in range(3):
-        assert executor._poll_key(key, st, [job]) is None
-        assert st.reclaims == 0
+        assert executor._poll_key(key, st, ledger) is None
+        assert ledger.deaths == {}
         assert board.claim_info(key)[0] is not None  # claim survived
         assert board.heartbeat(claim, worker_id="w-skewed")
         _age_mtime()
@@ -477,18 +609,19 @@ def test_skew_tolerant_reaper_still_reaps_a_frozen_seq(tmp_path):
     job = _jobs(1)[0]
     key = job.cache_key()
     entry = {"key": key, "spec": job.payload(), "lease_seconds": 0.3,
-             "reclaims": 0, "not_before": 0.0, "speculate": False}
+             "reclaims": 0, "not_before": 0.0}
     board.post(key, entry)
     claim = board.try_claim(key, "w-frozen", 0.3)
     old = time.time() - 3600
     os.utime(claim, (old, old))
 
-    assert executor._poll_key(key, st := _KeyState([0], entry, True),
-                              [job]) is None
-    assert st.reclaims == 0  # first sighting: benefit of the doubt
+    st = _KeyState([0], entry, True)
+    ledger = _ledger(executor, [job])
+    assert executor._poll_key(key, st, ledger) is None
+    assert ledger.deaths == {}  # first sighting: benefit of the doubt
     time.sleep(0.45)  # > lease with the seq frozen
-    assert executor._poll_key(key, st, [job]) is None
-    assert st.reclaims == 1
+    assert executor._poll_key(key, st, ledger) is None
+    assert ledger.deaths == {0: 1}
     assert board.claim_info(key) == (None, None)
     assert get_registry().counter("fleet.reclaims").value == 1
 
@@ -639,12 +772,8 @@ def test_distributed_config_validation():
         DistributedConfig(poison_threshold=0)
     with pytest.raises(ConfigError):
         DistributedConfig(spawn_workers=-1)
-    with pytest.raises(ConfigError):
-        DistributedConfig(speculation_seconds=0.0)
     cfg = DistributedConfig(worker_env={"B": "2", "A": "1"})
     assert cfg.worker_env == (("A", "1"), ("B", "2"))
-    assert DistributedConfig(timeout=10.0).speculation_after == 7.5
-    assert DistributedConfig().speculation_after is None
 
 
 def test_engine_backend_validation(tmp_path):
@@ -866,6 +995,10 @@ def test_doctor_reports_and_repairs_board_state(tmp_path):
     # orphan claim: no queue entry behind it
     orphan = board.try_claim("k2", "w2", 0.5)
     os.utime(orphan, (old, old))
+    # an older board's speculative claim is an orphan: no key owns it
+    legacy = board.claims_dir / "k1.spec.claim"
+    legacy.write_text(json.dumps({"worker": "w5", "lease_seconds": 0.5}))
+    os.utime(legacy, (old, old))
     # healthy claim: fresh heartbeat, must NOT be flagged
     board.post("k4", {"key": "k4", "lease_seconds": 60.0})
     board.try_claim("k4", "w4", 60.0)
@@ -884,6 +1017,8 @@ def test_doctor_reports_and_repairs_board_state(tmp_path):
                if f.kind in ("expired-lease", "orphan-claim")}
     assert str(dead_claim.relative_to(cache)) in flagged
     assert "board/claims/k4.claim" not in flagged
+    assert {f.kind for f in report.findings
+            if f.path == "board/claims/k1.spec.claim"} == {"orphan-claim"}
 
     repaired = diagnose(cache, repair=True)
     assert repaired.clean
@@ -898,6 +1033,7 @@ def test_doctor_reports_and_repairs_board_state(tmp_path):
                  "board-debris"} & leftover)
     # the healthy claim survived both passes
     assert board.claim_info("k4")[0] is not None
+    assert not legacy.exists()
 
 
 def test_doctor_board_exit_code_through_cli(tmp_path, capsys):
