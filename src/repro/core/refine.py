@@ -78,23 +78,28 @@ def refine_assignment(
     temp = t0
     best, best_cost = assignment.copy(), cost
     n = node_graph.num_tasks
-    # Pair plans replay each proposal's two load updates bitwise; a
-    # rejected proposal reuses both plans negated instead of recomputing
-    # the expansion (the propose/rollback symmetry), and the router
-    # caches per-pair expansions across iterations (endpoints recur
-    # constantly in a swap walk).
+    # One pair plan per proposal moves its flows off the old endpoints
+    # and onto the new ones in a single scatter, bitwise the removal
+    # then the addition; a rejected proposal scatters the plan's
+    # rollback (-new, then +old) instead of recomputing the expansion.
+    # The router caches per-pair expansions across iterations
+    # (endpoints recur constantly in a swap walk), and fills its whole
+    # table before the walk when that fits PAIR_FILL_BUDGET entries.
+    router.fill_pair_cache()
+    endpoints = np.stack((srcs, dsts))
     for _ in range(iterations):
         a, b = int(rng.integers(n)), int(rng.integers(n))
         if a == b:
             temp *= alpha
             continue
         edges = np.union1d(incident[a], incident[b])
-        es, ed, ev = srcs[edges], dsts[edges], vols[edges]
-        plan_old = router.pair_scatter(assignment[es], assignment[ed], ev)
-        plan_old.add_into(loads, -1.0)
+        ends = endpoints[:, edges]
+        moved = np.empty((2, 2, len(edges)), dtype=np.int64)  # src/dst, old/new
+        moved[:, 0] = assignment[ends]
         assignment[a], assignment[b] = assignment[b], assignment[a]
-        plan_new = router.pair_scatter(assignment[es], assignment[ed], ev)
-        plan_new.add_into(loads, 1.0)
+        moved[:, 1] = assignment[ends]
+        plan = router.pair_scatter(moved[0], moved[1], vols[edges])
+        np.add.at(loads, plan.slots, plan.contrib)
         new_cost = float(loads.max())
         delta = new_cost - cost
         if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-30)):
@@ -102,9 +107,8 @@ def refine_assignment(
             if cost < best_cost - 1e-12:
                 best_cost, best = cost, assignment.copy()
         else:
-            plan_new.add_into(loads, -1.0)
+            np.add.at(loads, *plan.rollback())
             assignment[a], assignment[b] = assignment[b], assignment[a]
-            plan_old.add_into(loads, 1.0)
         temp *= alpha
     log.debug("refined MCL to %.6g in %d proposals", best_cost, iterations)
     return best, best_cost

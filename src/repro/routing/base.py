@@ -48,6 +48,12 @@ __all__ = [
 _STENCIL_MEMO: dict[tuple, Stencil] = {}
 _STENCIL_MEMO_CAP = 100_000
 
+# Entry budget of :meth:`Router.fill_pair_cache`, 16 bytes per entry in
+# the pair cache's pool. bgq-cg's 4x4x4x2 table (1.18M entries) fits;
+# paper-ci's 4x4x4x4x2 table (59.4M) fills lazily, pair by pair, under
+# the per-router cap ``_pair_cache_cap`` on cached pairs.
+PAIR_FILL_BUDGET = 2_000_000
+
 
 def clear_stencil_cache() -> None:
     """Drop the process-wide stencil memo (for tests and benchmarks)."""
@@ -89,19 +95,24 @@ class Stencil:
 
 @dataclass(frozen=True)
 class PairPlan:
-    """A scatter with contributions already multiplied in.
+    """One swap proposal's load update as a single scatter.
 
-    ``add_into(out, sign=-1)`` scatters the exact negation — IEEE
-    negation is exact, so propose/rollback loops replay removals
-    bitwise without recomputing anything.
+    ``slots``/``contrib`` hold the old endpoints' entries negated, then
+    the new endpoints' entries: ``np.add.at(out, plan.slots,
+    plan.contrib)`` moves the flows. :meth:`rollback` is the reverse
+    move, new entries negated then old entries. IEEE negation is exact,
+    so each half replays ``link_loads`` of the signed volumes bitwise.
     """
 
     slots: np.ndarray    # (T,) channel-slot id per expanded entry
-    contrib: np.ndarray  # (T,) volume x fraction per expanded entry
+    contrib: np.ndarray  # (T,) signed volume x fraction per expanded entry
+    split: int           # entries [0, split) belong to the old endpoints
 
-    def add_into(self, out: np.ndarray, sign: float = 1.0) -> np.ndarray:
-        np.add.at(out, self.slots, self.contrib if sign > 0 else -self.contrib)
-        return out
+    def rollback(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, contrib)`` of the move back: -new, then +old."""
+        k = self.split
+        return (np.concatenate((self.slots[k:], self.slots[:k])),
+                np.negative(np.concatenate((self.contrib[k:], self.contrib[:k]))))
 
 
 class Router(abc.ABC):
@@ -155,6 +166,7 @@ class Router(abc.ABC):
         self._sid_dense: np.ndarray | None = (
             np.full(kspace, -1, dtype=np.int64) if kspace <= 4_000_000 else None
         )
+        self._key_span = kspace  # every offset key is below it
         self._wrap_dims = np.array(
             [d for d in range(topology.ndim) if topology.wrap[d]],
             dtype=np.int64,
@@ -474,17 +486,24 @@ class Router(abc.ABC):
         if total <= self._expansion_chunk:
             yield self._materialize_expansion(order, per_flow, entry_start)
             return
-        ends = np.cumsum(per_flow)
-        n = len(order)
-        i0 = 0
-        while i0 < n:
-            base = int(ends[i0] - per_flow[i0])
-            i1 = int(np.searchsorted(ends, base + self._expansion_chunk,
-                                     side="right"))
-            i1 = min(max(i1, i0 + 1), n)  # an oversize flow runs alone
+        for i0, i1 in self._chunk_spans(per_flow):
             yield self._materialize_expansion(
                 order[i0:i1], per_flow[i0:i1], entry_start[i0:i1]
             )
+
+    def _chunk_spans(self, sizes: np.ndarray):
+        """Yield ``(i0, i1)`` runs of consecutive items whose ``sizes``
+        (entry counts) sum to at most ``_expansion_chunk``; an oversize
+        item runs alone."""
+        ends = np.cumsum(sizes)
+        n = len(sizes)
+        i0 = 0
+        while i0 < n:
+            base = int(ends[i0] - sizes[i0])
+            i1 = int(np.searchsorted(ends, base + self._expansion_chunk,
+                                     side="right"))
+            i1 = min(max(i1, i0 + 1), n)
+            yield i0, i1
             i0 = i1
 
     def _entry_slots(self, src_nodes: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -558,48 +577,105 @@ class Router(abc.ABC):
         return out
 
     def pair_scatter(self, srcs, dsts, vols) -> PairPlan:
-        """Build a :class:`PairPlan` from per-pair cached expansions.
+        """The :class:`PairPlan` that moves ``m`` flows to new endpoints.
 
-        ``plan.add_into(out)`` is bitwise-identical to
-        ``link_loads(srcs, dsts, vols, out=out)`` and
-        ``plan.add_into(out, sign=-1)`` to the same call with ``-vols``:
-        the flow stream is the identical stable key sort, each pair's
-        entry block is the identical stencil slice, and IEEE negation
-        distributes exactly over the products.
+        ``srcs`` and ``dsts`` are (2, m): row 0 holds the flows' old
+        endpoints, row 1 their new ones; ``vols`` is (m,). The plan's old
+        half is bitwise the scatter of ``link_loads(srcs[0], dsts[0],
+        -vols)`` and its new half that of ``link_loads(srcs[1], dsts[1],
+        vols)``: one stable sort by (row, offset key) puts each row's
+        flows in ``link_loads``'s order, each pair's entry block is the
+        identical stencil slice, and IEEE negation distributes exactly
+        over the products.
 
         Per-pair expansions are cached across calls, so hot loops that
         revisit the same endpoints (the refine pass) skip the
         grouping/expansion machinery entirely. When the all-pairs tables
-        don't fit, or the cache is full, the plan comes from the uncached
-        expansion, which yields the same stream.
+        don't fit, or the cache is full, each half comes from the
+        uncached expansion of its row, which yields the same stream.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         vols = np.asarray(vols, dtype=np.float64)
-        if not (srcs.shape == dsts.shape == vols.shape) or srcs.ndim != 1:
-            raise RoutingError("srcs, dsts, vols must be equal-length 1-D arrays")
-        keep = np.flatnonzero(srcs != dsts)
-        s, d, v = srcs[keep], dsts[keep], vols[keep]
+        if (srcs.ndim != 2 or len(srcs) != 2 or srcs.shape != dsts.shape
+                or vols.shape != srcs.shape[1:]):
+            raise RoutingError("srcs and dsts must be (2, m) arrays, vols (m,)")
+        m = len(vols)
+        flat_s, flat_d = srcs.ravel(), dsts.ravel()
+        keep = (flat_s != flat_d).nonzero()[0]
+        signed = np.concatenate((-vols, vols))
         if len(keep) and self.pair_tables_available():
-            pid = s * self.topology.num_nodes + d
-            order = np.argsort(self._pair_keys[pid], kind="stable")
+            n_old = int(keep.searchsorted(m))
+            pid = flat_s[keep] * self.topology.num_nodes + flat_d[keep]
+            keys = self._pair_keys[pid]
+            keys[n_old:] += self._key_span  # new row sorts after old
+            order = keys.argsort(kind="stable")
             pid = pid[order]
             cids = self._pair_cid[pid]
-            if (cids < 0).any():
+            if cids.min() < 0:
                 self._pair_cache_fill(pid[cids < 0])
                 cids = self._pair_cid[pid]
-            if (cids >= 0).all():
+            if cids.min() >= 0:
                 indptr = self._pp_indptr
-                counts = indptr[cids + 1] - indptr[cids]
-                total = int(counts.sum())
+                first = indptr[cids]
+                counts = indptr[cids + 1] - first
+                ends = counts.cumsum()
+                total = int(ends[-1])
                 self._m_scatter_entries.inc(total)
-                starts = np.cumsum(counts) - counts
-                shift = np.repeat(indptr[cids] - starts, counts)
-                idx = np.arange(total, dtype=np.int64) + shift
-                contrib = np.repeat(v[order], counts) * self._pp_fracs[idx]
-                return PairPlan(self._pp_slots[idx], contrib)
-        flows, slots, fracs = self._all_entries(s, d)
-        return PairPlan(slots, v[flows] * fracs)
+                idx = (first - (ends - counts)).repeat(counts)
+                idx += np.arange(total, dtype=np.int64)
+                contrib = signed[keep[order]].repeat(counts)
+                contrib *= self._pp_fracs[idx]
+                split = int(ends[n_old - 1]) if n_old else 0
+                return PairPlan(self._pp_slots[idx], contrib, split)
+        halves = []
+        for row in (0, 1):
+            off = np.flatnonzero(srcs[row] != dsts[row])
+            flows, slots, fracs = self._all_entries(srcs[row][off], dsts[row][off])
+            halves.append((slots, signed[row * m + off[flows]] * fracs))
+        (old_slots, old_contrib), (new_slots, new_contrib) = halves
+        return PairPlan(np.concatenate((old_slots, new_slots)),
+                        np.concatenate((old_contrib, new_contrib)),
+                        len(old_slots))
+
+    def fill_pair_cache(self) -> bool:
+        """Cache every off-node (src, dst) pair's expansion up front.
+
+        Fills only when the whole table fits the cache cap and
+        ``PAIR_FILL_BUDGET`` entries; the entry count is known before
+        filling, one stencil size per offset key. The fill runs in
+        passes of at most ``_expansion_chunk`` entries into a pool sized
+        exactly for the table, so it peaks at the pool plus one pass.
+        Returns whether every pair is cached.
+        """
+        if not self.pair_tables_available():
+            return False
+        V = self.topology.num_nodes
+        pids = np.flatnonzero(self._pair_cid < 0)
+        pids = pids[pids // V != pids % V]
+        if len(pids) == 0:
+            return True
+        cnt = self._pp_count
+        if len(pids) > self._pair_cache_cap - cnt:
+            return False
+        _, first, inverse = np.unique(
+            self._pair_keys[pids], return_index=True, return_inverse=True
+        )
+        rep = pids[first]
+        order, per_flow, _ = self._expansion_parts(rep // V, rep % V)
+        per_key = np.empty(len(rep), dtype=np.int64)
+        per_key[order] = per_flow
+        per_pair = per_key[inverse.ravel()]
+        total = int(per_pair.sum())
+        if total > PAIR_FILL_BUDGET:
+            return False
+        used = int(self._pp_indptr[cnt])
+        self._pp_slots = _grown(self._pp_slots, used, used + total)
+        self._pp_fracs = _grown(self._pp_fracs, used, used + total)
+        self._pp_indptr = _grown(self._pp_indptr, cnt + 1, cnt + len(pids) + 1)
+        for i0, i1 in self._chunk_spans(per_pair):
+            self._pair_cache_fill(pids[i0:i1])
+        return True
 
     def _pair_cache_fill(self, pids: np.ndarray) -> None:
         """Expand uncached (src*V + dst) pairs into the pooled CSR in one

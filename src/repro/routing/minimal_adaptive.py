@@ -21,6 +21,7 @@ the multinomial path count; see :mod:`repro.routing.paths`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -84,7 +85,7 @@ class MinimalAdaptiveRouter(Router):
             dirs = [dr for (dr, _, _) in combo]
             if sum(steps) == 0:
                 continue
-            N = lattice_path_counts(steps)
+            N = _path_counts(steps)
             total = N[tuple(steps)]
             # A[x] = paths from x to S
             A = np.flip(N)
@@ -124,9 +125,24 @@ def _axis_slice(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray
     return arr[tuple(sl)]
 
 
+# Both are pure functions of small int tuples, and every direction combo
+# of every tie offset asks for the same few boxes: memoize them, and
+# store the arrays read-only so no caller can corrupt the cached copy.
+@functools.lru_cache(maxsize=4096)
+def _path_counts(steps: tuple[int, ...]) -> np.ndarray:
+    """Read-only :func:`lattice_path_counts` of one step box."""
+    counts = lattice_path_counts(steps)
+    counts.flags.writeable = False
+    return counts
+
+
+@functools.lru_cache(maxsize=4096)
 def _box_coords(box: tuple[int, ...]) -> np.ndarray:
+    """Read-only (prod(box), ndim) lattice coordinates of a box, C order."""
     grids = np.meshgrid(*[np.arange(b) for b in box], indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    coords = np.stack([g.ravel() for g in grids], axis=-1)
+    coords.flags.writeable = False
+    return coords
 
 
 def accumulate_stencil_entries(

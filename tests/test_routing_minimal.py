@@ -168,3 +168,31 @@ def test_load_sum_equals_hops_times_volume_property(src, dst):
     r = MinimalAdaptiveRouter(topo)
     loads = r.link_loads([src], [dst], [3.0])
     assert loads.sum() == pytest.approx(3.0 * topo.hop_distance(src, dst))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2, 2, 2), (4, 4, 4, 2), (4, 4, 4, 4, 2)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_memoized_stencil_builds_equal_fresh_builds(shape, monkeypatch):
+    """Every stencil built with the memoized path counts and box
+    coordinates equals a build without the memo, bit for bit, and the
+    memoized arrays are read-only."""
+    from repro.routing import minimal_adaptive as ma
+    from repro.routing.paths import lattice_path_counts
+
+    topo = torus(*shape)
+    deltas = [tuple(int(x) for x in row)
+              for row in topo.delta(np.zeros(topo.num_nodes, dtype=np.int64),
+                                    np.arange(topo.num_nodes))]
+    memo = [MinimalAdaptiveRouter(topo)._build_stencil(d) for d in deltas]
+    monkeypatch.setattr(ma, "_path_counts", lattice_path_counts)
+    monkeypatch.setattr(ma, "_box_coords", ma._box_coords.__wrapped__)
+    fresh = [MinimalAdaptiveRouter(topo)._build_stencil(d) for d in deltas]
+    for a, b in zip(memo, fresh):
+        for name in ("offsets", "dims", "dirs", "fracs"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        ma._path_counts((2, 1))[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        ma._box_coords((2, 3))[0, 0] = 5

@@ -17,7 +17,9 @@ import pytest
 
 from repro.core.merge import MergeBlock, MergeConfig, _MergeEngine
 from repro.core.orientation import all_orientations, apply_batch
+from repro.errors import RoutingError
 from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
+from repro.routing import base as base_module
 from repro.routing.base import clear_stencil_cache
 from repro.routing.reference import reference_link_loads
 from repro.routing.valiant import ValiantRouter
@@ -109,6 +111,23 @@ def test_chunked_expansion_is_bitwise_invariant(chunk):
     assert np.array_equal(out_a, out_b)
 
 
+def _plan_halves(plan, num_slots):
+    """Loads the old and the new half of a fused pair plan scatter."""
+    old, new = np.zeros(num_slots), np.zeros(num_slots)
+    np.add.at(old, plan.slots[: plan.split], plan.contrib[: plan.split])
+    np.add.at(new, plan.slots[plan.split:], plan.contrib[plan.split:])
+    return old, new
+
+
+def _assert_plan_replays(plan, plain, old, new, vols):
+    """The plan's old half is the reference scatter of the negated
+    volumes on the old endpoints, its new half that of the volumes on
+    the new endpoints, bit for bit."""
+    got_old, got_new = _plan_halves(plan, plain.topology.num_channel_slots)
+    assert np.array_equal(got_old, reference_link_loads(plain, *old, -vols))
+    assert np.array_equal(got_new, reference_link_loads(plain, *new, vols))
+
+
 def test_pair_scatter_without_pair_tables_replays_link_loads_bitwise():
     """With the all-pairs tables over their size limit, pair_scatter
     falls back to the uncached expansion (and the coordinate slot
@@ -117,15 +136,17 @@ def test_pair_scatter_without_pair_tables_replays_link_loads_bitwise():
     router = MinimalAdaptiveRouter(topo)
     router._pair_table_limit = 0
     srcs, dsts, vols = flows_for(topo, 200, seed=3)
-    plan = router.pair_scatter(srcs, dsts, vols)
+    new_s, new_d, _ = flows_for(topo, 200, seed=4)
+    plan = router.pair_scatter(np.stack((srcs, new_s)), np.stack((dsts, new_d)),
+                               vols)
     assert not router.pair_tables_available() and router._translate is None
     out = np.zeros(topo.num_channel_slots)
-    plan.add_into(out)
-    assert np.array_equal(out, router.link_loads(srcs, dsts, vols))
-    assert np.array_equal(
-        out,
-        reference_link_loads(MinimalAdaptiveRouter(topo), srcs, dsts, vols),
-    )
+    np.add.at(out, plan.slots, plan.contrib)
+    expected = router.link_loads(srcs, dsts, -vols)
+    router.link_loads(new_s, new_d, vols, out=expected)
+    assert np.array_equal(out, expected)
+    _assert_plan_replays(plan, MinimalAdaptiveRouter(topo), (srcs, dsts),
+                         (new_s, new_d), vols)
 
 
 def _shape_ids(cases):
@@ -160,29 +181,33 @@ def test_mesh_kernels_bitwise_equal_scalar(shape, wrap, name, cls, tables):
             out[b], reference_link_loads(plain, bs[b], bd[b], vols[:m])
         )
 
+    swapped = (srcs[::-1], dsts[::-1])
     for _ in range(2):  # first call fills the pair cache, second reads it
-        plan = fast.pair_scatter(srcs, dsts, vols)
-        got = np.zeros(topo.num_channel_slots)
-        plan.add_into(got)
-        assert np.array_equal(got, reference)
+        plan = fast.pair_scatter(np.stack((swapped[0], srcs)),
+                                 np.stack((swapped[1], dsts)), vols)
+        got_old, got_new = _plan_halves(plan, topo.num_channel_slots)
+        assert np.array_equal(got_new, reference)
+        assert np.array_equal(
+            got_old, reference_link_loads(plain, *swapped, -vols)
+        )
 
 
 def test_pair_scatter_duplicate_pairs_in_one_batch():
-    """A batch naming the same (src, dst) pair several times caches it
-    once and replays every copy in the reference order."""
+    """A proposal naming the same (src, dst) pair several times, in
+    either row, caches it once and replays every copy in the reference
+    order."""
     topo = CartesianTopology((4, 4, 2), wrap=(True, True, False))
     router = MinimalAdaptiveRouter(topo)
     plain = MinimalAdaptiveRouter(topo)
     rng = np.random.default_rng(21)
     base_s = rng.integers(0, topo.num_nodes, size=10)
     base_d = rng.integers(0, topo.num_nodes, size=10)
-    pick = rng.integers(0, 10, size=90)
+    pick = rng.integers(0, 10, size=(2, 90))
     srcs, dsts = base_s[pick], base_d[pick]
     vols = rng.random(90) * 1e3
     plan = router.pair_scatter(srcs, dsts, vols)
-    got = np.zeros(topo.num_channel_slots)
-    plan.add_into(got)
-    assert np.array_equal(got, reference_link_loads(plain, srcs, dsts, vols))
+    _assert_plan_replays(plan, plain, (srcs[0], dsts[0]), (srcs[1], dsts[1]),
+                         vols)
     distinct = len({(int(s), int(d)) for s, d in zip(base_s, base_d) if s != d})
     assert router._pp_count == distinct
 
@@ -197,43 +222,97 @@ def test_pair_scatter_cache_cap_runs_out_mid_fill():
     plain = MinimalAdaptiveRouter(topo)
     for seed in (31, 32, 33):
         srcs, dsts, vols = flows_for(topo, 40, seed=seed)
-        plan = router.pair_scatter(srcs, dsts, vols)
-        got = np.zeros(topo.num_channel_slots)
-        plan.add_into(got)
-        assert np.array_equal(got, reference_link_loads(plain, srcs, dsts, vols))
+        new_s, new_d, _ = flows_for(topo, 40, seed=seed + 10)
+        plan = router.pair_scatter(np.stack((srcs, new_s)),
+                                   np.stack((dsts, new_d)), vols)
+        _assert_plan_replays(plan, plain, (srcs, dsts), (new_s, new_d), vols)
         assert router._pp_count == 25
     cached = np.flatnonzero(router._pair_cid >= 0)
     assert len(cached) == 25
-    # A batch of cached pairs only is served from the pool.
-    pairs = cached[:10]
+    # A proposal of cached pairs only is served from the pool.
+    pairs = cached[:20].reshape(2, 10)
     srcs, dsts = pairs // topo.num_nodes, pairs % topo.num_nodes
     vols = np.arange(1.0, 11.0)
     plan = router.pair_scatter(srcs, dsts, vols)
-    got = np.zeros(topo.num_channel_slots)
-    plan.add_into(got)
-    assert np.array_equal(got, reference_link_loads(plain, srcs, dsts, vols))
+    _assert_plan_replays(plan, plain, (srcs[0], dsts[0]), (srcs[1], dsts[1]),
+                         vols)
 
 
 def test_pair_scatter_propose_rollback_is_exact():
-    """A PairPlan applied with sign=+1 matches link_loads bitwise, and
-    with sign=-1 it replays ``link_loads`` of the *negated* volumes
-    bitwise (IEEE negation is exact: ``(-v)*f == -(v*f)``) — the refine
+    """A fused plan scattered onto any load vector equals link_loads of
+    the negated volumes on the old endpoints, then of the volumes on the
+    new ones, bitwise (IEEE negation is exact: ``(-v)*f == -(v*f)``);
+    its rollback then equals link_loads of the negated volumes on the
+    new endpoints, then of the volumes on the old ones — the refine
     loop's propose/rollback contract."""
     topo = CartesianTopology((4, 4), wrap=True)
     router = MinimalAdaptiveRouter(topo)
     assert router.pair_tables_available()
     srcs, dsts, vols = flows_for(topo, 80, seed=5)
-    plan = router.pair_scatter(srcs, dsts, vols)
-    assert plan is not None
-    fresh = np.zeros(topo.num_channel_slots)
-    plan.add_into(fresh)
-    assert np.array_equal(fresh, router.link_loads(srcs, dsts, vols))
+    new_s, new_d, _ = flows_for(topo, 80, seed=7)
+    plan = router.pair_scatter(np.stack((srcs, new_s)), np.stack((dsts, new_d)),
+                               vols)
     base = router.link_loads(*flows_for(topo, 50, seed=6))
-    undone = base.copy()
-    plan.add_into(undone, sign=-1.0)
+    moved = base.copy()
+    np.add.at(moved, plan.slots, plan.contrib)
     reference = base.copy()
     router.link_loads(srcs, dsts, -vols, out=reference)
-    assert np.array_equal(undone, reference)
+    router.link_loads(new_s, new_d, vols, out=reference)
+    assert np.array_equal(moved, reference)
+    np.add.at(moved, *plan.rollback())
+    router.link_loads(new_s, new_d, -vols, out=reference)
+    router.link_loads(srcs, dsts, vols, out=reference)
+    assert np.array_equal(moved, reference)
+
+
+def test_pair_scatter_rejects_other_than_two_rows():
+    topo = CartesianTopology((4, 4), wrap=True)
+    router = MinimalAdaptiveRouter(topo)
+    srcs, dsts, vols = flows_for(topo, 6, seed=8)
+    with pytest.raises(RoutingError):
+        router.pair_scatter(srcs, dsts, vols)
+    with pytest.raises(RoutingError):
+        router.pair_scatter(np.stack((srcs,) * 3), np.stack((dsts,) * 3), vols)
+
+
+def test_fill_pair_cache_bounded_passes_match_lazy_fill(monkeypatch):
+    """The bulk fill caches every off-node pair in passes of at most
+    ``_expansion_chunk`` entries into an exactly sized pool, and serves
+    the same plans as the lazy fill; over the entry budget it caches
+    nothing."""
+    topo = CartesianTopology((4, 4, 2), wrap=(True, True, False))
+    V = topo.num_nodes
+    bulk = MinimalAdaptiveRouter(topo)
+    bulk._expansion_chunk = 500
+    passes = []
+    fill = bulk._pair_cache_fill
+
+    def counted(pids):
+        before = int(bulk._pp_indptr[bulk._pp_count])
+        fill(pids)
+        passes.append(int(bulk._pp_indptr[bulk._pp_count]) - before)
+
+    monkeypatch.setattr(bulk, "_pair_cache_fill", counted)
+    assert bulk.fill_pair_cache()
+    assert bulk._pp_count == V * (V - 1)
+    assert len(passes) > 1 and max(passes) <= 500
+    assert len(bulk._pp_slots) == bulk._pp_indptr[bulk._pp_count] == sum(passes)
+    assert len(bulk._pp_indptr) == V * (V - 1) + 1
+    assert bulk.fill_pair_cache()  # nothing left to fill
+
+    lazy = MinimalAdaptiveRouter(topo)
+    srcs, dsts, vols = flows_for(topo, 120, seed=9)
+    new_s, new_d, _ = flows_for(topo, 120, seed=10)
+    ends = (np.stack((srcs, new_s)), np.stack((dsts, new_d)), vols)
+    a, b = bulk.pair_scatter(*ends), lazy.pair_scatter(*ends)
+    assert a.split == b.split
+    assert np.array_equal(a.slots, b.slots)
+    assert np.array_equal(a.contrib, b.contrib)
+
+    monkeypatch.setattr(base_module, "PAIR_FILL_BUDGET", 10)
+    small = MinimalAdaptiveRouter(topo)
+    assert not small.fill_pair_cache()
+    assert small._pp_count == 0
 
 
 @pytest.mark.parametrize("ndim,shape", [(2, (4, 4)), (3, (2, 2, 2))])
