@@ -12,6 +12,7 @@ writes one JSON document::
       "repeats": 3,
       "pr": "PR4",                                      # trajectory label
       "phases": {"phase1-concentration": 0.012, ...},   # min over repeats
+      "peak_rss_mb": 162.4,                             # maxrss after the grid
       "cells": {"BT": {"RAHTM": {"mcl": ..., "map_seconds": ...,
                                  "hotspot": {"slot": ..., "label": ...,
                                              "load": ...}}, ...}},
@@ -32,7 +33,9 @@ noise-suppression trick for wall-clock benchmarks. Every cell's MCL is
 also recomputed from its mapping by the plain per-offset loop of
 ``repro.routing.reference`` (an oracle independent of the optimized
 routing kernels); the snapshot exits non-zero, naming the cell, unless
-the two agree exactly. The ``hotspot`` key
+the two agree exactly. ``peak_rss_mb`` is the snapshot process's
+``ru_maxrss`` once the grid is done; it is informational and no gate
+reads it. The ``hotspot`` key
 (the netview top-1 link per cell) is optional and deterministic: the
 compare gate uses it to *explain* MCL drift when it happens. Committed
 baselines form a trajectory — ``BENCH_PR3.json``, ``BENCH_PR4.json``, …
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 from pathlib import Path
 
@@ -403,6 +407,8 @@ def take_snapshot(
         "repeats": max(repeats, 1),
         "phases": {k: merged["phases"][k] for k in sorted(merged["phases"])},
         "cells": merged["cells"],
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if serve:
         snap["serve"] = bench_serve(repeats)

@@ -82,10 +82,8 @@ def refine_assignment(
     # and onto the new ones in a single scatter, bitwise the removal
     # then the addition; a rejected proposal scatters the plan's
     # rollback (-new, then +old) instead of recomputing the expansion.
-    # The router caches per-pair expansions across iterations
-    # (endpoints recur constantly in a swap walk), and fills its whole
-    # table before the walk when that fits PAIR_FILL_BUDGET entries.
-    router.fill_pair_cache()
+    # The router expands each plan straight from its stencil table, so
+    # the walk's memory does not grow with the number of proposals.
     endpoints = np.stack((srcs, dsts))
     for _ in range(iterations):
         a, b = int(rng.integers(n)), int(rng.integers(n))

@@ -6,16 +6,16 @@ flow's source node*. Translation invariance of tori/meshes makes stencils
 reusable across all flows sharing a ``delta``.
 
 Every cached stencil's entries live in one concatenated entry table
-(``indptr``-sliced, CSR style). :meth:`Router.entries` is the one place
-flows become channel slots: it expands all flows to table entries at
-once, looks each entry's channel slot up in a node-translation table and
-yields ``(flows, slots, fracs)`` chunks of one ordered stream.
-:meth:`Router.link_loads`, :meth:`Router.link_loads_many` (all candidate
-flow sets of a merge-phase block in one scatter), :meth:`Router.pair_scatter`
-and the attribution engine all consume that stream. Its order is the
-(offset group, flow, entry) order of the plain per-offset loop in
-:mod:`repro.routing.reference`, so per-slot accumulation order — and
-therefore every float in the result — is bitwise-identical to it. That
+(``indptr``-sliced, CSR style). :meth:`Router.entries` expands all flows
+to table entries at once, looks each entry's channel slot up in a
+node-translation table and yields ``(flows, slots, fracs)`` chunks of one
+ordered stream. :meth:`Router.link_loads`, :meth:`Router.link_loads_many`
+(all candidate flow sets of a merge-phase block in one scatter) and the
+attribution engine consume that stream; :meth:`Router.pair_scatter` lays
+out the same per-flow entry runs for a swap's old and new endpoints. The
+order is the (offset group, flow, entry) order of the plain per-offset
+loop in :mod:`repro.routing.reference`, so per-slot accumulation order —
+and therefore every float in the result — is bitwise-identical to it. That
 module shares only :meth:`Router.stencil` with this one and serves the
 tests and the snapshot's MCL oracle; no production path imports it.
 """
@@ -23,6 +23,7 @@ tests and the snapshot's MCL oracle; no production path imports it.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,6 @@ __all__ = [
 # set a fresh build would produce, and consumers never mutate stencils.
 _STENCIL_MEMO: dict[tuple, Stencil] = {}
 _STENCIL_MEMO_CAP = 100_000
-
-# Entry budget of :meth:`Router.fill_pair_cache`, 16 bytes per entry in
-# the pair cache's pool. bgq-cg's 4x4x4x2 table (1.18M entries) fits;
-# paper-ci's 4x4x4x4x2 table (59.4M) fills lazily, pair by pair, under
-# the per-router cap ``_pair_cache_cap`` on cached pairs.
-PAIR_FILL_BUDGET = 2_000_000
 
 
 def clear_stencil_cache() -> None:
@@ -139,34 +134,22 @@ class Router(abc.ABC):
         # the entry's offset reduced mod the shape, and 2*dim + dir.
         self._tab_offnode = np.empty(0, dtype=np.int64)
         self._tab_dimdir = np.empty(0, dtype=np.int64)
-        # Pairwise (src*V + dst) -> offset-key/delta lookup, built lazily
-        # for small-enough topologies: hot callers (the refine loop) then
-        # skip per-call delta reduction entirely. ``_translate`` rides
-        # along: (src*V + w) -> first channel slot of node src (+) w.
+        # Pairwise (src*V + dst) -> offset-key lookup, built lazily for
+        # small-enough topologies: hot callers (the refine loop) then skip
+        # per-call delta reduction entirely. ``_translate`` rides along:
+        # (src*V + w) -> first channel slot of node src (+) w.
         self._pair_keys: np.ndarray | None = None
-        self._pair_deltas: np.ndarray | None = None
         self._translate: np.ndarray | None = None
-        # Per-pair (slots, fracs) expansions: (src, dst) pairs recur
-        # heavily in the refine loop, so their entry streams are cached
-        # whole in a pooled CSR (pid -> cache id -> pooled slice) that a
-        # hot call assembles with pure gathers. Bounded so pathological
-        # pair churn cannot eat the heap.
-        self._pair_cid: np.ndarray | None = None
-        self._pp_count = 0
-        self._pp_indptr = np.zeros(1024, dtype=np.int64)
-        self._pp_slots = np.empty(0, dtype=np.int64)
-        self._pp_fracs = np.empty(0, dtype=np.float64)
-        self._pair_cache_cap = 262144
-        self._sid_by_key: dict[int, int] = {}
-        # Dense key -> stencil id map (-1 = unseen) when the key space is
-        # small enough; replaces the per-group dict loop with one gather.
-        kspace = 1
-        for k in topology.shape:
-            kspace *= 2 * int(k) + 1
-        self._sid_dense: np.ndarray | None = (
-            np.full(kspace, -1, dtype=np.int64) if kspace <= 4_000_000 else None
-        )
-        self._key_span = kspace  # every offset key is below it
+        # Dense offset keys (see _keys_for): one digit per dimension, the
+        # offset shifted to start at 0, radix k on a wrapped dimension and
+        # 2k-1 on a mesh one. The key space is then at most 2^ndim * V,
+        # so the key -> stencil id map (-1 = unbuilt) is a plain array.
+        self._key_radix = [k if w else 2 * k - 1
+                           for k, w in zip(topology.shape, topology.wrap)]
+        self._key_shift = [(k - 1) // 2 if w else k - 1
+                           for k, w in zip(topology.shape, topology.wrap)]
+        self._key_span = math.prod(self._key_radix)  # every key is below it
+        self._sid_dense = np.full(self._key_span, -1, dtype=np.int64)
         self._wrap_dims = np.array(
             [d for d in range(topology.ndim) if topology.wrap[d]],
             dtype=np.int64,
@@ -263,17 +246,27 @@ class Router(abc.ABC):
         return (c @ topo.strides) * (2 * topo.ndim) + dimdir
 
     def _keys_for(self, deltas: np.ndarray) -> np.ndarray:
-        """Collision-free mixed-radix key per offset row (sort == group).
+        """Dense mixed-radix key per offset row (sort == group).
 
-        Offsets are bounded by the shape, so shifting each dimension into
-        ``[0, 2k]`` makes the key order the lexicographic order of the
+        ``topology.delta`` keeps a wrapped offset in ``[-(k-1)//2, k//2]``
+        and a mesh offset in ``[-(k-1), k-1]``, so each shifted digit is
+        below its radix: keys are collision-free, fill ``[0, _key_span)``
+        without gaps, and their order is the lexicographic order of the
         offset rows.
         """
-        shape_arr = np.asarray(self.topology.shape, dtype=np.int64)
         keys = np.zeros(deltas.shape[0], dtype=np.int64)
-        for d in range(self.topology.ndim):
-            keys = keys * (2 * shape_arr[d] + 1) + (deltas[:, d] + shape_arr[d])
+        for d, (radix, shift) in enumerate(zip(self._key_radix, self._key_shift)):
+            keys = keys * radix + (deltas[:, d] + shift)
         return keys
+
+    def _delta_of(self, key: int) -> tuple[int, ...]:
+        """The offset whose :meth:`_keys_for` key is ``key``."""
+        delta = []
+        for radix, shift in zip(reversed(self._key_radix),
+                                reversed(self._key_shift)):
+            key, digit = divmod(key, radix)
+            delta.append(digit - shift)
+        return tuple(reversed(delta))
 
     @staticmethod
     def _group_sorted(keys: np.ndarray):
@@ -293,8 +286,9 @@ class Router(abc.ABC):
         sizes[-1] = n - starts[-1]
         return order, starts, sizes
 
-    # The all-pairs tables cost about V^2 * (ndim + 1) int64 words; they
-    # are built only when that stays under this many.
+    # The all-pairs tables (offset keys and translation) cost 2 * V^2
+    # int64 words; they are built only when V^2 * (ndim + 1) stays under
+    # this many.
     _pair_table_limit = 16_000_000
 
     def pair_tables_available(self) -> bool:
@@ -309,16 +303,13 @@ class Router(abc.ABC):
         return True
 
     def _build_pair_tables(self) -> None:
-        """Precompute offset keys and deltas for every (src, dst) pair,
-        and the node-translation table behind :meth:`_entry_slots`."""
+        """Precompute the offset key of every (src, dst) pair, and the
+        node-translation table behind :meth:`_entry_slots`."""
         topo = self.topology
         V = topo.num_nodes
         s = np.repeat(np.arange(V, dtype=np.int64), V)
         d = np.tile(np.arange(V, dtype=np.int64), V)
-        deltas = topo.delta(s, d)
-        self._pair_deltas = deltas
-        self._pair_keys = self._keys_for(deltas)
-        self._pair_cid = np.full(V * V, -1, dtype=np.int64)
+        self._pair_keys = self._keys_for(topo.delta(s, d))
         # translate[src*V + w] = first slot of node (coords[src] +
         # coords[w]) mod shape, built one dimension at a time so no
         # (V*V, ndim) temporary is needed.
@@ -392,14 +383,6 @@ class Router(abc.ABC):
         for flows, ents in self._iter_expanded(srcs, dsts):
             yield flows, self._entry_slots(srcs[flows], ents), self._tab_fracs[ents]
 
-    def _all_entries(self, srcs, dsts):
-        """The whole :meth:`entries` stream as three flat arrays."""
-        chunks = list(self.entries(srcs, dsts))
-        if not chunks:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0)
-        return tuple(np.concatenate(part) for part in zip(*chunks))
-
     def _expansion_parts(self, srcs: np.ndarray, dsts: np.ndarray):
         """Group-level expansion metadata for a set of off-node flows.
 
@@ -410,47 +393,38 @@ class Router(abc.ABC):
         callers may materialize it whole or in consecutive chunks — both
         produce the identical stream.
         """
-        topo = self.topology
-        V = topo.num_nodes
-        if self.pair_tables_available():
-            pid = srcs * V + dsts
-            keys = self._pair_keys[pid]
-            deltas = None
-        else:
-            pid = None
-            deltas = topo.delta(srcs, dsts)
-            keys = self._keys_for(deltas)
+        keys = self._offset_keys(srcs, dsts)
         order, starts, sizes = self._group_sorted(keys)
-        group_keys = keys[order[starts]]
-        if self._sid_dense is not None:
-            sids = self._sid_dense[group_keys]
-            miss = np.flatnonzero(sids < 0)
-        else:
-            sids = np.array(
-                [self._sid_by_key.get(int(k), -1) for k in group_keys],
-                dtype=np.int64,
-            )
-            miss = np.flatnonzero(sids < 0)
-        for j in miss:
-            f = order[starts[j]]
-            row = self._pair_deltas[pid[f]] if deltas is None else deltas[f]
-            dkey = tuple(int(x) for x in row)
-            self.stencil(dkey)  # counts the hit/miss, builds if new
-            sid = self._stencil_ids[dkey]
-            sids[j] = sid
-            if self._sid_dense is not None:
-                self._sid_dense[group_keys[j]] = sid
-            else:
-                self._sid_by_key[int(group_keys[j])] = sid
-        hits = len(starts) - len(miss)
-        if hits:
-            self._m_stencil_hits.inc(hits)
-        self._refresh_table()
+        sids = self._stencil_ids_of(keys[order[starts]])
         indptr = self._tab_indptr
         ecnt = indptr[sids + 1] - indptr[sids]            # entries per group
         per_flow = np.repeat(ecnt, sizes)                 # entries per sorted flow
         entry_start = np.repeat(indptr[sids], sizes)      # first entry per flow
         return order, per_flow, entry_start
+
+    def _offset_keys(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """:meth:`_keys_for` key of each flow's offset, gathered from the
+        pair table when it exists."""
+        if self.pair_tables_available():
+            return self._pair_keys[srcs * self.topology.num_nodes + dsts]
+        return self._keys_for(self.topology.delta(srcs, dsts))
+
+    def _stencil_ids_of(self, keys: np.ndarray) -> np.ndarray:
+        """Stencil-table id per offset key; a key whose stencil is not in
+        the table yet gets it built (or fetched from the memo) once."""
+        sids = self._sid_dense[keys]
+        missing = 0
+        if len(sids) and sids.min() < 0:
+            for key in np.unique(keys[sids < 0]):
+                delta = self._delta_of(int(key))
+                self.stencil(delta)  # counts the hit/miss, builds if new
+                self._sid_dense[key] = self._stencil_ids[delta]
+                missing += 1
+            sids = self._sid_dense[keys]
+        if len(keys) > missing:
+            self._m_stencil_hits.inc(len(keys) - missing)
+        self._refresh_table()
+        return sids
 
     @staticmethod
     def _materialize_expansion(order, per_flow, entry_start):
@@ -486,24 +460,17 @@ class Router(abc.ABC):
         if total <= self._expansion_chunk:
             yield self._materialize_expansion(order, per_flow, entry_start)
             return
-        for i0, i1 in self._chunk_spans(per_flow):
+        ends = np.cumsum(per_flow)
+        n = len(order)
+        i0 = 0
+        while i0 < n:
+            base = int(ends[i0] - per_flow[i0])
+            i1 = int(np.searchsorted(ends, base + self._expansion_chunk,
+                                     side="right"))
+            i1 = min(max(i1, i0 + 1), n)  # an oversize flow runs alone
             yield self._materialize_expansion(
                 order[i0:i1], per_flow[i0:i1], entry_start[i0:i1]
             )
-
-    def _chunk_spans(self, sizes: np.ndarray):
-        """Yield ``(i0, i1)`` runs of consecutive items whose ``sizes``
-        (entry counts) sum to at most ``_expansion_chunk``; an oversize
-        item runs alone."""
-        ends = np.cumsum(sizes)
-        n = len(sizes)
-        i0 = 0
-        while i0 < n:
-            base = int(ends[i0] - sizes[i0])
-            i1 = int(np.searchsorted(ends, base + self._expansion_chunk,
-                                     side="right"))
-            i1 = min(max(i1, i0 + 1), n)
-            yield i0, i1
             i0 = i1
 
     def _entry_slots(self, src_nodes: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -588,11 +555,9 @@ class Router(abc.ABC):
         identical stencil slice, and IEEE negation distributes exactly
         over the products.
 
-        Per-pair expansions are cached across calls, so hot loops that
-        revisit the same endpoints (the refine pass) skip the
-        grouping/expansion machinery entirely. When the all-pairs tables
-        don't fit, or the cache is full, each half comes from the
-        uncached expansion of its row, which yields the same stream.
+        Each flow's entry run is laid out straight from the stencil
+        table, so a call costs a fixed number of array operations
+        whatever the topology and keeps nothing between calls.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
@@ -603,110 +568,26 @@ class Router(abc.ABC):
         m = len(vols)
         flat_s, flat_d = srcs.ravel(), dsts.ravel()
         keep = (flat_s != flat_d).nonzero()[0]
-        signed = np.concatenate((-vols, vols))
-        if len(keep) and self.pair_tables_available():
-            n_old = int(keep.searchsorted(m))
-            pid = flat_s[keep] * self.topology.num_nodes + flat_d[keep]
-            keys = self._pair_keys[pid]
-            keys[n_old:] += self._key_span  # new row sorts after old
-            order = keys.argsort(kind="stable")
-            pid = pid[order]
-            cids = self._pair_cid[pid]
-            if cids.min() < 0:
-                self._pair_cache_fill(pid[cids < 0])
-                cids = self._pair_cid[pid]
-            if cids.min() >= 0:
-                indptr = self._pp_indptr
-                first = indptr[cids]
-                counts = indptr[cids + 1] - first
-                ends = counts.cumsum()
-                total = int(ends[-1])
-                self._m_scatter_entries.inc(total)
-                idx = (first - (ends - counts)).repeat(counts)
-                idx += np.arange(total, dtype=np.int64)
-                contrib = signed[keep[order]].repeat(counts)
-                contrib *= self._pp_fracs[idx]
-                split = int(ends[n_old - 1]) if n_old else 0
-                return PairPlan(self._pp_slots[idx], contrib, split)
-        halves = []
-        for row in (0, 1):
-            off = np.flatnonzero(srcs[row] != dsts[row])
-            flows, slots, fracs = self._all_entries(srcs[row][off], dsts[row][off])
-            halves.append((slots, signed[row * m + off[flows]] * fracs))
-        (old_slots, old_contrib), (new_slots, new_contrib) = halves
-        return PairPlan(np.concatenate((old_slots, new_slots)),
-                        np.concatenate((old_contrib, new_contrib)),
-                        len(old_slots))
-
-    def fill_pair_cache(self) -> bool:
-        """Cache every off-node (src, dst) pair's expansion up front.
-
-        Fills only when the whole table fits the cache cap and
-        ``PAIR_FILL_BUDGET`` entries; the entry count is known before
-        filling, one stencil size per offset key. The fill runs in
-        passes of at most ``_expansion_chunk`` entries into a pool sized
-        exactly for the table, so it peaks at the pool plus one pass.
-        Returns whether every pair is cached.
-        """
-        if not self.pair_tables_available():
-            return False
-        V = self.topology.num_nodes
-        pids = np.flatnonzero(self._pair_cid < 0)
-        pids = pids[pids // V != pids % V]
-        if len(pids) == 0:
-            return True
-        cnt = self._pp_count
-        if len(pids) > self._pair_cache_cap - cnt:
-            return False
-        _, first, inverse = np.unique(
-            self._pair_keys[pids], return_index=True, return_inverse=True
-        )
-        rep = pids[first]
-        order, per_flow, _ = self._expansion_parts(rep // V, rep % V)
-        per_key = np.empty(len(rep), dtype=np.int64)
-        per_key[order] = per_flow
-        per_pair = per_key[inverse.ravel()]
-        total = int(per_pair.sum())
-        if total > PAIR_FILL_BUDGET:
-            return False
-        used = int(self._pp_indptr[cnt])
-        self._pp_slots = _grown(self._pp_slots, used, used + total)
-        self._pp_fracs = _grown(self._pp_fracs, used, used + total)
-        self._pp_indptr = _grown(self._pp_indptr, cnt + 1, cnt + len(pids) + 1)
-        for i0, i1 in self._chunk_spans(per_pair):
-            self._pair_cache_fill(pids[i0:i1])
-        return True
-
-    def _pair_cache_fill(self, pids: np.ndarray) -> None:
-        """Expand uncached (src*V + dst) pairs into the pooled CSR in one
-        vectorized pass, as many as the cache cap leaves room for."""
-        room = max(self._pair_cache_cap - self._pp_count, 0)
-        pids = np.unique(pids)[:room]
-        if len(pids) == 0:
-            return
-        V = self.topology.num_nodes
-        flows, slots, fracs = self._all_entries(pids // V, pids % V)
-        # Each pair's entries are one contiguous run in expansion order,
-        # so appending the stream lays out one CSR row per pair.
-        starts = np.flatnonzero(np.diff(flows, prepend=-1))
-        order = flows[starts]
-        per_flow = np.diff(starts, append=len(flows))
-        cnt = self._pp_count
-        end = int(self._pp_indptr[cnt])
-        need = end + len(slots)
-        if need > len(self._pp_slots):
-            cap = max(1024, 2 * len(self._pp_slots), need)
-            self._pp_slots = _grown(self._pp_slots, end, cap)
-            self._pp_fracs = _grown(self._pp_fracs, end, cap)
-        rows = cnt + len(order)
-        if rows + 1 > len(self._pp_indptr):
-            cap = max(2 * len(self._pp_indptr), rows + 1)
-            self._pp_indptr = _grown(self._pp_indptr, cnt + 1, cap)
-        self._pp_slots[end:need] = slots
-        self._pp_fracs[end:need] = fracs
-        self._pp_indptr[cnt + 1 : rows + 1] = end + np.cumsum(per_flow)
-        self._pair_cid[pids[order]] = np.arange(cnt, rows, dtype=np.int64)
-        self._pp_count = rows
+        keys = self._offset_keys(flat_s[keep], flat_d[keep])
+        sids = self._stencil_ids_of(keys)
+        n_old = int(keep.searchsorted(m))
+        keys[n_old:] += self._key_span  # new row sorts after old
+        order = keys.argsort(kind="stable")
+        sids = sids[order]
+        kept = keep[order]
+        indptr = self._tab_indptr
+        first = indptr[sids]
+        counts = indptr[sids + 1] - first
+        ends = counts.cumsum()
+        total = int(ends[-1]) if len(ends) else 0
+        self._m_scatter_entries.inc(total)
+        ents = (first - (ends - counts)).repeat(counts)
+        ents += np.arange(total, dtype=np.int64)
+        slots = self._entry_slots(flat_s[kept].repeat(counts), ents)
+        contrib = np.concatenate((-vols, vols))[kept].repeat(counts)
+        contrib *= self._tab_fracs[ents]
+        split = int(ends[n_old - 1]) if n_old else 0
+        return PairPlan(slots, contrib, split)
 
     # -- metrics ---------------------------------------------------------------------
     def max_channel_load(self, srcs, dsts, vols) -> float:
@@ -717,9 +598,3 @@ class Router(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.topology!r})"
 
-
-def _grown(arr: np.ndarray, used: int, cap: int) -> np.ndarray:
-    """A ``cap``-long copy of ``arr`` keeping its first ``used`` items."""
-    out = np.empty(cap, dtype=arr.dtype)
-    out[:used] = arr[:used]
-    return out

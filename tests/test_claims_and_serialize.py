@@ -57,6 +57,16 @@ def test_claims_fail_when_rahtm_regresses():
     )
 
 
+def test_per_benchmark_claim_fails_on_a_tie():
+    result = synthetic_comparison()
+    result.comm_seconds.set("SP", "RAHTM", 10.0)  # exactly the default's
+    holds = {c.claim: c.holds for c in check_claims(result)}
+    assert not holds["RAHTM improves communication on every benchmark"]
+    assert holds[
+        "RAHTM improves mean communication time substantially (paper -20%)"
+    ]
+
+
 def test_claims_fail_when_permutations_uniformly_help():
     result = synthetic_comparison(perm_cg=0.9)
     claims = check_claims(result)

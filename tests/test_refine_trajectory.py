@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.refine import refine_assignment
 from repro.routing import MinimalAdaptiveRouter
+from repro.routing.base import clear_stencil_cache
 from repro.topology import CartesianTopology
 from repro.utils.rng import as_rng
 from repro.workloads import random_uniform
@@ -62,25 +63,29 @@ def _tables_off(router):
     router._pair_table_limit = 0
 
 
-def _small_cache(router):
-    router._pair_cache_cap = 300
+def _cold_stencils(router):
+    clear_stencil_cache()
 
 
+# (id, shape, wrap, router tweak, flows per node). The cold-stencils
+# graph is sparse enough that its starting placement leaves offsets the
+# walk reaches later, so pair_scatter builds those stencils mid-walk.
 SETUPS = [
-    ("torus4x4", (4, 4), True, None),
-    ("mixed4x4x2", (4, 4, 2), (True, True, False), None),
-    ("tables-off", (4, 4), True, _tables_off),
-    ("cap-mid-walk", (4, 4, 4), True, _small_cache),
+    ("torus4x4", (4, 4), True, None, 6),
+    ("mixed4x4x2", (4, 4, 2), (True, True, False), None, 6),
+    ("tables-off", (4, 4), True, _tables_off, 6),
+    ("cold-stencils", (4, 4, 4), True, _cold_stencils, 1),
 ]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("shape,wrap,tweak", [s[1:] for s in SETUPS],
+@pytest.mark.parametrize("shape,wrap,tweak,degree", [s[1:] for s in SETUPS],
                          ids=[s[0] for s in SETUPS])
-def test_refine_matches_two_plan_reference_bitwise(shape, wrap, tweak, seed):
+def test_refine_matches_two_plan_reference_bitwise(shape, wrap, tweak, degree,
+                                                   seed):
     topo = CartesianTopology(shape, wrap=wrap)
     V = topo.num_nodes
-    graph = random_uniform(V, 6 * V, max_volume=1e3, seed=seed)
+    graph = random_uniform(V, degree * V, max_volume=1e3, seed=seed)
     start = np.random.default_rng(seed + 100).permutation(V)
     router = MinimalAdaptiveRouter(topo)
     if tweak is not None:
@@ -91,9 +96,9 @@ def test_refine_matches_two_plan_reference_bitwise(shape, wrap, tweak, seed):
     )
     assert np.array_equal(got, want)
     assert got_cost == want_cost
-    if tweak is _small_cache:
-        # The first proposal caches well under 300 pairs, so the cap runs
-        # out mid-walk and later proposals take the uncached path.
-        assert router._pp_count == 300
-    elif tweak is None:
-        assert router._pp_count == V * (V - 1)  # filled before the walk
+    if tweak is _cold_stencils:
+        # The starting loads build only the starting offsets; the rest of
+        # the table came from pair_scatter.
+        mask = graph.srcs != graph.dsts
+        offsets = topo.delta(start[graph.srcs[mask]], start[graph.dsts[mask]])
+        assert len(router._stencil_seq) > len(np.unique(offsets, axis=0))

@@ -19,7 +19,6 @@ from repro.core.merge import MergeBlock, MergeConfig, _MergeEngine
 from repro.core.orientation import all_orientations, apply_batch
 from repro.errors import RoutingError
 from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
-from repro.routing import base as base_module
 from repro.routing.base import clear_stencil_cache
 from repro.routing.reference import reference_link_loads
 from repro.routing.valiant import ValiantRouter
@@ -182,7 +181,7 @@ def test_mesh_kernels_bitwise_equal_scalar(shape, wrap, name, cls, tables):
         )
 
     swapped = (srcs[::-1], dsts[::-1])
-    for _ in range(2):  # first call fills the pair cache, second reads it
+    for _ in range(2):  # first call builds the stencils, second reuses them
         plan = fast.pair_scatter(np.stack((swapped[0], srcs)),
                                  np.stack((swapped[1], dsts)), vols)
         got_old, got_new = _plan_halves(plan, topo.num_channel_slots)
@@ -194,8 +193,7 @@ def test_mesh_kernels_bitwise_equal_scalar(shape, wrap, name, cls, tables):
 
 def test_pair_scatter_duplicate_pairs_in_one_batch():
     """A proposal naming the same (src, dst) pair several times, in
-    either row, caches it once and replays every copy in the reference
-    order."""
+    either row, replays every copy in the reference order."""
     topo = CartesianTopology((4, 4, 2), wrap=(True, True, False))
     router = MinimalAdaptiveRouter(topo)
     plain = MinimalAdaptiveRouter(topo)
@@ -208,34 +206,60 @@ def test_pair_scatter_duplicate_pairs_in_one_batch():
     plan = router.pair_scatter(srcs, dsts, vols)
     _assert_plan_replays(plan, plain, (srcs[0], dsts[0]), (srcs[1], dsts[1]),
                          vols)
-    distinct = len({(int(s), int(d)) for s, d in zip(base_s, base_d) if s != d})
-    assert router._pp_count == distinct
 
 
 def test_pair_scatter_cache_cap_runs_out_mid_fill():
-    """When the per-pair cache fills partway through a batched fill, the
-    pairs that fit are cached, the call falls back to the uncached
-    expansion, and later calls keep matching the reference loop."""
+    """Proposals on a cold router bring offsets whose stencils are not
+    in its table yet, so the table grows between calls; every plan, and
+    a last proposal of pairs the walk has already expanded, matches the
+    reference loop."""
+    clear_stencil_cache()
     topo = CartesianTopology((4, 4, 4), wrap=True)
     router = MinimalAdaptiveRouter(topo)
-    router._pair_cache_cap = 25
     plain = MinimalAdaptiveRouter(topo)
+    seen = []
     for seed in (31, 32, 33):
         srcs, dsts, vols = flows_for(topo, 40, seed=seed)
         new_s, new_d, _ = flows_for(topo, 40, seed=seed + 10)
+        tabled = len(router._stencil_seq)
         plan = router.pair_scatter(np.stack((srcs, new_s)),
                                    np.stack((dsts, new_d)), vols)
         _assert_plan_replays(plan, plain, (srcs, dsts), (new_s, new_d), vols)
-        assert router._pp_count == 25
-    cached = np.flatnonzero(router._pair_cid >= 0)
-    assert len(cached) == 25
-    # A proposal of cached pairs only is served from the pool.
-    pairs = cached[:20].reshape(2, 10)
-    srcs, dsts = pairs // topo.num_nodes, pairs % topo.num_nodes
+        assert len(router._stencil_seq) > tabled
+        seen.append((srcs[:10], dsts[:10]))
+    srcs = np.stack((seen[0][0], seen[2][0]))
+    dsts = np.stack((seen[0][1], seen[2][1]))
     vols = np.arange(1.0, 11.0)
     plan = router.pair_scatter(srcs, dsts, vols)
     _assert_plan_replays(plan, plain, (srcs[0], dsts[0]), (srcs[1], dsts[1]),
                          vols)
+
+
+@pytest.mark.parametrize("shape,wrap", [
+    ((4, 4), True),
+    ((4, 4, 2), (True, True, False)),
+    ((3, 5, 2), True),
+    ((4, 4, 4, 4, 2), True),
+    ((5, 5), False),
+    ((2, 2, 2, 2, 2), True),
+    ((8, 8, 8), True),
+    ((1, 16), True),
+    ((4, 1, 4), True),
+    ((3, 12), True),
+], ids=str)
+def test_offset_keys_are_dense_and_order_preserving(shape, wrap):
+    """Every offset ``topology.delta`` can produce gets a distinct key,
+    the keys fill ``[0, _key_span)`` without a gap, key order is the
+    lexicographic order of the offset rows, and ``_delta_of`` inverts
+    the key."""
+    topo = CartesianTopology(shape, wrap=wrap)
+    router = MinimalAdaptiveRouter(topo)
+    V = topo.num_nodes
+    deltas = topo.delta(np.repeat(np.arange(V), V), np.tile(np.arange(V), V))
+    rows = np.unique(deltas, axis=0)  # lexicographically sorted
+    assert np.array_equal(router._keys_for(rows), np.arange(router._key_span))
+    for key in (0, router._key_span // 2, router._key_span - 1):
+        assert router._delta_of(key) == tuple(int(x) for x in rows[key])
 
 
 def test_pair_scatter_propose_rollback_is_exact():
@@ -273,46 +297,6 @@ def test_pair_scatter_rejects_other_than_two_rows():
         router.pair_scatter(srcs, dsts, vols)
     with pytest.raises(RoutingError):
         router.pair_scatter(np.stack((srcs,) * 3), np.stack((dsts,) * 3), vols)
-
-
-def test_fill_pair_cache_bounded_passes_match_lazy_fill(monkeypatch):
-    """The bulk fill caches every off-node pair in passes of at most
-    ``_expansion_chunk`` entries into an exactly sized pool, and serves
-    the same plans as the lazy fill; over the entry budget it caches
-    nothing."""
-    topo = CartesianTopology((4, 4, 2), wrap=(True, True, False))
-    V = topo.num_nodes
-    bulk = MinimalAdaptiveRouter(topo)
-    bulk._expansion_chunk = 500
-    passes = []
-    fill = bulk._pair_cache_fill
-
-    def counted(pids):
-        before = int(bulk._pp_indptr[bulk._pp_count])
-        fill(pids)
-        passes.append(int(bulk._pp_indptr[bulk._pp_count]) - before)
-
-    monkeypatch.setattr(bulk, "_pair_cache_fill", counted)
-    assert bulk.fill_pair_cache()
-    assert bulk._pp_count == V * (V - 1)
-    assert len(passes) > 1 and max(passes) <= 500
-    assert len(bulk._pp_slots) == bulk._pp_indptr[bulk._pp_count] == sum(passes)
-    assert len(bulk._pp_indptr) == V * (V - 1) + 1
-    assert bulk.fill_pair_cache()  # nothing left to fill
-
-    lazy = MinimalAdaptiveRouter(topo)
-    srcs, dsts, vols = flows_for(topo, 120, seed=9)
-    new_s, new_d, _ = flows_for(topo, 120, seed=10)
-    ends = (np.stack((srcs, new_s)), np.stack((dsts, new_d)), vols)
-    a, b = bulk.pair_scatter(*ends), lazy.pair_scatter(*ends)
-    assert a.split == b.split
-    assert np.array_equal(a.slots, b.slots)
-    assert np.array_equal(a.contrib, b.contrib)
-
-    monkeypatch.setattr(base_module, "PAIR_FILL_BUDGET", 10)
-    small = MinimalAdaptiveRouter(topo)
-    assert not small.fill_pair_cache()
-    assert small._pp_count == 0
 
 
 @pytest.mark.parametrize("ndim,shape", [(2, (4, 4)), (3, (2, 2, 2))])
