@@ -39,6 +39,28 @@ def test_dor_link_loads_2000_flows(benchmark, flows444):
     assert loads.max() > 0
 
 
+def test_mar_link_loads_many_stitch_shape(benchmark):
+    """The stitch's call: 16 orientation rows of 512 flows crossing the
+    two 4x4x4x1 halves of a 4x4x4x2 torus, one batched scatter."""
+    topo = torus(4, 4, 4, 2)
+    router = MinimalAdaptiveRouter(topo)
+    rng = np.random.default_rng(0)
+    half = topo.coords_array[:, 3]
+    rows, m = 16, 512
+    srcs = rng.choice(np.flatnonzero(half == 0), size=(rows, m))
+    dsts = rng.choice(np.flatnonzero(half == 1), size=(rows, m))
+    vols = rng.uniform(1, 100, m)
+    out = np.zeros((rows, topo.num_channel_slots))
+    router.link_loads_many(srcs, dsts, vols, out)  # warm the stencil cache
+
+    def run():
+        out = np.zeros((rows, topo.num_channel_slots))
+        return router.link_loads_many(srcs, dsts, vols, out)
+
+    loads = benchmark(run)
+    assert loads.max(axis=1).min() > 0
+
+
 def test_mar_stencil_construction(benchmark):
     topo = torus(8, 8, 8)
 

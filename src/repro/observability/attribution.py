@@ -149,11 +149,12 @@ def attribute_flows(
         data_buf.clear()
         pending = 0
 
-    for flows, slots, fracs in router.entries(srcs, dsts):
-        rows_buf.append(flows)
-        cols_buf.append(slots)
-        data_buf.append(fracs)
-        pending += len(flows)
+    order, blocks = router.entries(srcs, dsts)
+    for lo, hi, slots, fracs in blocks:
+        rows_buf.append(order[lo:hi].repeat(len(fracs)))
+        cols_buf.append(slots.ravel())
+        data_buf.append(np.tile(fracs, hi - lo))
+        pending += slots.size
         if pending >= chunk_nnz:
             flush()
     flush()

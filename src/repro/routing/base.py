@@ -6,16 +6,16 @@ flow's source node*. Translation invariance of tori/meshes makes stencils
 reusable across all flows sharing a ``delta``.
 
 Every cached stencil's entries live in one concatenated entry table
-(``indptr``-sliced, CSR style). :meth:`Router.entries` expands all flows
-to table entries at once, looks each entry's channel slot up in a
-node-translation table and yields ``(flows, slots, fracs)`` chunks of one
-ordered stream. :meth:`Router.link_loads`, :meth:`Router.link_loads_many`
-(all candidate flow sets of a merge-phase block in one scatter) and the
-attribution engine consume that stream; :meth:`Router.pair_scatter` lays
-out the same per-flow entry runs for a swap's old and new endpoints. The
-order is the (offset group, flow, entry) order of the plain per-offset
-loop in :mod:`repro.routing.reference`, so per-slot accumulation order —
-and therefore every float in the result — is bitwise-identical to it. That
+(``indptr``-sliced, CSR style). :meth:`Router.entries` sorts the flows by
+offset and expands each offset group as one (flows x stencil entries)
+block, looking each channel slot up in a node-translation table.
+:meth:`Router.link_loads`, :meth:`Router.link_loads_many` (all candidate
+flow sets of a merge-phase block in one call) and the attribution engine
+scatter those blocks; :meth:`Router.pair_scatter` lays out the same
+stencil slices per flow for a swap's old and new endpoints. The order is
+the (offset group, flow, entry) order of the plain per-offset loop in
+:mod:`repro.routing.reference`, so per-slot accumulation order — and
+therefore every float in the result — is bitwise-identical to it. That
 module shares only :meth:`Router.stencil` with this one and serves the
 tests and the snapshot's MCL oracle; no production path imports it.
 """
@@ -360,47 +360,71 @@ class Router(abc.ABC):
             if len(srcs) == 0:
                 return out
 
-        for flows, slots, fracs in self.entries(srcs, dsts):
-            np.add.at(out, slots, vols[flows] * fracs)
+        order, blocks = self.entries(srcs, dsts)
+        vols = vols[order]
+        for lo, hi, slots, fracs in blocks:
+            np.add.at(out, slots.ravel(), (vols[lo:hi, None] * fracs).ravel())
         return out
 
-    def entries(self, srcs, dsts):
-        """Yield the channel-slot expansion of the flows ``srcs -> dsts``.
+    # Entries per block (flows x stencil entries). Bounding the block keeps
+    # every temporary at a few MB, so the allocator reuses warm heap pages
+    # and the working set stays cache-resident; one giant block spends
+    # most of its time in soft page faults on fresh multi-GB arrays.
+    # Splitting a group between consecutive blocks keeps the addition
+    # sequence, so the bound never changes a bit of the result.
+    _block_entries = 131_072
 
-        Each item is ``(flows, slots, fracs)``: per entry, the flow's
-        index into ``srcs``/``dsts``, the channel slot it crosses and the
-        fraction of the flow's volume that slot carries. The chunks are
-        consecutive slices of one stream ordered by (ascending offset
-        key, flow position within its key group, stencil entry); each
-        holds at most ``_expansion_chunk`` entries unless one flow alone
-        is larger, and no flow straddles two chunks. Scattering the
-        chunks in order applies the additions of
-        :func:`repro.routing.reference.reference_link_loads` in its
-        order, bit for bit. Flows with ``src == dst`` yield nothing.
+    def entries(self, srcs, dsts):
+        """The channel-slot expansion of the flows ``srcs -> dsts``.
+
+        Returns ``(order, blocks)``. ``order`` sorts the flows by offset
+        key, stably; ``blocks`` yields ``(lo, hi, slots, fracs)`` for
+        consecutive runs ``order[lo:hi]`` of flows that share one offset
+        and hence one stencil: ``fracs`` (E,) is the stencil's fractions
+        and ``slots`` (hi - lo, E) the channel slot of each (flow,
+        stencil entry), a fresh array the caller may modify. A key group
+        is split between blocks only so that none exceeds
+        ``_block_entries`` entries unless one flow alone does. Raveling
+        each block in C order and scattering the blocks in turn applies
+        the additions of :func:`repro.routing.reference.reference_link_loads`
+        in its order, bit for bit. Flows with ``src == dst`` are in
+        ``order`` but in no block.
+
+        Per-flow work (the sort, the source's translation-table row) is
+        done once per flow; only the broadcast add, the table gather and
+        the ``dimdir`` add run per entry.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
-        for flows, ents in self._iter_expanded(srcs, dsts):
-            yield flows, self._entry_slots(srcs[flows], ents), self._tab_fracs[ents]
-
-    def _expansion_parts(self, srcs: np.ndarray, dsts: np.ndarray):
-        """Group-level expansion metadata for a set of off-node flows.
-
-        Returns ``(order, per_flow, entry_start)`` — sorted flow indices
-        (ascending offset key, stable), the table-entry count per sorted
-        flow, and each sorted flow's first table-entry index. The full
-        (flow, entry) stream is the per-flow runs laid out in this order;
-        callers may materialize it whole or in consecutive chunks — both
-        produce the identical stream.
-        """
         keys = self._offset_keys(srcs, dsts)
         order, starts, sizes = self._group_sorted(keys)
         sids = self._stencil_ids_of(keys[order[starts]])
-        indptr = self._tab_indptr
-        ecnt = indptr[sids + 1] - indptr[sids]            # entries per group
-        per_flow = np.repeat(ecnt, sizes)                 # entries per sorted flow
-        entry_start = np.repeat(indptr[sids], sizes)      # first entry per flow
-        return order, per_flow, entry_start
+        first, last = self._tab_indptr[sids], self._tab_indptr[sids + 1]
+        self._m_scatter_entries.inc(int(((last - first) * sizes).sum()))
+        src = srcs[order]
+        if self._translate is not None:
+            src *= self.topology.num_nodes  # each flow's translate row
+        return order, self._blocks(src, starts.tolist(), sizes.tolist(),
+                                   first.tolist(), last.tolist())
+
+    def _blocks(self, src, starts, sizes, first, last):
+        """The block generator behind :meth:`entries`."""
+        translate = self._translate
+        for g0, n, e0, e1 in zip(starts, sizes, first, last):
+            if e0 == e1:
+                continue  # the zero offset: on-node flows
+            fracs = self._tab_fracs[e0:e1]
+            dimdir = self._tab_dimdir[e0:e1]
+            step = max(1, self._block_entries // (e1 - e0))
+            for lo in range(g0, g0 + n, step):
+                hi = min(lo + step, g0 + n)
+                if translate is None:
+                    slots = self._coord_slots(
+                        src[lo:hi, None], self._tab_offsets[e0:e1], dimdir)
+                else:
+                    slots = translate[src[lo:hi, None] + self._tab_offnode[e0:e1]]
+                    slots += dimdir
+                yield lo, hi, slots, fracs
 
     def _offset_keys(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
         """:meth:`_keys_for` key of each flow's offset, gathered from the
@@ -425,53 +449,6 @@ class Router(abc.ABC):
             self._m_stencil_hits.inc(len(keys) - missing)
         self._refresh_table()
         return sids
-
-    @staticmethod
-    def _materialize_expansion(order, per_flow, entry_start):
-        """Expand (flow, entry-count, entry-start) runs into flat pairs."""
-        total = int(per_flow.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        flows_exp = np.repeat(order, per_flow)
-        flow_start = np.cumsum(per_flow) - per_flow       # expansion offsets
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            flow_start, per_flow
-        )
-        entries_exp = np.repeat(entry_start, per_flow) + within
-        return flows_exp, entries_exp
-
-    # Expanded (flow, entry) pairs processed per scatter pass. Bounding the
-    # pass keeps every temporary at a few MB so the allocator reuses warm
-    # heap pages and the working set stays cache-resident — one giant pass
-    # spends most of its time in soft page faults on multi-GB fresh
-    # arrays. Sequential ``np.add.at`` over consecutive chunks of one
-    # stream applies the identical addition sequence, so chunking never
-    # changes a bit of the result.
-    _expansion_chunk = 131_072
-
-    def _iter_expanded(self, srcs: np.ndarray, dsts: np.ndarray):
-        """Yield the (flow, entry) stream in bounded consecutive chunks."""
-        order, per_flow, entry_start = self._expansion_parts(srcs, dsts)
-        total = int(per_flow.sum())
-        self._m_scatter_entries.inc(total)
-        if total == 0:
-            return
-        if total <= self._expansion_chunk:
-            yield self._materialize_expansion(order, per_flow, entry_start)
-            return
-        ends = np.cumsum(per_flow)
-        n = len(order)
-        i0 = 0
-        while i0 < n:
-            base = int(ends[i0] - per_flow[i0])
-            i1 = int(np.searchsorted(ends, base + self._expansion_chunk,
-                                     side="right"))
-            i1 = min(max(i1, i0 + 1), n)  # an oversize flow runs alone
-            yield self._materialize_expansion(
-                order[i0:i1], per_flow[i0:i1], entry_start[i0:i1]
-            )
-            i0 = i1
 
     def _entry_slots(self, src_nodes: np.ndarray, entries: np.ndarray) -> np.ndarray:
         """Channel-slot ids for (source node, table entry) pairs.
@@ -510,11 +487,12 @@ class Router(abc.ABC):
         vols:
             (m,) shared flow volumes.
         out:
-            (B, num_channel_slots) load matrix; loads are added in place,
-            row ``b`` receiving exactly what
+            (B, num_channel_slots) load matrix in any memory layout;
+            loads are added in place, row ``b`` receiving exactly what
             ``link_loads(srcs[b], dsts[b], vols, out=out[b])`` would add
-            (bitwise — candidates scatter into disjoint rows and each
-            row's entry stream keeps the single-call order).
+            (bitwise — candidates scatter into disjoint rows, and within
+            each offset group a row's flows keep their single-call
+            order).
         """
         topo = self.topology
         self._m_batch_calls.inc()
@@ -537,10 +515,19 @@ class Router(abc.ABC):
         keep = np.flatnonzero(flat_s != flat_d)
         if len(keep) == 0:
             return out
-        flat_out = out.reshape(-1)
-        for flows, slots, fracs in self.entries(flat_s[keep], flat_d[keep]):
-            flat_idx = keep[flows]
-            np.add.at(flat_out, (flat_idx // m) * S + slots, vols[flat_idx % m] * fracs)
+        # reshape(-1) of a non-C-contiguous array is a copy, which would
+        # swallow every load: scatter into a contiguous buffer instead.
+        buf = out if out.flags.c_contiguous else np.ascontiguousarray(out)
+        flat_out = buf.reshape(-1)
+        order, blocks = self.entries(flat_s[keep], flat_d[keep])
+        kept = keep[order]
+        rowbase = (kept // m) * S  # each flow's row of flat_out
+        vols = vols[kept % m]
+        for lo, hi, slots, fracs in blocks:
+            slots += rowbase[lo:hi, None]
+            np.add.at(flat_out, slots.ravel(), (vols[lo:hi, None] * fracs).ravel())
+        if buf is not out:
+            out[...] = buf
         return out
 
     def pair_scatter(self, srcs, dsts, vols) -> PairPlan:

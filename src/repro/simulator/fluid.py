@@ -97,7 +97,7 @@ class FluidPhaseSimulator:
     def _usage_matrix(self, srcs, dsts) -> sp.csr_matrix:
         # The attribution engine builds the (flows x slots) route
         # fractions from the router's one channel-slot expansion
-        # (Router.entries), the stream link_loads scatters; the tests
+        # (Router.entries), the blocks link_loads scatters; the tests
         # hold it to repro.routing.reference. Unit volumes keep every
         # off-node flow's column.
         from repro.observability.attribution import attribute_flows

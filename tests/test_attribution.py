@@ -109,12 +109,12 @@ def test_flows_through_sums_to_slot_load(mar44, rng):
 
 
 def test_chunked_construction_is_exact(mar44, rng):
-    """Tiny chunk_nnz (with a tiny expansion chunk, so the entry stream
-    arrives in many pieces) forces many CSR part flushes; result is
+    """Tiny chunk_nnz (with a tiny block bound, so each offset group
+    arrives in many blocks) forces many CSR part flushes; result is
     identical."""
     srcs, dsts, vols = _random_flows(mar44.topology, 300, rng)
     whole = attribute_flows(mar44, srcs, dsts, vols)
-    mar44._expansion_chunk = 8
+    mar44._block_entries = 8
     chunked = attribute_flows(mar44, srcs, dsts, vols, chunk_nnz=8)
     assert (whole.fractions != chunked.fractions).nnz == 0
 
@@ -174,7 +174,7 @@ REGRESSION_SHAPES = [
 )
 def test_attribution_rows_match_reference_stencils(router_cls, shape, wrap):
     """The CSR arrays are identical with the pair tables, with the
-    coordinate slot fallback and with many small chunks, and row ``i``
+    coordinate slot fallback and with many small blocks, and row ``i``
     is flow ``i``'s stencil placed by the reference slot formula."""
     topo = CartesianTopology(shape, wrap=wrap)
     srcs, dsts, vols = _random_flows(topo, 300, np.random.default_rng(17))
@@ -182,7 +182,7 @@ def test_attribution_rows_match_reference_stencils(router_cls, shape, wrap):
     coords = router_cls(topo)
     coords._pair_table_limit = 0
     small = router_cls(topo)
-    small._expansion_chunk = 500  # the stream arrives in many pieces
+    small._block_entries = 500  # the expansion arrives in many blocks
     runs = [
         attribute_flows(coords, srcs, dsts, vols),
         attribute_flows(small, srcs, dsts, vols, chunk_nnz=500),

@@ -1,8 +1,8 @@
 """Bitwise-equivalence properties of the vectorized hot-path kernels.
 
-The router's channel-slot expansion (``Router.entries``) behind
-``link_loads``, ``link_loads_many`` and the pair-scatter plans, the
-batched orientation transform and the chunked expansion are all
+The router's group-block expansion (``Router.entries``) behind
+``link_loads`` and ``link_loads_many``, the pair-scatter plans, the
+batched orientation transform and the entry bound on blocks are all
 *defined* as bitwise-identical, reordering-free rewrites of plain
 loops. The routing kernels are checked against the per-offset loop in
 :mod:`repro.routing.reference`, which shares only ``Router.stencil``
@@ -88,13 +88,13 @@ def test_link_loads_many_rows_bitwise_equal_solo(shape):
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 10**9])
 def test_chunked_expansion_is_bitwise_invariant(chunk):
-    """Splitting the expansion stream at any chunk size changes nothing:
-    sequential scatter-adds over consecutive slices of one stream apply
-    the identical addition sequence."""
+    """Splitting offset groups into blocks at any entry bound changes
+    nothing: sequential scatter-adds over consecutive blocks of one
+    group apply the identical addition sequence."""
     topo = CartesianTopology((3, 5, 2), wrap=True)
     reference = MinimalAdaptiveRouter(topo)
     chunked = MinimalAdaptiveRouter(topo)
-    chunked._expansion_chunk = chunk
+    chunked._block_entries = chunk
     srcs, dsts, vols = flows_for(topo, 250, seed=11)
     assert np.array_equal(
         reference.link_loads(srcs, dsts, vols),
@@ -108,6 +108,94 @@ def test_chunked_expansion_is_bitwise_invariant(chunk):
     reference.link_loads_many(bs, bd, bv, out_a)
     chunked.link_loads_many(bs, bd, bv, out_b)
     assert np.array_equal(out_a, out_b)
+
+
+# Shapes for the group-block pins: tori, a mesh, mixed wrap, arity-2
+# and 1-wide dimensions, up to the paper's BG/Q shape.
+BLOCK_SHAPES = [
+    ((4, 4, 4, 2), True),
+    ((4, 4, 4, 1), True),
+    ((4, 4, 4, 4, 2), True),
+    ((4, 4), False),
+    ((3, 5, 2), (True, False, True)),
+    ((2, 4, 2), (False, True, False)),
+    ((4, 4, 4, 1), (True, True, True, False)),
+]
+
+
+@pytest.mark.parametrize("bound", [None, 24], ids=["whole", "split"])
+@pytest.mark.parametrize("tables", [True, False], ids=["lookup", "coords"])
+@pytest.mark.parametrize("shape,wrap", BLOCK_SHAPES,
+                         ids=[f"{s}-{w}" for s, w in BLOCK_SHAPES])
+@pytest.mark.parametrize("name,cls", MESH_ROUTERS,
+                         ids=[r[0] for r in MESH_ROUTERS])
+def test_group_blocks_bitwise_equal_reference(name, cls, shape, wrap, tables,
+                                              bound):
+    """``link_loads`` and every row of ``link_loads_many`` equal the
+    per-offset reference loop bit for bit, with the translation table
+    and with the coordinate formula, whether each offset group is one
+    block or, under a tiny entry bound, split across several."""
+    clear_stencil_cache()
+    topo = CartesianTopology(shape, wrap=wrap)
+    fast = cls(topo)
+    if not tables:
+        fast._pair_table_limit = 0
+    if bound is not None:
+        fast._block_entries = bound
+    plain = cls(topo)
+    # Few distinct sources and destinations, so offset groups are large.
+    rng = np.random.default_rng([*shape, len(name)])
+    ends = rng.integers(0, topo.num_nodes, size=(2, 6))
+    srcs = ends[0, rng.integers(0, 6, size=320)]
+    dsts = ends[1, rng.integers(0, 6, size=320)]
+    vols = rng.random(320) * 1e3
+    assert np.array_equal(fast.link_loads(srcs, dsts, vols),
+                          reference_link_loads(plain, srcs, dsts, vols))
+    assert (fast._translate is not None) == tables
+
+    _, blocks = fast.entries(srcs, dsts)
+    spans = [(lo, hi, slots.size) for lo, hi, slots, _ in blocks]
+    keys = fast._offset_keys(srcs, dsts)
+    groups = len(np.unique(keys[srcs != dsts]))
+    if bound is None:
+        assert len(spans) == groups
+    else:
+        assert len(spans) > groups  # some group spans several blocks
+        assert all(n <= bound or hi - lo == 1 for lo, hi, n in spans)
+
+    B, m = 4, 80
+    bs, bd = srcs.reshape(B, m), dsts.reshape(B, m)
+    out = np.zeros((B, topo.num_channel_slots))
+    fast.link_loads_many(bs, bd, vols[:m], out)
+    for b in range(B):
+        assert np.array_equal(
+            out[b], reference_link_loads(plain, bs[b], bd[b], vols[:m])
+        )
+
+
+@pytest.mark.parametrize("kind", ["sliced", "fortran"])
+def test_link_loads_many_into_non_contiguous_out(kind):
+    """A strided ``out`` (a column slice of a wider matrix, or a
+    Fortran-ordered buffer) receives exactly the loads a C-contiguous
+    one does, added to what it held; columns outside the slice stay
+    untouched."""
+    topo = CartesianTopology((4, 4, 2), wrap=True)
+    router = MinimalAdaptiveRouter(topo)
+    S = topo.num_channel_slots
+    srcs, dsts, vols = flows_for(topo, 120, seed=23)
+    bs, bd, bv = srcs.reshape(3, 40), dsts.reshape(3, 40), vols[:40]
+    expected = np.ones((3, S))
+    router.link_loads_many(bs, bd, bv, expected)
+    if kind == "sliced":
+        big = np.ones((3, 2 * S))
+        out = big[:, :S]
+    else:
+        out = np.ones((3, S), order="F")
+    assert not out.flags.c_contiguous
+    assert router.link_loads_many(bs, bd, bv, out) is out
+    assert np.array_equal(out, expected)
+    if kind == "sliced":
+        assert (big[:, S:] == 1.0).all()
 
 
 def _plan_halves(plan, num_slots):
