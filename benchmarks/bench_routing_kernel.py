@@ -2,14 +2,22 @@
 
 Phase 3 performs tens of thousands of link-load evaluations; these benches
 track the throughput of the stencil scatter-add engine that makes the
-merge search affordable.
+merge search affordable. The refine-walk benches time phase 4's swap
+walk, whose proposals each expand through ``Router.pair_scatter``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.clustering import cluster_fixed_size
+from repro.core.rahtm import RAHTMMapper
+from repro.core.refine import refine_assignment
+from repro.experiments.config import get_scale
 from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
 from repro.topology import torus
+from repro.workloads.registry import parse_workload
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +78,28 @@ def test_mar_stencil_construction(benchmark):
 
     st = benchmark(build)
     assert st.num_entries > 0
+
+
+def refine_start(spec, shape, scale):
+    """The refine walk's inputs for one RAHTM map: the topology, the
+    cluster graph and the placement the first three phases hand it."""
+    topo = torus(*shape)
+    graph = parse_workload(spec)
+    config = replace(get_scale(scale).rahtm, refine_iterations=0)
+    mapping = RAHTMMapper(topo, config).map(graph)
+    level = cluster_fixed_size(graph, graph.num_tasks // topo.num_nodes)
+    start = np.empty(topo.num_nodes, dtype=np.int64)
+    start[level.labels] = mapping.task_to_node
+    return topo, level.graph, start
+
+
+@pytest.mark.parametrize("spec,shape,scale,iterations", [
+    ("halo2d:8x8", (4, 4), "tiny", 1000),       # the serve-local job
+    ("cg:2048:D", (4, 4, 4, 2), "paper-ci", 2000),  # the bgq-cg map
+], ids=["serve-local-4x4", "cg-4x4x4x2"])
+def test_refine_walk(benchmark, spec, shape, scale, iterations):
+    topo, graph, start = refine_start(spec, shape, scale)
+    router = MinimalAdaptiveRouter(topo)
+    refine_assignment(router, graph, start, iterations)  # warm the stencils
+    _, cost = benchmark(refine_assignment, router, graph, start, iterations)
+    assert cost > 0

@@ -239,14 +239,17 @@ class RAHTMMapper:
                 else:
                     with self.timer.phase("phase4-refine"), \
                             span("rahtm.refine",
-                                 iterations=self.config.refine_iterations):
+                                 iterations=self.config.refine_iterations
+                                 ) as refine_span:
                         from repro.core.refine import refine_assignment
 
+                        walk: dict = {}
                         assignment, refined_mcl = refine_assignment(
                             self._router(topo), node_graph, assignment,
                             self.config.refine_iterations,
-                            seed=self.config.seed,
+                            seed=self.config.seed, stats=walk,
                         )
+                        refine_span.set(**walk)
                     self.stats["refined_mcl"] = refined_mcl
 
         task_to_node = assignment[node_level.labels]

@@ -12,10 +12,11 @@ block, looking each channel slot up in a node-translation table.
 :meth:`Router.link_loads`, :meth:`Router.link_loads_many` (all candidate
 flow sets of a merge-phase block in one call) and the attribution engine
 scatter those blocks; :meth:`Router.pair_scatter` lays out the same
-stencil slices per flow for a swap's old and new endpoints. The order is
-the (offset group, flow, entry) order of the plain per-offset loop in
-:mod:`repro.routing.reference`, so per-slot accumulation order — and
-therefore every float in the result — is bitwise-identical to it. That
+stencil slices per flow for a batch of swaps' old and new endpoints.
+The order is the (offset group, flow, entry) order of the plain
+per-offset loop in :mod:`repro.routing.reference`, so per-slot
+accumulation order — and therefore every float in the result — is
+bitwise-identical to it. That
 module shares only :meth:`Router.stencil` with this one and serves the
 tests and the snapshot's MCL oracle; no production path imports it.
 """
@@ -90,24 +91,36 @@ class Stencil:
 
 @dataclass(frozen=True)
 class PairPlan:
-    """One swap proposal's load update as a single scatter.
+    """The load updates of ``K`` swap proposals, one segment each.
 
-    ``slots``/``contrib`` hold the old endpoints' entries negated, then
-    the new endpoints' entries: ``np.add.at(out, plan.slots,
-    plan.contrib)`` moves the flows. :meth:`rollback` is the reverse
-    move, new entries negated then old entries. IEEE negation is exact,
-    so each half replays ``link_loads`` of the signed volumes bitwise.
+    Proposal ``k``'s segment is ``slots[start:end]``/``contrib[start:end]``
+    with ``(start, split, end) = segment(k)``: the old endpoints' entries
+    negated in ``[start, split)``, then the new endpoints' entries.
+    :meth:`apply` scatters the segment, which moves the proposal's
+    flows; :meth:`rollback` moves them back, subtracting the new
+    entries and then the old ones. IEEE negation is exact and ``x - y``
+    is ``x + (-y)``, so each half replays ``link_loads`` of the signed
+    volumes bitwise, and the rollback that of -new, then +old.
     """
 
-    slots: np.ndarray    # (T,) channel-slot id per expanded entry
-    contrib: np.ndarray  # (T,) signed volume x fraction per expanded entry
-    split: int           # entries [0, split) belong to the old endpoints
+    slots: np.ndarray    # (total,) channel-slot id per expanded entry
+    contrib: np.ndarray  # (total,) signed volume x fraction per expanded entry
+    offsets: list        # 2K+1 entry offsets: start_0, split_0, start_1, ...
 
-    def rollback(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(slots, contrib)`` of the move back: -new, then +old."""
-        k = self.split
-        return (np.concatenate((self.slots[k:], self.slots[:k])),
-                np.negative(np.concatenate((self.contrib[k:], self.contrib[:k]))))
+    def segment(self, k: int = 0) -> tuple[int, int, int]:
+        """``(start, split, end)`` entry offsets of proposal ``k``."""
+        return tuple(self.offsets[2 * k:2 * k + 3])
+
+    def apply(self, out: np.ndarray, k: int = 0) -> None:
+        """Move proposal ``k``'s flows in the load vector ``out``."""
+        start, end = self.offsets[2 * k], self.offsets[2 * k + 2]
+        np.add.at(out, self.slots[start:end], self.contrib[start:end])
+
+    def rollback(self, out: np.ndarray, k: int = 0) -> None:
+        """Undo :meth:`apply` of proposal ``k``: -new, then +old."""
+        start, split, end = self.segment(k)
+        np.subtract.at(out, self.slots[split:end], self.contrib[split:end])
+        np.subtract.at(out, self.slots[start:split], self.contrib[start:split])
 
 
 class Router(abc.ABC):
@@ -530,51 +543,83 @@ class Router(abc.ABC):
             out[...] = buf
         return out
 
-    def pair_scatter(self, srcs, dsts, vols) -> PairPlan:
-        """The :class:`PairPlan` that moves ``m`` flows to new endpoints.
+    # Entries one batched pair_scatter call should hold. Callers that
+    # batch proposals (the refine walk) size their batches by it, so the
+    # call's dozen entry-length temporaries stay cache-resident.
+    _pair_batch_entries = 8192
 
-        ``srcs`` and ``dsts`` are (2, m): row 0 holds the flows' old
-        endpoints, row 1 their new ones; ``vols`` is (m,). The plan's old
-        half is bitwise the scatter of ``link_loads(srcs[0], dsts[0],
-        -vols)`` and its new half that of ``link_loads(srcs[1], dsts[1],
-        vols)``: one stable sort by (row, offset key) puts each row's
-        flows in ``link_loads``'s order, each pair's entry block is the
-        identical stencil slice, and IEEE negation distributes exactly
-        over the products.
+    def pair_scatter(self, srcs, dsts, vols, bounds=None) -> PairPlan:
+        """The :class:`PairPlan` that moves ``K`` proposals' flows to new
+        endpoints.
+
+        ``srcs`` and ``dsts`` are (2, T): row 0 holds the flows' old
+        endpoints, row 1 their new ones, for the concatenated flows of
+        ``K`` proposals; ``vols`` is (T,). ``bounds`` (K+1,) gives each
+        proposal's flow offsets: proposal ``k`` owns columns
+        ``bounds[k]:bounds[k+1]``. The default is one proposal of all
+        ``T`` flows.
+
+        Proposal ``k``'s old half is bitwise the scatter of
+        ``link_loads`` of its old endpoints with ``-vols``, and its new
+        half that of its new endpoints with ``vols``: one stable sort by
+        (proposal, row, offset key) puts each row's flows in
+        ``link_loads``'s order, each pair's entry block is the identical
+        stencil slice, and IEEE negation distributes exactly over the
+        products. Each segment is therefore the plan a one-proposal call
+        returns for that proposal alone.
 
         Each flow's entry run is laid out straight from the stencil
         table, so a call costs a fixed number of array operations
-        whatever the topology and keeps nothing between calls.
+        whatever ``K`` and the topology, and keeps nothing between calls.
         """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         vols = np.asarray(vols, dtype=np.float64)
         if (srcs.ndim != 2 or len(srcs) != 2 or srcs.shape != dsts.shape
                 or vols.shape != srcs.shape[1:]):
-            raise RoutingError("srcs and dsts must be (2, m) arrays, vols (m,)")
-        m = len(vols)
+            raise RoutingError("srcs and dsts must be (2, T) arrays, vols (T,)")
+        T = len(vols)
+        if bounds is None:
+            bounds = np.array([0, T], dtype=np.int64)
+        else:
+            bounds = np.asarray(bounds)
+            if (bounds.ndim != 1 or len(bounds) < 2
+                    or bounds.dtype.kind not in "iu" or bounds[0] != 0
+                    or bounds[-1] != T or (bounds[1:] < bounds[:-1]).any()):
+                raise RoutingError(
+                    f"bounds must rise from 0 to {T} in one 1-D integer array")
+            bounds = bounds.astype(np.int64, copy=False)
+        K = len(bounds) - 1
         flat_s, flat_d = srcs.ravel(), dsts.ravel()
-        keep = (flat_s != flat_d).nonzero()[0]
-        keys = self._offset_keys(flat_s[keep], flat_d[keep])
+        keys = self._offset_keys(flat_s, flat_d)
         sids = self._stencil_ids_of(keys)
-        n_old = int(keep.searchsorted(m))
-        keys[n_old:] += self._key_span  # new row sorts after old
+        # Sort by (proposal, row, key): proposal k's rows are groups 2k
+        # and 2k+1, each shifted past every key of the group before.
+        span = self._key_span
+        grouped = keys.reshape(2, T)
+        if K > 1:
+            grouped += (np.arange(0, 2 * K * span, 2 * span)
+                        .repeat(bounds[1:] - bounds[:-1]))
+        grouped[1] += span
         order = keys.argsort(kind="stable")
         sids = sids[order]
-        kept = keep[order]
         indptr = self._tab_indptr
         first = indptr[sids]
         counts = indptr[sids + 1] - first
-        ends = counts.cumsum()
-        total = int(ends[-1]) if len(ends) else 0
+        counts[(flat_s == flat_d)[order]] = 0  # on-node flows load nothing
+        ends = np.zeros(2 * T + 1, dtype=np.int64)
+        counts.cumsum(out=ends[1:])
+        total = int(ends[-1])
         self._m_scatter_entries.inc(total)
-        ents = (first - (ends - counts)).repeat(counts)
+        ents = (first - ends[:-1]).repeat(counts)
         ents += np.arange(total, dtype=np.int64)
-        slots = self._entry_slots(flat_s[kept].repeat(counts), ents)
-        contrib = np.concatenate((-vols, vols))[kept].repeat(counts)
+        slots = self._entry_slots(flat_s[order].repeat(counts), ents)
+        contrib = np.concatenate((-vols, vols))[order].repeat(counts)
         contrib *= self._tab_fracs[ents]
-        split = int(ends[n_old - 1]) if n_old else 0
-        return PairPlan(slots, contrib, split)
+        # Proposal k's old row starts at sorted flow 2*bounds[k], its new
+        # row at bounds[k] + bounds[k+1].
+        twice = bounds.repeat(2)
+        return PairPlan(slots, contrib, ends[twice[:-1] + twice[1:]].tolist())
 
     # -- metrics ---------------------------------------------------------------------
     def max_channel_load(self, srcs, dsts, vols) -> float:

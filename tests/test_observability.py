@@ -339,6 +339,33 @@ def test_rahtm_pipeline_spans(tmp_path):
     assert levels and all("level" in s.attrs for s in levels)
 
 
+def test_rahtm_refine_span_reports_batches():
+    """The refine span carries the walk's batch counts, and the registry
+    counters grow by the same amounts."""
+    from repro.core.rahtm import RAHTMConfig, RAHTMMapper
+    from repro.topology.cartesian import CartesianTopology
+    from repro.workloads.registry import parse_workload
+
+    mapper = RAHTMMapper(CartesianTopology((4, 4)), RAHTMConfig(
+        beam_width=4, max_orientations=4, milp_time_limit=5.0,
+        refine_iterations=300,
+    ))
+    registry = get_registry()
+    before = {name: registry.counter(f"refine.{name}").value
+              for name in ("batches", "discarded")}
+    tracer = Tracer()
+    with activate(tracer):
+        mapper.map(parse_workload("halo2d:8x8"))
+    (refine,) = tracer.roots[0].find("rahtm.refine")
+    attrs = refine.attrs
+    assert attrs["iterations"] == 300
+    assert 0 < attrs["batches"] <= 300
+    assert attrs["speculated"] > 0
+    assert 0 <= attrs["discarded"] < attrs["speculated"]
+    for name, value in before.items():
+        assert registry.counter(f"refine.{name}").value == value + attrs[name]
+
+
 # -- bench snapshot gate --------------------------------------------------------------
 GATE = REPO / "benchmarks" / "compare_snapshots.py"
 

@@ -198,19 +198,20 @@ def test_link_loads_many_into_non_contiguous_out(kind):
         assert (big[:, S:] == 1.0).all()
 
 
-def _plan_halves(plan, num_slots):
-    """Loads the old and the new half of a fused pair plan scatter."""
+def _plan_halves(plan, num_slots, k=0):
+    """Loads the old and the new half of proposal ``k``'s plan segment."""
+    start, split, end = plan.segment(k)
     old, new = np.zeros(num_slots), np.zeros(num_slots)
-    np.add.at(old, plan.slots[: plan.split], plan.contrib[: plan.split])
-    np.add.at(new, plan.slots[plan.split:], plan.contrib[plan.split:])
+    np.add.at(old, plan.slots[start:split], plan.contrib[start:split])
+    np.add.at(new, plan.slots[split:end], plan.contrib[split:end])
     return old, new
 
 
-def _assert_plan_replays(plan, plain, old, new, vols):
-    """The plan's old half is the reference scatter of the negated
+def _assert_plan_replays(plan, plain, old, new, vols, k=0):
+    """Proposal ``k``'s old half is the reference scatter of the negated
     volumes on the old endpoints, its new half that of the volumes on
     the new endpoints, bit for bit."""
-    got_old, got_new = _plan_halves(plan, plain.topology.num_channel_slots)
+    got_old, got_new = _plan_halves(plan, plain.topology.num_channel_slots, k)
     assert np.array_equal(got_old, reference_link_loads(plain, *old, -vols))
     assert np.array_equal(got_new, reference_link_loads(plain, *new, vols))
 
@@ -371,7 +372,7 @@ def test_pair_scatter_propose_rollback_is_exact():
     router.link_loads(srcs, dsts, -vols, out=reference)
     router.link_loads(new_s, new_d, vols, out=reference)
     assert np.array_equal(moved, reference)
-    np.add.at(moved, *plan.rollback())
+    plan.rollback(moved)
     router.link_loads(new_s, new_d, -vols, out=reference)
     router.link_loads(srcs, dsts, vols, out=reference)
     assert np.array_equal(moved, reference)
@@ -385,6 +386,93 @@ def test_pair_scatter_rejects_other_than_two_rows():
         router.pair_scatter(srcs, dsts, vols)
     with pytest.raises(RoutingError):
         router.pair_scatter(np.stack((srcs,) * 3), np.stack((dsts,) * 3), vols)
+
+
+def _proposals(topo, seed):
+    """K swap proposals for one batched pair_scatter call: an empty one,
+    one whose flows are all on-node, one that repeats an earlier
+    proposal, and one naming the same pair several times."""
+    rng = np.random.default_rng(seed)
+    V = topo.num_nodes
+    props = []
+    for m in (7, 0, 12, 3, 20):
+        srcs = rng.integers(0, V, size=(2, m))
+        dsts = rng.integers(0, V, size=(2, m))
+        props.append((srcs, dsts, rng.random(m) * 1e3))
+    on_node = rng.integers(0, V, size=(2, 6))
+    props.append((on_node, on_node.copy(), rng.random(6) * 1e3))
+    props.append(props[2])
+    pair_s, pair_d = rng.integers(0, V, size=3), rng.integers(0, V, size=3)
+    pick = rng.integers(0, 3, size=(2, 15))
+    props.append((pair_s[pick], pair_d[pick], rng.random(15) * 1e3))
+    return props
+
+
+BATCH_SHAPES = [((4, 4), True), ((4, 4, 2), (True, True, False)),
+                ((3, 5, 2), (True, False, True)), ((4, 4), False)]
+# (router, shape, wrap): MAR and DOR on every shape, and Valiant, whose
+# zero-offset stencil is not empty, on a torus.
+BATCH_CASES = [(name, cls, shape, wrap) for name, cls in MESH_ROUTERS
+               for shape, wrap in BATCH_SHAPES]
+BATCH_CASES.append(("valiant", ValiantRouter, (4, 4), True))
+
+
+@pytest.mark.parametrize("tables", [True, False], ids=["lookup", "coords"])
+@pytest.mark.parametrize("name,cls,shape,wrap", BATCH_CASES,
+                         ids=[f"{c[0]}-{c[2]}-{c[3]}" for c in BATCH_CASES])
+def test_batched_pair_scatter_segments_equal_one_proposal_plans(
+        name, cls, shape, wrap, tables):
+    """Each proposal's segment of a K-proposal plan is bitwise the plan
+    a one-proposal call returns; its halves replay the reference loop of
+    -vols on the old endpoints and +vols on the new ones, and applying
+    then rolling it back replays link_loads of -old, +new, -new, +old."""
+    clear_stencil_cache()
+    topo = CartesianTopology(shape, wrap=wrap)
+    fast, plain = cls(topo), cls(topo)
+    if not tables:
+        fast._pair_table_limit = 0
+    props = _proposals(topo, seed=len(shape) + 10 * tables)
+    bounds = np.cumsum([0] + [len(v) for _, _, v in props])
+    plan = fast.pair_scatter(np.concatenate([p[0] for p in props], axis=1),
+                             np.concatenate([p[1] for p in props], axis=1),
+                             np.concatenate([p[2] for p in props]), bounds)
+    assert (fast._translate is not None) == tables
+    assert len(plan.offsets) == 2 * len(props) + 1
+    base = fast.link_loads(*flows_for(topo, 40, seed=2))
+    for k, (srcs, dsts, vols) in enumerate(props):
+        solo = fast.pair_scatter(srcs, dsts, vols)
+        start, split, end = plan.segment(k)
+        assert (split - start, end - start) == solo.segment()[1:]
+        assert np.array_equal(plan.slots[start:end], solo.slots)
+        assert np.array_equal(plan.contrib[start:end], solo.contrib)
+        _assert_plan_replays(plan, plain, (srcs[0], dsts[0]),
+                             (srcs[1], dsts[1]), vols, k)
+        moved, want = base.copy(), base.copy()
+        plan.apply(moved, k)
+        fast.link_loads(srcs[0], dsts[0], -vols, out=want)
+        fast.link_loads(srcs[1], dsts[1], vols, out=want)
+        assert np.array_equal(moved, want)
+        plan.rollback(moved, k)
+        fast.link_loads(srcs[1], dsts[1], -vols, out=want)
+        fast.link_loads(srcs[0], dsts[0], vols, out=want)
+        assert np.array_equal(moved, want)
+    for k in (1, 5):  # the empty and the all-on-node proposal load nothing
+        start, _, end = plan.segment(k)
+        assert start == end
+
+
+@pytest.mark.parametrize("bounds", [
+    [0, 6, 5, 12], [1, 12], [0, 11], [0, 13], [0], [], [[0, 12]],
+    [0.0, 12.0],
+], ids=str)
+def test_pair_scatter_rejects_malformed_bounds(bounds):
+    topo = CartesianTopology((4, 4), wrap=True)
+    router = MinimalAdaptiveRouter(topo)
+    srcs, dsts, vols = flows_for(topo, 12, seed=8)
+    new_s, new_d, _ = flows_for(topo, 12, seed=9)
+    with pytest.raises(RoutingError):
+        router.pair_scatter(np.stack((srcs, new_s)), np.stack((dsts, new_d)),
+                            vols, bounds)
 
 
 @pytest.mark.parametrize("ndim,shape", [(2, (4, 4)), (3, (2, 2, 2))])
