@@ -14,6 +14,8 @@ baseline and exits non-zero when
   any drift is a real behavior change, better or worse); when both
   snapshots carry per-cell ``hotspot`` attributions the failure message
   says *which link* the MCL moved to — drift is never unexplained;
+- on any benchmark row of the current snapshot, RAHTM's MCL is not
+  strictly below every other mapper's (the paper's claim; a tie fails);
 - the snapshots' schema versions or scales differ;
 - the telemetry sampler's ``overhead_fraction`` is at or above 1% of a
   worst-case 1 s tick — an absolute budget, not a ratio against the
@@ -247,6 +249,17 @@ def compare(
                 float(cell.get("map_seconds", 0.0)),
                 float(other.get("map_seconds", 0.0)),
             )
+
+    for bench, row in current.get("cells", {}).items():
+        rahtm = row.get("RAHTM")
+        if rahtm is None:
+            continue
+        for label, cell in row.items():
+            if label != "RAHTM" and not rahtm["mcl"] < cell["mcl"]:
+                failures.append(
+                    f"claim {bench}/{label}: RAHTM MCL {rahtm['mcl']} is "
+                    f"not strictly below {label}'s {cell['mcl']}"
+                )
     return failures
 
 
@@ -327,7 +340,8 @@ def main(argv=None) -> int:
         return 1
     print(
         "perf gate passed: no phase regressed beyond "
-        f"{args.threshold * 100:.0f}%, MCLs unchanged"
+        f"{args.threshold * 100:.0f}%, MCLs unchanged, RAHTM below "
+        "every other mapper"
     )
     return 0
 

@@ -23,8 +23,8 @@ from repro.workloads import nas_cg
 def main() -> None:
     out_path = sys.argv[1] if len(sys.argv) > 1 else "cg_rahtm.map"
     # A small BG/Q sub-partition: 4x4x4x2x2 nodes, 2 tasks per node. The
-    # non-uniform D/E dimensions exercise the paper's partition-and-stitch
-    # path (Section III-B).
+    # arity-2 D/E dimensions exercise RAHTM's mirror fold: it folds E, then
+    # D, maps the 4x4x4 quarter and mirrors each matched partner back.
     bgq = BGQTopology(shape=(4, 4, 4, 2, 2), tasks_per_node=2)
     print(f"platform: {bgq}")
 

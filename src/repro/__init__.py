@@ -20,7 +20,7 @@ Quickstart::
 
 Package map
 -----------
-- :mod:`repro.topology` — tori/meshes, BG/Q, hierarchy, partitioning.
+- :mod:`repro.topology` — tori/meshes, BG/Q, hierarchy.
 - :mod:`repro.routing` — DOR and the all-minimal-paths MAR approximation.
 - :mod:`repro.commgraph` — communication graphs and I/O.
 - :mod:`repro.workloads` — NAS BT/SP/CG, stencils, synthetics, collectives.

@@ -45,7 +45,7 @@ from repro.utils.logconf import get_logger
 from repro.utils.rng import as_rng
 
 __all__ = ["MergeConfig", "MergeBlock", "MergeOutcome", "merge_blocks",
-           "hierarchical_merge", "first_fit_merge"]
+           "hierarchical_merge"]
 
 log = get_logger("core.merge")
 
@@ -461,24 +461,6 @@ def merge_blocks(
     ).run()
     get_registry().counter("merge.evaluations").inc(outcome.evaluations)
     return outcome
-
-
-def first_fit_merge(
-    topo: CartesianTopology, blocks: list[MergeBlock]
-) -> MergeOutcome:
-    """Place every block at its own slot with the identity orientation.
-
-    The bottom rung of the phase-3 degradation ladder: no orientation
-    search, no MCL evaluations — the phase-2 relative arrangement is kept
-    verbatim, which is always a valid (if unoptimized) placement.
-    """
-    positions: dict[int, int] = {}
-    for b in blocks:
-        coords = np.asarray(b.origin, dtype=np.int64)[None, :] + b.local_coords
-        nodes = topo.index(coords)
-        for c, node in zip(b.clusters, np.atleast_1d(nodes)):
-            positions[int(c)] = int(node)
-    return MergeOutcome(positions=positions, mcl=float("nan"), evaluations=0)
 
 
 def hierarchical_merge(

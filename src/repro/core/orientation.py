@@ -5,8 +5,7 @@ Phase 3 reorients whole blocks — "rotation and reorientation" in the paper
 (hyperoctahedral) group: permute the dimensions, then optionally mirror
 each. For an n-cube that is ``2^n * n!`` elements (8 for n=2, 48 for n=3,
 384 for n=4); :func:`orientations_for_shape` restricts permutations to
-equal-extent dimensions so non-cubic blocks (from topology partitioning)
-stay well-formed.
+equal-extent dimensions so non-cubic blocks stay well-formed.
 """
 
 from __future__ import annotations

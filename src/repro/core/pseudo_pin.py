@@ -219,7 +219,7 @@ def pseudo_pin(
         if len(nodes) != 1:
             raise ConfigError(
                 "level-0 block spans multiple nodes; topology has non-trivial "
-                "inactive dimensions — partition it first"
+                "inactive dimensions — fold them first (RAHTMMapper)"
             )
         cluster_to_node[c] = nodes[0]
     if len(np.unique(cluster_to_node)) != len(cluster_to_node):

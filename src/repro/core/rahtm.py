@@ -1,14 +1,18 @@
 """The RAHTM mapper facade.
 
-Orchestrates the three phases over a (possibly non-uniform) torus:
+Orchestrates the phases over a 2^q-ary torus, optionally extended by
+arity-2 dimensions (e.g. BG/Q's E dimension):
 
-1. cluster the task graph to the concentration factor (phase 1a) and, when
-   the topology is non-uniform (e.g. BG/Q's arity-2 E dimension), split the
-   node-cluster graph across uniform topology partitions (Section III-B);
-2. per partition: build the 2-ary hierarchy (phase 1b), pseudo-pin via the
-   Table II MILP top-down (phase 2), and beam-merge bottom-up (phase 3);
-3. stitch partitions back together with one more orientation merge on the
-   full topology.
+1. cluster the task graph to the concentration factor (phase 1a);
+2. fold each arity-2 dimension of a non-uniform shape: pair the node
+   clusters by greedy heavy-edge matching and keep each pair's lower id,
+   so the half lives on the topology with that dimension set to 1;
+3. on the uniform (half) topology: build the 2-ary hierarchy (phase 1b),
+   pseudo-pin via the Table II MILP top-down (phase 2), and beam-merge
+   bottom-up (phase 3);
+4. mirror every partner onto its pair's coordinates with the folded
+   coordinate set to 1 (the paper's Fig. 7 symmetry copy, applied across
+   the arity-2 dimension), then optionally refine (phase 4).
 
 Usage::
 
@@ -18,19 +22,17 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.commgraph.graph import CommGraph
-from repro.core.clustering import build_cluster_hierarchy, cluster_fixed_size
-from repro.core.merge import (
-    MergeBlock,
-    MergeConfig,
-    first_fit_merge,
-    hierarchical_merge,
-    merge_blocks,
+from repro.core.clustering import (
+    build_cluster_hierarchy,
+    cluster_fixed_size,
+    greedy_fixed_size_labels,
 )
+from repro.core.merge import MergeConfig, hierarchical_merge
 from repro.core.pseudo_pin import pseudo_pin
 from repro.errors import ConfigError
 from repro.mapping.mapping import Mapping
@@ -41,11 +43,10 @@ from repro.routing.minimal_adaptive import MinimalAdaptiveRouter
 from repro.topology.bgq import BGQTopology
 from repro.topology.cartesian import CartesianTopology
 from repro.topology.hierarchy import CubeHierarchy
-from repro.topology.partition import uniform_partitions
 from repro.utils.logconf import get_logger
 from repro.utils.timing import PhaseTimer
 
-__all__ = ["RAHTMConfig", "RAHTMMapper"]
+__all__ = ["RAHTMConfig", "RAHTMMapper", "mirror_folds"]
 
 log = get_logger("core.rahtm")
 
@@ -131,14 +132,14 @@ class RAHTMConfig:
         if self.refine_iterations < 0:
             raise ConfigError("refine_iterations must be >= 0")
 
-    def merge_config(self, seed_offset: int = 0) -> MergeConfig:
+    def merge_config(self) -> MergeConfig:
         return MergeConfig(
             beam_width=self.beam_width,
             max_orientations=self.max_orientations,
             order_mode=self.order_mode,
             order_samples=self.order_samples,
             reposition=self.reposition,
-            seed=self.seed + seed_offset,
+            seed=self.seed,
         )
 
 
@@ -166,6 +167,7 @@ class RAHTMMapper:
                 f"unsupported topology type {type(topology).__name__}"
             )
         self.topology = topology
+        self.folds = mirror_folds(topology)
         self.config = config or RAHTMConfig()
         self.timer = PhaseTimer()
         self.stats: dict = {}
@@ -194,9 +196,9 @@ class RAHTMMapper:
             Degradation events land in ``self.stats["degradation"]``.
         checkpoint:
             Optional :class:`~repro.resilience.MapperCheckpoint`. Each
-            completed phase (pseudo-pin, merge, each partition) is
-            persisted; a rerun of the same job resumes from the last
-            completed phase with zero repeat MILP solves. Checkpoints are
+            completed phase (pseudo-pin, merge) is persisted; a rerun of
+            the same job resumes from the last completed phase with zero
+            repeat MILP solves. Checkpoints are
             cleared once the mapping completes.
         """
         topo = self.topology
@@ -218,18 +220,11 @@ class RAHTMMapper:
                 node_level = cluster_fixed_size(graph, concentration)
             node_graph = node_level.graph
 
-            # Partitioning for non-uniform topologies.
-            parts = (uniform_partitions(topo)
-                     if not _is_uniform_pow2(topo) else None)
-            if parts is None:
-                assignment = self._map_uniform(
-                    topo, node_graph, seed_offset=0,
-                    budget=budget, checkpoint=checkpoint, ckpt_ns="",
-                )
+            if self.folds:
+                assignment = self._map_folded(node_graph, budget, checkpoint)
             else:
-                assignment = self._map_partitioned(
-                    topo, node_graph, parts,
-                    budget=budget, checkpoint=checkpoint,
+                assignment = self._map_uniform(
+                    topo, node_graph, budget=budget, checkpoint=checkpoint,
                 )
 
             if self.config.refine_iterations:
@@ -268,8 +263,8 @@ class RAHTMMapper:
 
     # -- uniform path -----------------------------------------------------------------
     def _map_uniform(
-        self, topo: CartesianTopology, node_graph: CommGraph, seed_offset: int,
-        budget=None, checkpoint=None, ckpt_ns: str = "",
+        self, topo: CartesianTopology, node_graph: CommGraph,
+        budget=None, checkpoint=None,
     ) -> np.ndarray:
         cube_h = CubeHierarchy(topo)
         with self.timer.phase("phase1-hierarchy"), \
@@ -281,7 +276,7 @@ class RAHTMMapper:
         cluster_to_node = None
         if checkpoint is not None:
             cluster_to_node = checkpoint.load_assignment(
-                f"{ckpt_ns}pin", expect_len=hierarchy.num_node_clusters
+                "pin", expect_len=hierarchy.num_node_clusters
             )
         if cluster_to_node is None:
             degraded_before = len(self.degradation)
@@ -306,12 +301,12 @@ class RAHTMMapper:
             # must not be trusted by a later resume with a fresh budget.
             if checkpoint is not None \
                     and len(self.degradation) == degraded_before:
-                checkpoint.save_assignment(f"{ckpt_ns}pin", cluster_to_node)
+                checkpoint.save_assignment("pin", cluster_to_node)
 
         assignment = None
         if checkpoint is not None:
             assignment = checkpoint.load_assignment(
-                f"{ckpt_ns}merge", expect_len=topo.num_nodes
+                "merge", expect_len=topo.num_nodes
             )
         if assignment is None:
             degraded_before = len(self.degradation)
@@ -320,7 +315,7 @@ class RAHTMMapper:
                 router = self._router(topo)
                 assignment, mstats = hierarchical_merge(
                     topo, router, cube_h, node_graph, cluster_to_node,
-                    self.config.merge_config(seed_offset),
+                    self.config.merge_config(),
                     budget=budget, degradation=self.degradation,
                 )
             self.stats.setdefault("merge_evaluations", 0)
@@ -331,86 +326,69 @@ class RAHTMMapper:
             # don't freeze it into a checkpoint a resumed run would trust.
             if checkpoint is not None \
                     and len(self.degradation) == degraded_before:
-                checkpoint.save_assignment(f"{ckpt_ns}merge", assignment)
+                checkpoint.save_assignment("merge", assignment)
         return assignment
 
-    # -- partitioned path ----------------------------------------------------
-    def _map_partitioned(
-        self, topo: CartesianTopology, node_graph: CommGraph, parts,
-        budget=None, checkpoint=None,
-    ) -> np.ndarray:
-        nparts = len(parts)
-        V = topo.num_nodes
-        if V % nparts:
-            raise ConfigError("partitions do not evenly divide the topology")
-        part_size = V // nparts
+    # -- mirror path ------------------------------------------------------------------
+    def _map_folded(self, node_graph: CommGraph, budget=None,
+                    checkpoint=None) -> np.ndarray:
+        """Map one half per fold with :meth:`_map_uniform`, then mirror.
 
-        # Split node-clusters into one group per partition (phase-1 tiling
-        # again, at partition granularity).
+        Each fold pairs the current clusters by greedy heavy-edge matching
+        and keeps each pair's lower id, so the heavy pairs end up one
+        (double-wide) arity-2 hop apart.
+        """
+        steps = []
+        graph, topo = node_graph, self.topology
         with self.timer.phase("phase1-partition"), \
-                span("rahtm.partition", partitions=nparts):
-            part_level = cluster_fixed_size(node_graph, part_size)
-        group_of = part_level.labels  # node-cluster -> partition group
-
-        assignment = np.full(V, -1, dtype=np.int64)
-        blocks: list[MergeBlock] = []
-        for gi, part in enumerate(parts):
-            members = np.flatnonzero(group_of == gi)
-            sub = node_graph.subgraph(members)
-            local_topo = part.local_topology(topo)
-            local_assignment = None
-            if checkpoint is not None:
-                local_assignment = checkpoint.load_assignment(
-                    f"part{gi}", expect_len=local_topo.num_nodes
-                )
-            if local_assignment is not None:
-                # The whole-partition checkpoint supersedes its sub-stages;
-                # mark them so clear() evicts any the killed run left behind.
-                checkpoint.mark(f"part{gi}-pin", f"part{gi}-merge")
-            else:
-                degraded_before = len(self.degradation)
-                with span("rahtm.map_partition", index=gi,
-                          nodes=local_topo.num_nodes):
-                    local_assignment = self._map_uniform(
-                        local_topo, sub, seed_offset=17 * (gi + 1),
-                        budget=budget, checkpoint=checkpoint,
-                        ckpt_ns=f"part{gi}-",
-                    )
-                if checkpoint is not None \
-                        and len(self.degradation) == degraded_before:
-                    checkpoint.save_assignment(f"part{gi}", local_assignment)
-            # Record the partition as a rigid block for the stitch merge.
-            local_coords = local_topo.coords(local_assignment)
-            blocks.append(MergeBlock(
-                origin=np.asarray(part.origin, dtype=np.int64),
-                shape=part.shape,
-                clusters=members,
-                local_coords=local_coords,
-            ))
-        with self.timer.phase("phase3-stitch"), \
-                span("rahtm.stitch", partitions=nparts):
-            if budget is not None and budget.enforce("phase3-stitch"):
-                self.degradation.record(
-                    "phase3", "stitch->first-fit", "budget-exhausted",
-                    partitions=nparts,
-                )
-                outcome = first_fit_merge(topo, blocks)
-            else:
-                router = self._router(topo)
-                outcome = merge_blocks(
-                    topo, router, blocks,
-                    node_graph.srcs, node_graph.dsts, node_graph.vols,
-                    self.config.merge_config(seed_offset=9999),
-                    num_clusters=node_graph.num_tasks,
-                )
-        self.stats.setdefault("merge_evaluations", 0)
-        self.stats["merge_evaluations"] += outcome.evaluations
-        self.stats["stitch_mcl"] = outcome.mcl
-        for cluster, node in outcome.positions.items():
-            assignment[cluster] = node
-        if (assignment < 0).any():
-            raise ConfigError("partition stitching left clusters unplaced")
+                span("rahtm.partition", folds=len(self.folds)):
+            for dim, half in self.folds:
+                labels = greedy_fixed_size_labels(graph, 2)
+                by_pair = np.lexsort((np.arange(graph.num_tasks), labels))
+                lower, upper = by_pair.reshape(-1, 2).T
+                steps.append((dim, topo, lower, upper))
+                graph, topo = graph.subgraph(lower), half
+        assignment = self._map_uniform(
+            topo, graph, budget=budget, checkpoint=checkpoint,
+        )
+        # Unfold innermost first: a half's node keeps its coordinates in the
+        # parent, and its partner sits across the folded dimension.
+        for dim, parent, lower, upper in reversed(steps):
+            coords = topo.coords(assignment)
+            assignment = np.empty(parent.num_nodes, dtype=np.int64)
+            assignment[lower] = parent.index(coords)
+            coords[:, dim] = 1
+            assignment[upper] = parent.index(coords)
+            topo = parent
         return assignment
+
+
+def mirror_folds(
+    topo: CartesianTopology,
+) -> list[tuple[int, CartesianTopology]]:
+    """The ``(dimension, half topology)`` folds that make ``topo`` uniform.
+
+    Empty for a uniform 2^q shape (all-2 shapes included). Otherwise the
+    last arity-2 dimension is set to 1, repeatedly, until the shape is
+    uniform 2^q; shapes that never get there raise :class:`ConfigError`.
+    """
+    shape = topo.shape
+    folds = []
+    while not _is_uniform_pow2(topo):
+        arity2 = [d for d, k in enumerate(topo.shape) if k == 2]
+        if not arity2:
+            raise ConfigError(
+                f"RAHTM needs a 2^q-ary torus, optionally extended by "
+                f"arity-2 dimensions; got shape {shape}"
+            )
+        dim = arity2[-1]
+        half = list(topo.shape)
+        half[dim] = 1
+        wrap = list(topo.wrap)
+        wrap[dim] = False
+        topo = CartesianTopology(half, wrap=wrap)
+        folds.append((dim, topo))
+    return folds
 
 
 def _is_uniform_pow2(topo: CartesianTopology) -> bool:

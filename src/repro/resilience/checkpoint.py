@@ -1,8 +1,8 @@
 """Phase-level checkpoint/resume for mapping jobs.
 
 ``RAHTMMapper.map()`` persists intermediate state after each completed
-phase — the phase-2 pseudo-pin per uniform sub-map, the phase-3 merge
-result, and each partition's finished local assignment — into a
+phase — the phase-2 pseudo-pin and the phase-3 merge result of the
+uniform map (the half map, when arity-2 dimensions are mirrored) — into a
 content-addressed :class:`~repro.service.store.ResultStore`. Checkpoint
 keys are derived from the owning job's cache key plus a stage name, so a
 killed or timed-out job that reruns (same spec ⇒ same job key) resumes
@@ -66,7 +66,6 @@ class MapperCheckpoint:
         self.resume = resume
         self.loaded: list[str] = []
         self.saved: list[str] = []
-        self._marked: list[str] = []
 
     def key_for(self, stage: str) -> str:
         return stable_hash({
@@ -158,24 +157,14 @@ class MapperCheckpoint:
         })
 
     # -- lifecycle ----------------------------------------------------------------
-    def mark(self, *stages: str) -> None:
-        """Register stages for :meth:`clear` without loading or saving them.
-
-        Used when a coarser checkpoint (a whole partition) short-circuits
-        its finer sub-stages: those files may still exist from the killed
-        run and must not outlive the job's success.
-        """
-        self._marked.extend(stages)
-
     def clear(self) -> int:
         """Drop every stage this run touched; returns the number evicted."""
         count = 0
-        for stage in dict.fromkeys(self.saved + self.loaded + self._marked):
+        for stage in dict.fromkeys(self.saved + self.loaded):
             if self.store.evict(self.key_for(stage)):
                 count += 1
         self.saved.clear()
         self.loaded.clear()
-        self._marked.clear()
         return count
 
     def stats(self) -> dict:

@@ -68,7 +68,10 @@ __all__ = [
 #: (never part of the job spec) and readers treat it as absent-able, so
 #: cache keys and stored artifacts stay compatible; the engine upgrades
 #: cached payloads in place when a netview is requested but missing.
-SCHEMA_VERSION = 2
+#: v3: entries come from RAHTM's mirror fold of arity-2 dimensions, which
+#: changes every mixed-arity mapping; v2 entries would serve the old
+#: partition-and-stitch result.
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,12 @@ The paper evaluates on Blue Gene/Q's 5-D torus (a 4x4x4x4x2 partition with
 - :func:`torus` / :func:`mesh` / :func:`hypercube` — convenience builders.
 - :class:`BGQTopology` — the Blue Gene/Q network (ABCDE dimensions plus the
   on-node T dimension used only for task naming/mapfiles).
-- :func:`uniform_partitions` — the paper's trick of splitting a non-uniform
-  torus (e.g. the arity-2 E dimension) into uniform sub-blocks that the
-  hierarchical mapper can digest (Section III-B).
 - :class:`CubeHierarchy` — the 2-ary recursive decomposition of a
   ``2^q``-ary n-torus into nested 2-ary n-cubes (Section III-B/C).
 """
 
 from repro.topology.cartesian import CartesianTopology, torus, mesh, hypercube
 from repro.topology.bgq import BGQTopology
-from repro.topology.partition import TopologyBlock, uniform_partitions
 from repro.topology.hierarchy import CubeHierarchy
 
 __all__ = [
@@ -27,7 +23,5 @@ __all__ = [
     "mesh",
     "hypercube",
     "BGQTopology",
-    "TopologyBlock",
-    "uniform_partitions",
     "CubeHierarchy",
 ]

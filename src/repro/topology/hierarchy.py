@@ -45,8 +45,9 @@ class CubeHierarchy:
         if len(arities) != 1:
             raise TopologyError(
                 f"topology {topology.shape} is not uniform across its "
-                "non-trivial dimensions; partition it first "
-                "(repro.topology.uniform_partitions)"
+                "non-trivial dimensions; RAHTMMapper accepts such a shape "
+                "only when it is a 2^q-ary torus plus arity-2 dimensions, "
+                "which it mirrors away (repro.core.rahtm.mirror_folds)"
             )
         self.arity = arities.pop()
         q = int(round(np.log2(self.arity)))

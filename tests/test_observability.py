@@ -414,6 +414,18 @@ def test_compare_snapshots_fails_on_mcl_drift(tmp_path):
     assert "MCL changed" in proc.stdout
 
 
+def test_compare_snapshots_fails_when_rahtm_ties_a_baseline(tmp_path):
+    snap = _snapshot(mcl=100.0)
+    snap["cells"]["BT"]["Hilbert"] = {"mcl": 100.0, "map_seconds": 0.001}
+    snap["cells"]["BT"]["ABCDET"] = {"mcl": 150.0, "map_seconds": 0.001}
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(snap))
+    proc = _gate(str(path), str(path))
+    assert proc.returncode == 1
+    assert "claim BT/Hilbert" in proc.stdout
+    assert "ABCDET" not in proc.stdout
+
+
 def test_compare_snapshots_noise_floor(tmp_path):
     base, cur = tmp_path / "base.json", tmp_path / "cur.json"
     base.write_text(json.dumps(_snapshot(

@@ -3,16 +3,21 @@
 The complete 16,384-task mapping run costs hours (documented); these
 tests verify the *structure* at full scale stays sound and affordable:
 workload generation, phase-1 clustering, the hierarchy bookkeeping, and
-the partition split all run in seconds even at 16K tasks.
+the mirror fold of the E dimension all run in seconds even at 16K tasks.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.clustering import build_cluster_hierarchy, cluster_fixed_size
+from repro.core.clustering import (
+    build_cluster_hierarchy,
+    cluster_fixed_size,
+    greedy_fixed_size_labels,
+)
+from repro.core.rahtm import mirror_folds
 from repro.experiments.config import get_scale
 from repro.experiments.runner import benchmark_apps
-from repro.topology import CubeHierarchy, uniform_partitions
+from repro.topology import CubeHierarchy
 from repro.workloads import nas_bt, nas_cg, nas_sp
 
 
@@ -30,13 +35,17 @@ def test_paper_workloads_generate(paper):
 
 def test_paper_partition_structure(paper):
     topo = paper.topology()
-    parts = uniform_partitions(topo)
-    assert len(parts) == 2  # the E-dimension split
-    local = parts[0].local_topology(topo)
-    cube_h = CubeHierarchy(local)
+    folds = mirror_folds(topo)
+    assert [dim for dim, _ in folds] == [4]  # the E-dimension fold
+    cube_h = CubeHierarchy(folds[-1][1])
     assert cube_h.n == 4
     assert cube_h.num_levels == 2
     assert cube_h.num_blocks(1) == 16
+    g = nas_cg(paper.num_tasks, paper.problem_class)
+    node_graph = cluster_fixed_size(g, paper.concentration).graph
+    assert node_graph.num_tasks == 512
+    pairs = greedy_fixed_size_labels(node_graph, 2)
+    assert np.array_equal(np.bincount(pairs), np.full(256, 2))
 
 
 def test_paper_concentration_clustering_fast(paper):
@@ -50,9 +59,9 @@ def test_paper_concentration_clustering_fast(paper):
 def test_paper_hierarchy_shapes(paper):
     g = nas_bt(paper.num_tasks, "C")
     level = cluster_fixed_size(g, paper.concentration)
-    # per-partition graphs: split 512 node-clusters into 2 groups of 256
-    part_level = cluster_fixed_size(level.graph, 256)
-    members = np.flatnonzero(part_level.labels == 0)
+    # the half graph: one cluster of each of the 256 matched pairs
+    pairs = greedy_fixed_size_labels(level.graph, 2)
+    members = np.unique(pairs, return_index=True)[1]
     sub = level.graph.subgraph(members)
     h = build_cluster_hierarchy(sub, 256, 16, 2)
     assert h.graph_at(0).num_tasks == 256

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import DimOrderMapper, RandomMapper
 from repro.core import RAHTMConfig, RAHTMMapper
+from repro.core.clustering import greedy_fixed_size_labels
 from repro.errors import ConfigError
 from repro.metrics import evaluate_mapping
 from repro.routing import MinimalAdaptiveRouter
@@ -53,14 +54,45 @@ def test_beats_random_on_cg():
 
 
 def test_partitioned_topology_path():
-    """Non-uniform torus (arity-2 third dimension) takes the partition +
-    stitch route (the paper's E-dimension handling)."""
+    """Non-uniform torus (arity-2 third dimension) takes the mirror path:
+    one half is mapped and each matched partner sits across that
+    dimension (no stitch)."""
     topo = torus(4, 4, 2)
     g = halo2d(8, 4, volume=2.0)
     mapper = RAHTMMapper(topo, FAST)
     mapping = mapper.map(g)
     assert mapping.is_permutation()
-    assert "phase3-stitch" in mapper.timer.totals
+    assert "phase3-stitch" not in mapper.timer.totals
+    assert "phase1-partition" in mapper.timer.totals
+    pairs = greedy_fixed_size_labels(g, 2)  # concentration 1: g is the node graph
+    coords = topo.coords(mapping.task_to_node)
+    for label in range(16):
+        a, b = coords[pairs == label]
+        assert (a[:2] == b[:2]).all() and a[2] != b[2]
+
+
+def test_mirror_path_folds_two_dimensions():
+    topo = torus(4, 4, 2, 2)
+    mapper = RAHTMMapper(topo, FAST)
+    assert [dim for dim, _ in mapper.folds] == [3, 2]
+    mapping = mapper.map(random_uniform(64, 200, seed=0))
+    assert mapping.is_permutation()
+    assert "phase1-partition" in mapper.stats["phase_seconds"]
+
+
+def test_all_arity2_shape_stays_uniform():
+    topo = torus(2, 2, 2)
+    mapper = RAHTMMapper(topo, FAST)
+    assert mapper.folds == []
+    mapping = mapper.map(random_uniform(8, 20, seed=0))
+    assert mapping.is_permutation()
+    assert "phase1-partition" not in mapper.stats["phase_seconds"]
+
+
+@pytest.mark.parametrize("shape", [(8, 4), (6, 6), (3, 2)])
+def test_unfoldable_shape_rejected(shape):
+    with pytest.raises(ConfigError):
+        RAHTMMapper(torus(*shape), FAST)
 
 
 def test_bgq_topology_accepted():

@@ -198,6 +198,7 @@ class TestDegradationLadder:
                    for e in mapper.stats["degradation"])
 
     def test_partitioned_topology_degrades_everywhere(self):
+        # The mirror fold has no rung of its own: the half map degrades.
         clock = FakeClock()
         budget = Budget(wall_seconds=1.0, clock=clock)
         clock.advance(2.0)
@@ -205,7 +206,7 @@ class TestDegradationLadder:
         mapping = mapper.map(random_uniform(32, 120, seed=1), budget=budget)
         assert mapping.is_permutation()
         actions = {e["action"] for e in mapper.stats["degradation"]}
-        assert "stitch->first-fit" in actions
+        assert {"milp->static", "merge->first-fit"} <= actions
 
     def test_generous_budget_changes_nothing(self):
         g = random_uniform(16, 60, seed=0)
@@ -324,6 +325,35 @@ class TestMapperResume:
         ck2 = MapperCheckpoint(store, job_key="same")
         again = RAHTMMapper(torus(4, 4), FAST).map(g, checkpoint=ck2)
         assert np.array_equal(plain.task_to_node, again.task_to_node)
+
+    def test_mirrored_topology_resumes_with_zero_milp_solves(self, tmp_path,
+                                                             monkeypatch):
+        topo = torus(4, 4, 2)
+        g = random_uniform(32, 120, seed=1)
+        plain = RAHTMMapper(topo, FAST).map(g)
+        store = ResultStore(tmp_path)
+
+        import repro.core.rahtm as rahtm_mod
+
+        real_merge = rahtm_mod.hierarchical_merge
+
+        def exploding_merge(*args, **kwargs):
+            raise RuntimeError("simulated kill")
+
+        monkeypatch.setattr(rahtm_mod, "hierarchical_merge", exploding_merge)
+        ck = MapperCheckpoint(store, job_key="mirror")
+        with pytest.raises(RuntimeError, match="simulated kill"):
+            RAHTMMapper(topo, FAST).map(g, checkpoint=ck)
+        assert ck.stats()["saved"] == ["pin"]
+
+        monkeypatch.setattr(rahtm_mod, "hierarchical_merge", real_merge)
+        resumed = RAHTMMapper(topo, FAST)
+        mapping = resumed.map(
+            g, checkpoint=MapperCheckpoint(store, job_key="mirror"))
+        assert "milp" not in resumed.stats  # zero repeat MILP solves
+        assert resumed.stats["checkpoint"]["loaded"] == ["pin"]
+        assert np.array_equal(plain.task_to_node, mapping.task_to_node)
+        assert len(store) == 0
 
     def test_success_clears_checkpoints(self, tmp_path):
         store = ResultStore(tmp_path)
