@@ -48,8 +48,8 @@ def test_dor_link_loads_2000_flows(benchmark, flows444):
 
 
 def test_mar_link_loads_many_stitch_shape(benchmark):
-    """The stitch's call: 16 orientation rows of 512 flows crossing the
-    two 4x4x4x1 halves of a 4x4x4x2 torus, one batched scatter."""
+    """One batched ``link_loads_many`` scatter of 16 rows of 512 flows,
+    each from one 4x4x4x1 half of a 4x4x4x2 torus to the other."""
     topo = torus(4, 4, 4, 2)
     router = MinimalAdaptiveRouter(topo)
     rng = np.random.default_rng(0)

@@ -8,15 +8,16 @@ orientations; this pass explores the unstructured neighborhood the
 hierarchy cannot reach and typically shaves a few percent of MCL at the
 cost of seconds.
 
-Most proposals are rejected, and a rejection leaves the placement as it
-was, so the walk prepares its next proposals together on the assumption
-that each will be rejected: it draws them as the sequential walk would,
-expands them in one batched :meth:`Router.pair_scatter` call and walks
+The walk draws its whole proposal stream up front: two cluster ids and
+one acceptance uniform per proposal, so proposal ``i`` always uses row
+``i`` whatever the outcomes before it. Most proposals are rejected, and
+a rejection leaves the placement as it was, so the walk expands the
+next proposals of the stream together on the assumption that each will
+be rejected, in one batched :meth:`Router.pair_scatter` call, and walks
 the plans in order. The first acceptance drops the rest of the batch
-and the generator replays its draws from the batch's saved state, so
-the trajectory, every load vector and every draw are the sequential
-walk's, bit for bit. The batch depth returns to 1 after an acceptance
-and doubles after a fully rejected batch, within
+and the walk continues at the row after it, so every batch depth gives
+the same trajectory and load vectors, bit for bit. The depth returns to
+1 after an acceptance and doubles after a fully rejected batch, within
 ``Router._pair_batch_entries`` entries.
 """
 
@@ -61,9 +62,9 @@ def refine_assignment(
         Initial annealing temperature; defaults to 2% of the starting MCL.
     stats:
         Optional dict that receives the walk's ``batches`` (pair_scatter
-        calls), ``speculated`` (proposals drawn in batches deeper than
-        one) and ``discarded`` (drawn proposals dropped after an earlier
-        acceptance in their batch).
+        calls), ``speculated`` (proposals planned in batches deeper than
+        one) and ``discarded`` (planned proposals dropped after an
+        earlier acceptance in their batch).
 
     Returns
     -------
@@ -87,65 +88,50 @@ def refine_assignment(
         return assignment, cost
 
     rng = as_rng(seed)
-    bitgen = rng.bit_generator
-    t0 = temperature if temperature is not None else 0.02 * cost
+    ids = rng.integers(n, size=(iterations, 2)).tolist()
+    uniforms = rng.random(iterations).tolist()
+    temp = temperature if temperature is not None else 0.02 * cost
     alpha = (1e-3) ** (1.0 / iterations)
-    temp = t0
     best, best_cost = assignment.copy(), cost
     endpoints = np.stack((srcs, dsts))
     budget = router._pair_batch_entries
-    depth, done, widest = 1, 0, 1.0
-    # Each batch draws the next ``k`` proposals as the sequential walk
-    # would if it rejected them all: two cluster ids each, and a
-    # uniform unless a == b. One pair_scatter call expands them against
-    # the current assignment. The walk applies each proposal's segment
-    # (its old endpoints' entries negated, then its new ones) and rolls
-    # a rejected one back with -new, then +old. The first acceptance
-    # drops the rest of the batch and replays the generator from the
-    # batch's saved state up to it; an acceptance with delta <= 0 drew
-    # no uniform in the sequential walk, so its replay draws none. A
-    # depth-1 batch draws its uniform only when the walk needs one, so
-    # it saves no state and never replays.
-    while done < iterations:
-        k = min(depth, iterations - done)
-        if k > 1:
-            saved = bitgen.state
-        draws = []
-        for _ in range(k):
-            a, b = int(rng.integers(n)), int(rng.integers(n))
-            draws.append((a, b, rng.random() if k > 1 and a != b else None))
-        pairs = [(a, b) for a, b, _ in draws if a != b]
+    depth, i, widest = 1, 0, 1.0
+    # Each batch takes the next ``depth`` rows of the stream. One
+    # pair_scatter call expands their swaps against the current
+    # assignment. The walk applies each proposal's segment (its old
+    # endpoints' entries negated, then its new ones) and rolls a rejected
+    # one back with -new, then +old. The first acceptance drops the rest
+    # of the batch.
+    while i < iterations:
+        batch = ids[i:i + depth]
+        pairs = [(a, b) for a, b in batch if a != b]
         if pairs:
             plan = _swap_plans(router, pairs, incident, endpoints, vols,
                                assignment)
             widest = max(widest, len(plan.slots) / len(pairs))
             walk["batches"] += 1
-        walk["speculated"] += k if k > 1 else 0
+        walk["speculated"] += len(batch) if len(batch) > 1 else 0
         p, accepted = 0, False
-        for i, (a, b, u) in enumerate(draws):
+        for j, (a, b) in enumerate(batch):
             if a != b:
                 plan.apply(loads, p)
                 new_cost = float(loads.max())
                 delta = new_cost - cost
-                accepted = delta <= 0 or ((rng.random() if u is None else u)
+                accepted = delta <= 0 or (uniforms[i + j]
                                           < np.exp(-delta / max(temp, 1e-30)))
                 if accepted:
                     assignment[a], assignment[b] = assignment[b], assignment[a]
                     cost = new_cost
                     if cost < best_cost - 1e-12:
                         best_cost, best = cost, assignment.copy()
-                    if k > 1:
-                        bitgen.state = saved
-                        _replay(rng, n, draws[:i], uniform=delta > 0)
-                        walk["discarded"] += k - i - 1
-                        k = i + 1
                 else:
                     plan.rollback(loads, p)
                     p += 1
             temp *= alpha
             if accepted:
                 break
-        done += k
+        i += j + 1
+        walk["discarded"] += len(batch) - j - 1
         if accepted:
             depth = 1
         else:
@@ -204,17 +190,3 @@ def _swap_plans(router: Router, pairs, incident, endpoints, vols, assignment):
         na, nb = assignment[np.array(pairs).T].repeat(np.diff(bounds), axis=1)
         moved[:, 1] = np.where(old == na, nb, np.where(old == nb, na, old))
     return router.pair_scatter(moved[0], moved[1], vols[flows], bounds)
-
-
-def _replay(rng, n: int, rejected, uniform: bool) -> None:
-    """Redraw what the sequential walk drew for the ``rejected``
-    proposals and the accepted one after them: two cluster ids each,
-    a uniform for each rejection of ``a != b``, and one for the
-    acceptance only when its delta was positive."""
-    for a, b, _ in rejected:
-        rng.integers(n), rng.integers(n)
-        if a != b:
-            rng.random()
-    rng.integers(n), rng.integers(n)
-    if uniform:
-        rng.random()

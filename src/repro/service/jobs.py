@@ -71,7 +71,10 @@ __all__ = [
 #: v3: entries come from RAHTM's mirror fold of arity-2 dimensions, which
 #: changes every mixed-arity mapping; v2 entries would serve the old
 #: partition-and-stitch result.
-SCHEMA_VERSION = 3
+#: v4: refine draws its proposal stream up front, so the same RAHTM job
+#: spec now maps differently wherever refine accepts a swap; v3 entries
+#: would serve the old walk's mapping.
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)

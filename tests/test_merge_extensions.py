@@ -1,18 +1,23 @@
 """Tests for the merge extensions: repositioning and refinement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.baselines.dimorder import DimOrderMapper
 from repro.commgraph import CommGraph
 from repro.core.merge import MergeBlock, MergeConfig, merge_blocks
 from repro.core.refine import refine_assignment
 from repro.core.rahtm import RAHTMConfig, RAHTMMapper
 from repro.errors import ConfigError
+from repro.experiments.config import get_scale
 from repro.mapping import Mapping
 from repro.metrics import evaluate_mapping
 from repro.routing import MinimalAdaptiveRouter
 from repro.topology import torus
 from repro.workloads import random_uniform
+from repro.workloads.registry import parse_workload
 
 
 def four_blocks():
@@ -138,3 +143,22 @@ def test_rahtm_refine_beats_or_matches_plain():
     assert evaluate_mapping(router, refined, g).mcl <= evaluate_mapping(
         router, plain, g
     ).mcl + 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_refine_carries_the_small_cg_job(seed):
+    """CG class C on a 2x2x2 torus at ``small`` settings, greedy
+    placement: without refine RAHTM lands on the default mapping's MCL,
+    and 200 proposals take it strictly below."""
+    topo = torus(2, 2, 2)
+    g = parse_workload("cg:32:C")
+    router = MinimalAdaptiveRouter(topo)
+    default = evaluate_mapping(router, DimOrderMapper(topo).map(g), g).mcl
+
+    def rahtm_mcl(iterations):
+        config = replace(get_scale("small").rahtm, use_milp=False,
+                         refine_iterations=iterations, seed=seed)
+        return evaluate_mapping(router, RAHTMMapper(topo, config).map(g), g).mcl
+
+    assert rahtm_mcl(0) == pytest.approx(default, rel=1e-12)
+    assert rahtm_mcl(200) < default * (1 - 1e-9)

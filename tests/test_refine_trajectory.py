@@ -8,10 +8,12 @@ rejection, each a plain ``link_loads`` with signed volumes. Every load
 vector of the walk feeds an acceptance decision, so equal ``(assignment,
 cost)`` after hundreds of proposals pins every addition's order.
 
-The walk also draws the next proposals ahead as one batch and replays
-the generator on an acceptance; the scenario tests below pin that
-replay, with the depth rule modelled from the reference's own
-trajectory by :func:`depth_rule_batches`.
+Both draw the whole proposal stream up front (two cluster ids, then
+one acceptance uniform, per proposal), so the walk can plan the next
+proposals as one batch and drop the rest of it on an acceptance. The
+tests below pin that the batch depth never changes the walk, with the
+depth rule modelled from the reference's own trajectory by
+:func:`depth_rule_batches`.
 """
 
 import numpy as np
@@ -30,7 +32,8 @@ def two_plan_refine(router, node_graph, assignment, iterations, seed=0,
                     temperature=None, trace=None):
     """Reference refine loop: remove, swap, add; on rejection remove the
     new endpoints, swap back, add the old ones. ``trace``, if given,
-    receives ``(a, b, accepted, delta)`` per proposal."""
+    receives ``(a, b, accepted, delta)`` per proposal. Proposal ``i``
+    uses row ``i`` of the stream whatever the outcomes before it."""
     assignment = np.asarray(assignment, dtype=np.int64).copy()
     mask = node_graph.srcs != node_graph.dsts
     srcs, dsts = node_graph.srcs[mask], node_graph.dsts[mask]
@@ -40,11 +43,12 @@ def two_plan_refine(router, node_graph, assignment, iterations, seed=0,
     loads = router.link_loads(assignment[srcs], assignment[dsts], vols)
     cost = float(loads.max())
     rng = as_rng(seed)
+    ids = rng.integers(n, size=(iterations, 2))
+    uniforms = rng.random(iterations)
     temp = 0.02 * cost if temperature is None else temperature
     alpha = (1e-3) ** (1.0 / iterations)
     best, best_cost = assignment.copy(), cost
-    for _ in range(iterations):
-        a, b = int(rng.integers(n)), int(rng.integers(n))
+    for (a, b), u in zip(ids, uniforms):
         if a == b:
             temp *= alpha
             if trace is not None:
@@ -57,7 +61,7 @@ def two_plan_refine(router, node_graph, assignment, iterations, seed=0,
         router.link_loads(assignment[es], assignment[ed], ev, out=loads)
         new_cost = float(loads.max())
         delta = new_cost - cost
-        accepted = delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-30))
+        accepted = delta <= 0 or u < np.exp(-delta / max(temp, 1e-30))
         if trace is not None:
             trace.append((a, b, accepted, delta))
         if accepted:
@@ -171,8 +175,8 @@ def _assert_same(got, want):
     assert got[1] == want[1]
 
 
-# (seed, temperature) of a 4x4 torus walk whose batches include every
-# case the replay must get right; the test asserts that they do.
+# (seed, temperature) of a 4x4 torus walk hot enough to accept swaps
+# mid-batch, with delta <= 0 and with delta > 0.
 SCENARIO_SEED, SCENARIO_TEMPERATURE = 4, 400.0
 
 
@@ -181,25 +185,6 @@ def _scenario():
     graph = random_uniform(16, 96, max_volume=1e3, seed=SCENARIO_SEED)
     start = np.random.default_rng(SCENARIO_SEED + 100).permutation(16)
     return topo, graph, start
-
-
-def test_speculative_batches_replay_every_acceptance_case():
-    """Acceptances mid-batch with delta <= 0 and with delta > 0, on a
-    batch's last proposal, and ``a == b`` draws inside batches: the walk
-    matches the reference bitwise, and its stats match the depth rule
-    run over the reference's trajectory."""
-    topo, graph, start = _scenario()
-    got, want, stats, trace = _run_both(topo, graph, start, 400, SCENARIO_SEED,
-                                        temperature=SCENARIO_TEMPERATURE)
-    _assert_same(got, want)
-    batches = depth_rule_batches(trace)
-    assert stats == walk_stats(batches)
-    deep = [(b, hit) for b, hit in batches if len(b) > 1]
-    mid = [b[hit][3] for b, hit in deep if hit is not None and hit < len(b) - 1]
-    assert any(delta <= 0 for delta in mid)
-    assert any(delta > 0 for delta in mid)
-    assert any(hit == len(b) - 1 for b, hit in deep)
-    assert any(t[0] == t[1] for b, _ in deep for t in b)
 
 
 @pytest.mark.parametrize("iterations", [1, 2, 3])
@@ -214,7 +199,7 @@ def test_walks_shorter_than_one_batch(iterations, seed):
 
 def test_cluster_without_incident_flows():
     """Clusters 12..15 have no flows: a swap of two of them moves
-    nothing, its delta is 0 and the walk accepts it without a draw."""
+    nothing, its delta is 0 and the walk accepts it."""
     topo = CartesianTopology((4, 4), wrap=True)
     rng = np.random.default_rng(9)
     srcs = rng.integers(0, 12, 60)
@@ -231,7 +216,7 @@ def test_cluster_without_incident_flows():
                                         DimensionOrderRouter])
 def test_entry_budget_holds_depth_at_one(router_cls):
     """A budget below one proposal's entries keeps every batch at one
-    proposal: no saved state, no speculation, one plan per proposal."""
+    proposal: no speculation, one plan per proposal."""
     topo, graph, start = _scenario()
 
     def tight(router):
@@ -246,19 +231,27 @@ def test_entry_budget_holds_depth_at_one(router_cls):
 
 
 @pytest.mark.parametrize("iterations", [3, 250])
-def test_generator_seed_ends_in_the_sequential_state(iterations):
-    """A Generator passed as ``seed`` is left exactly where the
-    sequential walk leaves it, replays included."""
+def test_batch_budget_leaves_the_walk_unchanged(iterations):
+    """An entry budget of 1 (every batch one proposal), the default
+    budget and an uncapped one give bitwise-equal walks, each the
+    reference's, and leave a Generator seed in the reference's end
+    state. The uncapped walk's stats follow the depth rule over the
+    reference's trajectory."""
     topo, graph, start = _scenario()
-    mine, theirs = np.random.default_rng(77), np.random.default_rng(77)
-    stats = {}
-    got = refine_assignment(_uncapped(MinimalAdaptiveRouter(topo)), graph,
-                            start, iterations, seed=mine,
-                            temperature=SCENARIO_TEMPERATURE, stats=stats)
+    theirs, trace = np.random.default_rng(77), []
     want = two_plan_refine(MinimalAdaptiveRouter(topo), graph, start,
                            iterations, seed=theirs,
-                           temperature=SCENARIO_TEMPERATURE)
-    _assert_same(got, want)
-    assert mine.bit_generator.state == theirs.bit_generator.state
+                           temperature=SCENARIO_TEMPERATURE, trace=trace)
+    for budget in (1, None, 10**12):
+        router = MinimalAdaptiveRouter(topo)
+        if budget is not None:
+            router._pair_batch_entries = budget
+        mine, stats = np.random.default_rng(77), {}
+        got = refine_assignment(router, graph, start, iterations, seed=mine,
+                                temperature=SCENARIO_TEMPERATURE, stats=stats)
+        _assert_same(got, want)
+        assert mine.bit_generator.state == theirs.bit_generator.state
+    assert stats == walk_stats(depth_rule_batches(trace))
     if iterations > 3:
         assert stats["discarded"] > 0
+        assert any(acc and delta > 0 for _, _, acc, delta in trace)
