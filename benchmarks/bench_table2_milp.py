@@ -2,13 +2,15 @@
 
 Benchmarks representative phase-2 subproblem solves (2-ary n-cubes for
 n = 2, 3, with mesh and double-wide-torus variants) and prints the model
-sizes, optima, and enumeration cross-checks.
+sizes, optima, and enumeration cross-checks. Every round clears the
+memo of optimal solves, so the rows time the solver;
+``test_table2_milp_memo_hit`` times the memo instead.
 """
 
 import pytest
 
 from repro.commgraph import CommGraph
-from repro.core.milp import solve_cluster_milp
+from repro.core.milp import clear_milp_memo, solve_cluster_milp
 from repro.experiments import table2
 from repro.topology import hypercube
 from repro.utils.rng import as_rng
@@ -26,29 +28,41 @@ def _random_graph(n, seed):
     return CommGraph.from_edges(n, edges)
 
 
+def _solve_fresh(*args):
+    clear_milp_memo()
+    return solve_cluster_milp(*args)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_table2_milp_halo(benchmark, n):
     cube = hypercube(n)
     graph = halo_nd((2,) * n, volume=10.0, wrap=False)
-    res = benchmark(solve_cluster_milp, cube, graph, 60.0)
+    res = benchmark(_solve_fresh, cube, graph, 60.0)
     assert res.optimal
 
 
 def test_table2_milp_random_n2(benchmark):
-    res = benchmark(
-        solve_cluster_milp, hypercube(2), _random_graph(4, 0), 60.0
-    )
+    res = benchmark(_solve_fresh, hypercube(2), _random_graph(4, 0), 60.0)
     assert res.optimal
 
 
 def test_table2_milp_torus_root(benchmark):
     res = benchmark(
-        solve_cluster_milp, hypercube(2, wrap=True), _random_graph(4, 1), 60.0
+        _solve_fresh, hypercube(2, wrap=True), _random_graph(4, 1), 60.0
     )
     assert res.optimal
 
 
+def test_table2_milp_memo_hit(benchmark):
+    """The torus-root solve again, answered by the memo."""
+    args = (hypercube(2, wrap=True), _random_graph(4, 1), 60.0)
+    _solve_fresh(*args)
+    res = benchmark(solve_cluster_milp, *args)
+    assert res.optimal and res.extras["memo_hit"]
+
+
 def test_table2_report(benchmark, capsys):
+    clear_milp_memo()
     table = benchmark.pedantic(table2.run, kwargs={"time_limit": 60},
                                rounds=1, iterations=1)
     with capsys.disabled():

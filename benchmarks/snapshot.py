@@ -395,8 +395,13 @@ def take_snapshot(
     explain: dict | None = None, serve: bool = True, fleet: bool = True,
     vectorized: bool = True, telemetry: bool = True,
 ) -> dict:
+    from repro.core.milp import clear_milp_memo
+
     runs = []
     for i in range(max(repeats, 1)):
+        # Each repeat solves its MILPs afresh: served from the memo of
+        # optimal solves, repeats 2 and up would time no solver at all.
+        clear_milp_memo()
         # The explain artifact is identical across repeats (netviews are
         # deterministic): collect it on the first pass only.
         runs.append(run_grid(scale, explain=explain if i == 0 else None))

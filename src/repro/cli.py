@@ -84,7 +84,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from repro.commgraph import save_commgraph
@@ -155,8 +155,10 @@ def _runtime_from_args(args) -> JobRuntime | None:
     )
 
 
-def _engine_from_args(args) -> MappingEngine:
-    """Build the mapping engine the subcommand submits through.
+@contextmanager
+def _engine_from_args(args):
+    """The mapping engine the subcommand submits through, closed (its
+    workers stopped) when the block ends.
 
     Caching is on when ``--cache-dir`` (or ``$REPRO_CACHE_DIR``) names a
     directory and ``--no-cache`` is absent.
@@ -164,12 +166,16 @@ def _engine_from_args(args) -> MappingEngine:
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
     if args.no_cache:
         cache_dir = None
-    return MappingEngine(
+    engine = MappingEngine(
         cache_dir=cache_dir,
         jobs=args.jobs,
         job_timeout=args.job_timeout,
         runtime=_runtime_from_args(args),
     )
+    try:
+        yield engine
+    finally:
+        engine.close()
 
 
 def _engine_kwargs(args) -> dict:
@@ -216,8 +222,8 @@ def _build_explain_view(args, topology, mapping, graph):
 
 def cmd_map(args) -> int:
     topology = parse_topology(args.topology, mesh=args.mesh)
-    engine = _engine_from_args(args)
-    result = engine.run_one(_mapping_job(args, topology, args.mapper))
+    with _engine_from_args(args) as engine:
+        result = engine.run_one(_mapping_job(args, topology, args.mapper))
     graph = parse_workload(args.workload, seed=args.seed)
     print(f"topology: {topology.describe()}")
     print(f"workload: {graph}")
@@ -249,10 +255,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     topology = parse_topology(args.topology, mesh=args.mesh)
-    engine = _engine_from_args(args)
     specs = [s.strip() for s in args.mappers.split(",") if s.strip()]
     jobs = [_mapping_job(args, topology, spec) for spec in specs]
-    outcomes = engine.run(jobs)
+    with _engine_from_args(args) as engine:
+        outcomes = engine.run(jobs)
     from repro.experiments.report import Table
 
     table = Table(f"mapper comparison on {args.workload} @ {args.topology}")
@@ -333,8 +339,8 @@ def cmd_explain(args) -> int:
         mapping = _load_mapping(Path(args.mapping), topology)
         source = f"mapping file {args.mapping}"
     else:
-        engine = _engine_from_args(args)
-        result = engine.run_one(_mapping_job(args, topology, args.mapper))
+        with _engine_from_args(args) as engine:
+            result = engine.run_one(_mapping_job(args, topology, args.mapper))
         mapping = result.mapping
         source = f"mapper {result.mapper_name}"
     view = build_netview(

@@ -298,6 +298,10 @@ class DistributedExecutor(Supervised):
                 hs.handles = []
         get_registry().gauge("fleet.spawned_workers").set(0)
 
+    def close(self) -> None:
+        """:meth:`stop_workers` with the default timeout."""
+        self.stop_workers()
+
     # -- the batch -----------------------------------------------------------------
     def run(self, fn, items) -> list[JobOutcome]:
         """Post ``items`` to the board and reap until all are decided.

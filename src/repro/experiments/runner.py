@@ -176,6 +176,7 @@ def run_comparison(
     """
     scale = get_scale(scale)
     if mappers is None and apps is None:
+        owned = None  # an engine built here is closed here
         if engine is None:
             from repro.service.engine import MappingEngine
 
@@ -186,12 +187,17 @@ def run_comparison(
 
                 runtime = (replace(runtime, netview=True) if runtime
                            is not None else JobRuntime(netview=True))
-            engine = MappingEngine(cache_dir=cache_dir, jobs=jobs,
-                                   job_timeout=job_timeout, runtime=runtime)
-        return _run_comparison_engine(
-            scale, network_params, engine,
-            mapper_configs or default_mapper_configs(scale),
-        )
+            engine = owned = MappingEngine(
+                cache_dir=cache_dir, jobs=jobs, job_timeout=job_timeout,
+                runtime=runtime)
+        try:
+            return _run_comparison_engine(
+                scale, network_params, engine,
+                mapper_configs or default_mapper_configs(scale),
+            )
+        finally:
+            if owned is not None:
+                owned.close()
     return _run_comparison_serial(scale, mappers, apps, network_params)
 
 

@@ -192,6 +192,12 @@ class MetricsRegistry:
             for name in sorted(self._instruments)
         }
 
+    def counter_values(self) -> dict[str, float]:
+        """Every counter's current value, by name."""
+        return {name: inst.value
+                for name, inst in list(self._instruments.items())
+                if isinstance(inst, Counter)}
+
     def reset(self) -> None:
         """Drop every instrument (tests; callers re-bind lazily)."""
         with self._lock:

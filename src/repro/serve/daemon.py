@@ -881,10 +881,9 @@ class MappingDaemon:
             server.close()
             await server.wait_closed()
             await scheduler
-            if hasattr(self.engine.executor, "stop_workers"):
-                # Distributed backend: join the spawned fleet workers
-                # (request_drain already SIGTERMed them).
-                await asyncio.to_thread(self.engine.executor.stop_workers)
+            # Join the local pool's workers or the spawned fleet workers
+            # (request_drain already SIGTERMed the latter).
+            await asyncio.to_thread(self.engine.close)
             if janitor is not None:
                 janitor.cancel()
                 with contextlib.suppress(asyncio.CancelledError):

@@ -95,7 +95,8 @@ class MappingEngine:
     cache_dir:
         Root of the content-addressed store; ``None`` disables caching.
     jobs:
-        Worker processes (``1`` = serial in-process execution).
+        Worker processes (``1`` = serial in-process execution). With
+        more, the local backend's pool lives until :meth:`close`.
     job_timeout:
         Per-attempt wall-clock budget in seconds.
     retries / backoff:
@@ -167,6 +168,11 @@ class MappingEngine:
             self.executor = BatchExecutor(executor_config,
                                           on_event=self._on_executor_event)
         self.stats = EngineStats()
+
+    def close(self) -> None:
+        """Stop the executor's worker processes (the next batch starts
+        new ones)."""
+        self.executor.close()
 
     # -- telemetry ------------------------------------------------------------------
     def _on_executor_event(self, event: str, info: dict) -> None:

@@ -3,12 +3,20 @@
 The executor is deliberately generic: it runs ``fn(item)`` for a list of
 picklable items with
 
-- a configurable worker count (``jobs=1`` and one-item batches run
-  in this process through a one-slot stand-in pool — no pickling, easy
-  debugging — and go through the same dispatch loop as pooled batches);
+- a configurable worker count. ``jobs=1`` runs in this process
+  through a one-slot stand-in pool (no pickling, easy debugging) that
+  goes through the same dispatch loop as the process pool. With
+  ``jobs > 1`` every batch, one-item batches included, runs in a pool
+  of ``jobs`` worker processes that lives across batches, so per-process
+  memos (stencils, optimal MILP solves) stay warm and a caller's thread
+  never maps. :meth:`BatchExecutor.close` shuts the pool down;
 - a per-job wall-clock timeout, enforced *inside* the worker via
   ``SIGALRM`` so a hung job is cancelled without poisoning the pool
-  (on platforms without ``SIGALRM`` the timeout is best-effort off);
+  (only armed on a main thread: off for ``jobs=1`` called from another
+  thread, and on platforms without ``SIGALRM``);
+- counter telemetry from the workers: a pooled job ships back the
+  deltas of the worker's registry counters, and the dispatch loop adds
+  them to this process's registry;
 - bounded retry with **full-jitter** exponential backoff for transient
   failures (any exception except a timeout), seeded from the job's own
   identity so reruns are reproducible but parallel CI shards don't
@@ -35,7 +43,7 @@ picklable items with
   :meth:`BatchExecutor.request_drain`: dispatch stops, so queued jobs
   never start, in-flight jobs are harvested, and unfinished items are
   reported with ``drained`` outcomes so the engine can persist the
-  pending queue for a warm resume.
+  pending queue for a warm resume. A drain also shuts the pool down.
 
 Outcomes and events are settled through the shared
 :class:`~repro.service.supervision.BatchLedger`.
@@ -56,7 +64,6 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 
 from repro.errors import ConfigError, JobTimeoutError
 from repro.observability.metrics import get_registry
@@ -165,6 +172,18 @@ def _invoke(fn, item, timeout):
         return fn(item)
 
 
+def _invoke_pooled(fn, item, timeout):
+    """:func:`_invoke` in a pool worker: also return the job's counter
+    deltas, which would otherwise stay in the worker's registry."""
+    registry = get_registry()
+    before = registry.counter_values()
+    result = _invoke(fn, item, timeout)
+    deltas = {name: value - before.get(name, 0.0)
+              for name, value in registry.counter_values().items()
+              if value != before.get(name, 0.0)}
+    return result, deltas
+
+
 def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -190,7 +209,8 @@ class BatchExecutor(Supervised):
     ``on_event(event, info)`` (optional) receives ``"queued"``,
     ``"started"`` (once per attempt), ``"finished"``, ``"pool_rebuild"``,
     ``"poisoned"``, ``"circuit_open"`` and ``"drain_requested"``
-    telemetry.
+    telemetry. Batches run one at a time: with ``jobs > 1`` they share
+    one process pool, which :meth:`close` shuts down.
     """
 
     def __init__(self, config: ExecutorConfig | None = None, on_event=None):
@@ -203,6 +223,30 @@ class BatchExecutor(Supervised):
             threshold=self.config.circuit_threshold,
             cooldown=self.config.circuit_cooldown,
         )
+        #: The process pool batches share when ``jobs > 1``; built on
+        #: first use and after a break.
+        self._pool: ProcessPoolExecutor | None = None
+
+    def _open_pool(self):
+        """The pool a batch runs in: the shared process pool, or for
+        ``jobs=1`` an inline stand-in."""
+        if self.config.jobs == 1:
+            return _InlinePool()
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.config.jobs)
+        return self._pool
+
+    def _drop_pool(self, wait: bool) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=wait, cancel_futures=True)
+
+    def close(self) -> None:
+        """Shut the process pool down and wait for its workers to exit.
+
+        The next batch builds a new pool.
+        """
+        self._drop_pool(wait=True)
 
     @contextmanager
     def _drain_signals(self):
@@ -233,7 +277,7 @@ class BatchExecutor(Supervised):
     def run(self, fn, items) -> list[JobOutcome]:
         """Execute every item; outcomes are positionally aligned to items."""
         ledger = BatchLedger(items, self._emit, self.config.poison_threshold)
-        pooled = self.config.jobs > 1 and len(ledger.items) > 1
+        pooled = self.config.jobs > 1
         if (pooled and self.breaker.state != CircuitBreaker.HALF_OPEN
                 and not self.breaker.allow()):
             # Opened by a previous batch and still cooling down: refuse
@@ -253,20 +297,19 @@ class BatchExecutor(Supervised):
         """Feed the pool from a queue, one job per worker in flight."""
         registry = get_registry()
         items = ledger.items
-        workers = min(self.config.jobs, len(items)) if pooled else 1
-        make_pool = (partial(ProcessPoolExecutor, max_workers=workers)
-                     if pooled else _InlinePool)
+        workers = self.config.jobs
+        invoke = _invoke_pooled if pooled else _invoke
         self.pool_rebuilds = 0
         queue = deque(range(len(items)))  # never started
         suspects: deque[int] = deque()    # lost to a pool break: probes
         retries: list[tuple[float, int]] = []  # (due, index), sorted
         pending: dict[Future, int] = {}   # in flight
-        pool = make_pool()
+        pool = self._open_pool()
 
         def submit(index: int) -> None:
             ledger.start(index)
             try:
-                future = pool.submit(_invoke, fn, items[index],
+                future = pool.submit(invoke, fn, items[index],
                                      self.config.timeout)
             except BrokenProcessPool as exc:
                 # A worker died before this job reached the pool: it is
@@ -301,7 +344,7 @@ class BatchExecutor(Supervised):
                 else:
                     suspects.append(index)
             pending.clear()
-            pool.shutdown(wait=False)
+            self._drop_pool(wait=False)
             if self.breaker.record_failure():
                 registry.counter("executor.circuit_open").inc()
                 log.error("circuit breaker OPEN after %d consecutive "
@@ -326,7 +369,7 @@ class BatchExecutor(Supervised):
                         _describe(exc), self.pool_rebuilds)
             self._emit("pool_rebuild", rebuilds=self.pool_rebuilds,
                        error=_describe(exc))
-            pool = make_pool()
+            pool = self._open_pool()
 
         try:
             while pending or queue or suspects or retries:
@@ -384,7 +427,12 @@ class BatchExecutor(Supervised):
                     if pooled:
                         self.breaker.record_success()
                     if exc is None:
-                        ledger.finish(index, future.result())
+                        result = future.result()
+                        if pooled:
+                            result, deltas = result
+                            for name, delta in deltas.items():
+                                registry.counter(name).inc(delta)
+                        ledger.finish(index, result)
                     elif isinstance(exc, JobTimeoutError):
                         registry.counter("executor.timeouts").inc()
                         ledger.finish(index, None, _describe(exc),
@@ -394,7 +442,10 @@ class BatchExecutor(Supervised):
                 if broken is not None:
                     on_pool_break(broken)
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            if pending or self.draining:
+                # A drain, or an exception that escaped with jobs in
+                # flight: the pool must not outlive this batch.
+                self._drop_pool(wait=not pending)
         # Only a drain leaves items unsettled once the loop ends.
         ledger.finish_rest("drained: batch shut down before this job "
                            "completed", drained=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.commgraph import CommGraph
+from repro.core.milp import clear_milp_memo
 from repro.observability import clear_active_tracer, get_registry
 from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
 from repro.topology import mesh, torus
@@ -18,11 +19,14 @@ def _isolate_observability():
     The metrics registry and the active tracer are process globals; a
     test that populates counters or forgets to exit an ``activate()``
     context must not leak telemetry into (or record spans for) the tests
-    that run after it.
+    that run after it. The memo of optimal MILP solves is cleared too:
+    a test that counts solves or times one must not be served a
+    solve of an earlier test.
     """
     yield
     get_registry().reset()
     clear_active_tracer()
+    clear_milp_memo()
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
 """Table II MILP tests: optimality, constraints, cross-checks."""
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize as spo
@@ -8,15 +11,21 @@ from repro.commgraph import CommGraph
 from repro.core.milp import (
     CubeArcs,
     brute_force_mapping,
+    clear_milp_memo,
     greedy_assignment,
     solve_cluster_milp,
     solve_routing_lp,
 )
+from repro.core.rahtm import RAHTMMapper
 from repro.errors import InfeasibleError, SolverError
+from repro.experiments.config import get_scale
+from repro.observability import get_registry
 from repro.observability.trace import Tracer, activate
+from repro.resilience.faultinject import FaultSpec, injected_faults
 from repro.routing import MinimalAdaptiveRouter
-from repro.topology import hypercube, mesh
+from repro.topology import hypercube, mesh, torus
 from repro.utils.rng import as_rng
+from repro.workloads.registry import parse_workload
 
 
 def random_graph(n, seed, density=0.6):
@@ -172,6 +181,7 @@ def test_status_optimal(monkeypatch):
 def test_status_incumbent_at_limit_is_feasible(monkeypatch):
     cube, g = hypercube(2), random_graph(4, 0)
     want = solve_cluster_milp(cube, g)
+    clear_milp_memo()  # a memo hit would answer without the solver
     _patch_solver(monkeypatch, "milp", status=1,
                   message="Time limit reached.")
     res = solve_cluster_milp(cube, g)
@@ -276,3 +286,114 @@ def test_brute_force_guard():
         brute_force_mapping(mesh(3, 3), random_graph(9, 0))
     with pytest.raises(SolverError):
         brute_force_mapping(mesh(2, 2), random_graph(4, 0), evaluator="nope")
+
+
+# -- memo of optimal solves ---------------------------------------------------------
+def _counter(name):
+    return get_registry().counter(name).value
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_memo_hit_is_bitwise_equal_to_fresh_solve(wrap):
+    cube, g = hypercube(2, wrap=wrap), random_graph(4, 3)
+    tracer = Tracer()
+    with activate(tracer):
+        fresh = solve_cluster_milp(cube, g, time_limit=60)
+        hit = solve_cluster_milp(cube, g, time_limit=5)
+    assert fresh.status == "optimal" and "memo_hit" not in fresh.extras
+    assert hit.extras == {"memo_hit": True}
+    assert hit.assignment.tobytes() == fresh.assignment.tobytes()
+    assert (hit.mcl, hit.status, hit.optimal, hit.method) == (
+        fresh.mcl, fresh.status, fresh.optimal, fresh.method)
+    assert (hit.num_vars, hit.num_constraints) == (
+        fresh.num_vars, fresh.num_constraints)
+    assert _counter("milp.solves") == 1 and _counter("milp.memo_hits") == 1
+    assert [s.name for s in tracer.roots] == ["milp.solve"]
+    # A hit is a copy: changing it does not reach the memo.
+    hit.assignment[:] = -1
+    again = solve_cluster_milp(cube, g)
+    assert again.assignment.tobytes() == fresh.assignment.tobytes()
+    # After a clear the solver runs again, and agrees bitwise.
+    clear_milp_memo()
+    resolved = solve_cluster_milp(cube, g)
+    assert "memo_hit" not in resolved.extras
+    assert resolved.assignment.tobytes() == fresh.assignment.tobytes()
+    assert resolved.mcl == fresh.mcl
+    assert _counter("milp.solves") == 2
+
+
+def test_memo_key_covers_the_model():
+    cube, g = hypercube(2), random_graph(4, 5)
+    solve_cluster_milp(cube, g)
+    for kwargs in ({"mip_rel_gap": 0.5}, {"enforce_minimal": False},
+                   {"fix_first": False}):
+        assert "memo_hit" not in solve_cluster_milp(cube, g, **kwargs).extras
+    assert "memo_hit" not in solve_cluster_milp(
+        hypercube(2, wrap=True), g).extras
+    assert "memo_hit" not in solve_cluster_milp(
+        cube, g.scaled(2.0)).extras
+    assert _counter("milp.memo_hits") == 0
+    assert "memo_hit" in solve_cluster_milp(cube, g, time_limit=1).extras
+
+
+@pytest.mark.parametrize("status,x", [(1, "keep"), (1, None), (2, None)])
+def test_memo_never_stores_incumbents_or_fallbacks(monkeypatch, status, x):
+    cube, g = hypercube(2), random_graph(4, 0)
+    fields = {"status": status, "message": "Time limit reached."}
+    if x is None:
+        fields["x"] = None
+    with monkeypatch.context() as patch:
+        _patch_solver(patch, "milp", **fields)
+        first = solve_cluster_milp(cube, g)
+    assert first.status in ("feasible", "fallback:limit",
+                            "fallback:infeasible")
+    res = solve_cluster_milp(cube, g)
+    assert res.status == "optimal" and "memo_hit" not in res.extras
+    assert _counter("milp.memo_hits") == 0 and _counter("milp.solves") == 2
+
+
+def test_injection_points_fire_on_a_would_be_hit():
+    cube, g = hypercube(2), random_graph(4, 0)
+    solve_cluster_milp(cube, g)
+    with injected_faults(FaultSpec("solver-fail")):
+        with pytest.raises(SolverError, match="injected"):
+            solve_cluster_milp(cube, g)
+    with injected_faults(FaultSpec("solver-slow", delay=0.2)):
+        t0 = time.perf_counter()
+        res = solve_cluster_milp(cube, g)
+        assert time.perf_counter() - t0 >= 0.2
+    assert res.extras == {"memo_hit": True}
+
+
+# -- the objective is an optimal routing, not MAR ---------------------------------
+@pytest.mark.parametrize("wrap", [False, True])
+@pytest.mark.parametrize("seed", [9, 10])
+def test_milp_mcl_is_the_routing_lp_of_its_placement(wrap, seed):
+    """Table II's objective is the optimal minimal routing of the
+    placement it picks (:func:`solve_routing_lp`); MAR splits each flow
+    uniformly over its minimal paths, so it can only match or exceed it."""
+    cube, g = hypercube(2, wrap=wrap), random_graph(4, seed)
+    res = solve_cluster_milp(cube, g, time_limit=60)
+    a = res.assignment
+    mask = g.srcs != g.dsts
+    flows = a[g.srcs[mask]], a[g.dsts[mask]], g.vols[mask]
+    assert res.mcl == pytest.approx(solve_routing_lp(cube, *flows), rel=1e-6)
+    mar = MinimalAdaptiveRouter(cube).max_channel_load(*flows)
+    assert mar >= res.mcl * (1 - 1e-9)
+
+
+def test_small_milp_job_scores_higher_under_mar_than_its_objective():
+    """The ``small-milp`` job (``cg:32:C`` on 2x2x2, ``small``, no
+    refine): one leaf solve whose 7,500,400 is its placement's optimal
+    routing, while MAR scores the same placement 11,875,633."""
+    topo = torus(2, 2, 2)
+    g = parse_workload("cg:32:C")
+    config = replace(get_scale("small").rahtm, refine_iterations=0)
+    mapper = RAHTMMapper(topo, config)
+    flows = mapper.map(g).network_flows(g)
+    (status, mcl, _), = mapper.stats["milp"]
+    assert status == "optimal"
+    assert mcl == pytest.approx(7_500_400, rel=1e-6)
+    assert solve_routing_lp(topo, *flows) == pytest.approx(mcl, rel=1e-6)
+    mar = MinimalAdaptiveRouter(topo).max_channel_load(*flows)
+    assert mar == pytest.approx(11_875_633, rel=1e-6)

@@ -9,13 +9,17 @@ no sleeps, no flakiness.
 from __future__ import annotations
 
 import json
+import os
 import threading
+import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConfigError, ServiceError
+from repro.experiments.config import get_scale
 from repro.serve import (
     AdmissionController,
     DaemonConfig,
@@ -407,3 +411,44 @@ def test_daemon_config_validation(tmp_path):
         DaemonConfig(cache_dir=str(tmp_path), batch_size=0)
     with pytest.raises(ConfigError):
         DaemonConfig(cache_dir=str(tmp_path), janitor_interval=-1.0)
+
+
+def test_pooled_daemon_counts_worker_milp_solves_and_closes_its_pool(
+        daemon_factory):
+    """``--jobs 2`` maps every batch in the executor's long-lived pool:
+    the workers' MILP counters reach ``/metrics``, and shutdown leaves
+    no worker process behind."""
+    daemon, client = daemon_factory(jobs=2)
+    config = get_scale("tiny").rahtm
+    ids = []
+    for seed in (1, 2):
+        spec = MappingJob(
+            topology=TopologySpec((4, 4)),
+            workload=WorkloadSpec("halo2d:8x8"),
+            mapper=MapperConfig.from_rahtm(replace(config, seed=seed)),
+        ).payload()
+        code, doc = client.submit(spec)
+        assert code == 202
+        assert client.wait(doc["id"], timeout=60)["state"] == "done"
+        ids.append(doc["id"])
+    code, registry = client.metrics()
+    assert code == 200
+    calls = sum((registry.get(name) or {}).get("value", 0.0)
+                for name in ("milp.solves", "milp.memo_hits"))
+    assert calls >= 2 and registry["milp.solves"]["value"] >= 1
+    pids = list(daemon.engine.executor._pool._processes)
+    assert pids
+    daemon.stop("test")
+    deadline = time.monotonic() + 15
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not any(_alive(pid) for pid in pids)
+    assert daemon.engine.executor._pool is None
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True

@@ -1,10 +1,15 @@
 """Engine end-to-end: caching, parallel/serial equivalence, CLI wiring."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import main
+from repro.core.milp import clear_milp_memo
 from repro.errors import ServiceError
 from repro.experiments import run_comparison
+from repro.experiments.config import get_scale
+from repro.observability import get_registry
 from repro.service import (
     MapperConfig,
     MappingEngine,
@@ -244,3 +249,31 @@ def test_run_comparison_collects_netviews(tmp_path):
     assert len(result.netviews) == len(result.mcl.row_labels) * len(
         result.mcl.col_labels
     )
+
+
+def test_pooled_jobs_fold_their_counters_into_this_registry():
+    """A ``--jobs 2`` engine maps in its pool's workers; their MILP
+    counters still reach this process's registry (and so ``/metrics``)."""
+    def job(seed):
+        config = replace(get_scale("tiny").rahtm, seed=seed)
+        return MappingJob(TopologySpec((4, 4)), WorkloadSpec("halo2d:8x8"),
+                          MapperConfig.from_rahtm(config))
+
+    def milp_calls():
+        registry = get_registry()
+        return (registry.counter("milp.solves").value
+                + registry.counter("milp.memo_hits").value)
+
+    MappingEngine(jobs=1).run_one(job(1))
+    per_job = milp_calls()
+    assert per_job > 0
+    get_registry().reset()
+    clear_milp_memo()
+    engine = MappingEngine(jobs=2)
+    try:
+        engine.run_one(job(1))
+        assert all(o.ok for o in engine.run([job(2), job(3)]))
+    finally:
+        engine.close()
+    assert milp_calls() == 3 * per_job
+    assert get_registry().counter("milp.solves").value >= per_job

@@ -4,12 +4,16 @@ Worker functions live at module top level so the process pool can pickle
 them by reference.
 """
 
+import multiprocessing
+import os
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.observability import get_registry
 from repro.service import BatchExecutor, ExecutorConfig
 
 
@@ -111,3 +115,129 @@ def test_config_validation():
         ExecutorConfig(retries=-1)
     with pytest.raises(ConfigError):
         ExecutorConfig(backoff=-0.1)
+
+
+# -- the persistent pool ---------------------------------------------------------------
+def _pid(_):
+    return os.getpid()
+
+
+def _count_and_pid(_):
+    get_registry().counter("test.worker_side").inc(2)
+    return os.getpid()
+
+
+def _die_once(marker):
+    """Kill the worker on the first call (no marker yet), then succeed."""
+    path = Path(marker)
+    if not path.exists():
+        path.write_text("died")
+        os._exit(17)
+    return os.getpid()
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _all_exit(pids, seconds: float = 10.0) -> bool:
+    """Whether every pid has exited (been reaped) within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while any(_alive(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+def test_one_item_batches_reuse_the_pool_workers():
+    """With ``jobs=2`` a one-item batch runs in a worker of the pool the
+    previous batch used, never in the caller: four batches see at most
+    two worker pids, and none is this process's."""
+    exe = BatchExecutor(ExecutorConfig(jobs=2))
+    try:
+        pids = [exe.run(_pid, [i])[0].result for i in range(4)]
+        pool = exe._pool
+        pids += [o.result for o in exe.run(_pid, [4, 5])]
+        assert exe._pool is pool
+    finally:
+        exe.close()
+    assert os.getpid() not in pids
+    assert len(set(pids)) <= 2
+
+
+def test_one_item_batch_timeout_enforced_off_the_main_thread():
+    """A daemon runs batches on a helper thread, where ``SIGALRM`` cannot
+    be armed; the one-item batch must still time out in its worker."""
+    exe = BatchExecutor(ExecutorConfig(jobs=2, timeout=0.3))
+    box = {}
+
+    def body():
+        t0 = time.perf_counter()
+        box["outcome"] = exe.run(_sleepy, [2.0])[0]
+        box["elapsed"] = time.perf_counter() - t0
+
+    try:
+        thread = threading.Thread(target=body)
+        thread.start()
+        thread.join(30)
+    finally:
+        exe.close()
+    assert box["outcome"].timed_out and not box["outcome"].ok
+    assert box["elapsed"] < 1.5
+
+
+def test_pool_break_replaces_the_pool(tmp_path):
+    exe = BatchExecutor(ExecutorConfig(jobs=2, poison_threshold=2))
+    try:
+        first = exe.run(_pid, [0])[0].result
+        broken = exe._pool
+        outcome = exe.run(_die_once, [str(tmp_path / "marker")])[0]
+        assert outcome.ok and outcome.attempts == 2
+        assert exe.pool_rebuilds == 1
+        assert exe._pool is not broken
+        assert _all_exit([first])
+        assert outcome.result in exe._pool._processes
+        assert exe.run(_pid, [1])[0].result in exe._pool._processes
+    finally:
+        exe.close()
+
+
+def test_close_leaves_no_child_processes():
+    exe = BatchExecutor(ExecutorConfig(jobs=2))
+    exe.run(_double, [1, 2, 3])
+    pids = list(exe._pool._processes)
+    assert pids and all(_alive(pid) for pid in pids)
+    exe.close()
+    assert not multiprocessing.active_children()
+    assert not any(_alive(pid) for pid in pids)
+    # The next batch builds a new pool.
+    try:
+        assert [o.result for o in exe.run(_double, [4])] == [8]
+    finally:
+        exe.close()
+
+
+def test_drain_shuts_the_pool_down():
+    exe = BatchExecutor(ExecutorConfig(jobs=2))
+    exe.run(_double, [1])
+    pids = list(exe._pool._processes)
+    exe.request_drain("test")
+    outcome = exe.run(_double, [2])[0]
+    assert outcome.drained and exe._pool is None
+    assert _all_exit(pids)
+
+
+def test_pooled_jobs_ship_their_counter_deltas():
+    registry = get_registry()
+    exe = BatchExecutor(ExecutorConfig(jobs=2))
+    try:
+        exe.run(_count_and_pid, [0])
+        exe.run(_count_and_pid, [1, 2])
+    finally:
+        exe.close()
+    assert registry.counter("test.worker_side").value == 6
