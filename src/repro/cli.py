@@ -743,7 +743,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="listen port (0 = pick a free port; the choice "
                         "lands in <cache>/serve.json)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="engine worker processes (1 = serial in-process)")
+                   help="engine worker processes (the daemon never maps "
+                        "on its own threads)")
     p.add_argument("--batch-size", type=int, default=4,
                    help="max jobs per engine batch")
     p.add_argument("--job-timeout", type=float, default=None,

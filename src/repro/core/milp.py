@@ -263,6 +263,7 @@ def solve_cluster_milp(
     if hit is not None:
         registry.counter("milp.memo_hits").inc()
         return replace(hit, assignment=hit.assignment.copy(),
+                       solve_seconds=0.0,
                        extras={**hit.extras, "memo_hit": True})
     arcs = CubeArcs.from_topology(cube)
     E, D = arcs.num_arcs, cube.ndim

@@ -95,8 +95,9 @@ class MappingEngine:
     cache_dir:
         Root of the content-addressed store; ``None`` disables caching.
     jobs:
-        Worker processes (``1`` = serial in-process execution). With
-        more, the local backend's pool lives until :meth:`close`.
+        Worker processes (``1`` = serial in-process execution when run
+        from the main thread). A pool of workers lives until
+        :meth:`close`.
     job_timeout:
         Per-attempt wall-clock budget in seconds.
     retries / backoff:

@@ -3,20 +3,22 @@
 The executor is deliberately generic: it runs ``fn(item)`` for a list of
 picklable items with
 
-- a configurable worker count. ``jobs=1`` runs in this process
-  through a one-slot stand-in pool (no pickling, easy debugging) that
-  goes through the same dispatch loop as the process pool. With
-  ``jobs > 1`` every batch, one-item batches included, runs in a pool
-  of ``jobs`` worker processes that lives across batches, so per-process
-  memos (stencils, optimal MILP solves) stay warm and a caller's thread
-  never maps. :meth:`BatchExecutor.close` shuts the pool down;
+- a configurable worker count. ``jobs=1`` called from the main thread
+  (``repro map``, ``repro compare``) runs in this process through a
+  one-slot stand-in pool (no pickling, easy debugging) that goes
+  through the same dispatch loop as the process pool. Otherwise every
+  batch, one-item batches included, runs in a pool of ``jobs`` worker
+  processes that lives across batches, so per-process memos (stencils,
+  optimal MILP solves) stay warm and a helper thread — a daemon's batch
+  thread — never maps next to the threads it shares the GIL with.
+  :meth:`BatchExecutor.close` shuts the pool down;
 - a per-job wall-clock timeout, enforced *inside* the worker via
-  ``SIGALRM`` so a hung job is cancelled without poisoning the pool
-  (only armed on a main thread: off for ``jobs=1`` called from another
-  thread, and on platforms without ``SIGALRM``);
+  ``SIGALRM`` so a hung job is cancelled without poisoning the pool.
+  Jobs only ever run on a main thread (this one's or a worker's), so
+  the timeout holds wherever the platform has ``SIGALRM``;
 - counter telemetry from the workers: a pooled job ships back the
-  deltas of the worker's registry counters, and the dispatch loop adds
-  them to this process's registry;
+  deltas of the worker's registry counters, whether it returns or
+  raises, and the dispatch loop adds them to this process's registry;
 - bounded retry with **full-jitter** exponential backoff for transient
   failures (any exception except a timeout), seeded from the job's own
   identity so reruns are reproducible but parallel CI shards don't
@@ -90,7 +92,8 @@ class ExecutorConfig:
     Attributes
     ----------
     jobs:
-        Worker processes; ``1`` executes in this process.
+        Worker processes; ``1`` executes in this process when run from
+        the main thread, and in one worker process otherwise.
     timeout:
         Per-attempt wall-clock budget in seconds (None = unlimited).
     retries:
@@ -140,16 +143,11 @@ def _deadline(seconds: float | None):
     """Raise :class:`JobTimeoutError` in this thread after ``seconds``.
 
     Signal-based, so it interrupts pure-Python *and* long native calls
-    that release the GIL between bytecodes; only armed when running in a
-    main thread on a platform with ``SIGALRM`` (ProcessPoolExecutor
-    workers always qualify).
+    that release the GIL between bytecodes. Must run on a main thread
+    (the executor only runs jobs there); a no-op on platforms without
+    ``SIGALRM``.
     """
-    usable = (
-        seconds is not None
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
+    if seconds is None or not hasattr(signal, "SIGALRM"):
         yield
         return
 
@@ -173,15 +171,24 @@ def _invoke(fn, item, timeout):
 
 
 def _invoke_pooled(fn, item, timeout):
-    """:func:`_invoke` in a pool worker: also return the job's counter
-    deltas, which would otherwise stay in the worker's registry."""
+    """:func:`_invoke` in a pool worker: also ship the job's counter
+    deltas, which would otherwise stay in the worker's registry. A
+    result carries them as ``(result, deltas)``; an exception (a timeout,
+    a failure to retry) as its ``counter_deltas`` attribute."""
     registry = get_registry()
     before = registry.counter_values()
-    result = _invoke(fn, item, timeout)
-    deltas = {name: value - before.get(name, 0.0)
-              for name, value in registry.counter_values().items()
-              if value != before.get(name, 0.0)}
-    return result, deltas
+
+    def deltas():
+        return {name: value - before.get(name, 0.0)
+                for name, value in registry.counter_values().items()
+                if value != before.get(name, 0.0)}
+
+    try:
+        result = _invoke(fn, item, timeout)
+    except Exception as exc:
+        exc.counter_deltas = deltas()
+        raise
+    return result, deltas()
 
 
 def _describe(exc: BaseException) -> str:
@@ -209,8 +216,9 @@ class BatchExecutor(Supervised):
     ``on_event(event, info)`` (optional) receives ``"queued"``,
     ``"started"`` (once per attempt), ``"finished"``, ``"pool_rebuild"``,
     ``"poisoned"``, ``"circuit_open"`` and ``"drain_requested"``
-    telemetry. Batches run one at a time: with ``jobs > 1`` they share
-    one process pool, which :meth:`close` shuts down.
+    telemetry. Batches run one at a time; pooled ones (``jobs > 1``, or
+    any batch run off the main thread) share one process pool, which
+    :meth:`close` shuts down.
     """
 
     def __init__(self, config: ExecutorConfig | None = None, on_event=None):
@@ -223,14 +231,14 @@ class BatchExecutor(Supervised):
             threshold=self.config.circuit_threshold,
             cooldown=self.config.circuit_cooldown,
         )
-        #: The process pool batches share when ``jobs > 1``; built on
-        #: first use and after a break.
+        #: The process pool pooled batches share; built on first use and
+        #: after a break.
         self._pool: ProcessPoolExecutor | None = None
 
-    def _open_pool(self):
-        """The pool a batch runs in: the shared process pool, or for
-        ``jobs=1`` an inline stand-in."""
-        if self.config.jobs == 1:
+    def _open_pool(self, pooled: bool):
+        """The pool a batch runs in: the shared process pool, or the
+        inline stand-in."""
+        if not pooled:
             return _InlinePool()
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.config.jobs)
@@ -277,7 +285,11 @@ class BatchExecutor(Supervised):
     def run(self, fn, items) -> list[JobOutcome]:
         """Execute every item; outcomes are positionally aligned to items."""
         ledger = BatchLedger(items, self._emit, self.config.poison_threshold)
-        pooled = self.config.jobs > 1
+        # Inline only on the main thread, where SIGALRM can enforce the
+        # timeout; a helper thread (a daemon's) must not hold the GIL
+        # for a whole map while its process serves other threads.
+        pooled = (self.config.jobs > 1
+                  or threading.current_thread() is not threading.main_thread())
         if (pooled and self.breaker.state != CircuitBreaker.HALF_OPEN
                 and not self.breaker.allow()):
             # Opened by a previous batch and still cooling down: refuse
@@ -304,7 +316,7 @@ class BatchExecutor(Supervised):
         suspects: deque[int] = deque()    # lost to a pool break: probes
         retries: list[tuple[float, int]] = []  # (due, index), sorted
         pending: dict[Future, int] = {}   # in flight
-        pool = self._open_pool()
+        pool = self._open_pool(pooled)
 
         def submit(index: int) -> None:
             ledger.start(index)
@@ -369,7 +381,7 @@ class BatchExecutor(Supervised):
                         _describe(exc), self.pool_rebuilds)
             self._emit("pool_rebuild", rebuilds=self.pool_rebuilds,
                        error=_describe(exc))
-            pool = self._open_pool()
+            pool = self._open_pool(pooled)
 
         try:
             while pending or queue or suspects or retries:
@@ -426,12 +438,15 @@ class BatchExecutor(Supervised):
                     ledger.survived(index)
                     if pooled:
                         self.breaker.record_success()
-                    if exc is None:
-                        result = future.result()
-                        if pooled:
+                    result = future.result() if exc is None else None
+                    if pooled:
+                        if exc is None:
                             result, deltas = result
-                            for name, delta in deltas.items():
-                                registry.counter(name).inc(delta)
+                        else:
+                            deltas = getattr(exc, "counter_deltas", {})
+                        for name, delta in deltas.items():
+                            registry.counter(name).inc(delta)
+                    if exc is None:
                         ledger.finish(index, result)
                     elif isinstance(exc, JobTimeoutError):
                         registry.counter("executor.timeouts").inc()

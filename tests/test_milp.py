@@ -307,6 +307,8 @@ def test_memo_hit_is_bitwise_equal_to_fresh_solve(wrap):
         fresh.mcl, fresh.status, fresh.optimal, fresh.method)
     assert (hit.num_vars, hit.num_constraints) == (
         fresh.num_vars, fresh.num_constraints)
+    # A hit spent no solver time, so it reports none.
+    assert fresh.solve_seconds > 0 and hit.solve_seconds == 0.0
     assert _counter("milp.solves") == 1 and _counter("milp.memo_hits") == 1
     assert [s.name for s in tracer.roots] == ["milp.solve"]
     # A hit is a copy: changing it does not reach the memo.

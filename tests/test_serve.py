@@ -413,12 +413,13 @@ def test_daemon_config_validation(tmp_path):
         DaemonConfig(cache_dir=str(tmp_path), janitor_interval=-1.0)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 def test_pooled_daemon_counts_worker_milp_solves_and_closes_its_pool(
-        daemon_factory):
-    """``--jobs 2`` maps every batch in the executor's long-lived pool:
-    the workers' MILP counters reach ``/metrics``, and shutdown leaves
-    no worker process behind."""
-    daemon, client = daemon_factory(jobs=2)
+        daemon_factory, jobs):
+    """A daemon maps every batch in the executor's long-lived pool, also
+    at the default ``--jobs 1``: the workers' MILP counters reach
+    ``/metrics``, and shutdown leaves no worker process behind."""
+    daemon, client = daemon_factory(jobs=jobs)
     config = get_scale("tiny").rahtm
     ids = []
     for seed in (1, 2):
@@ -437,7 +438,7 @@ def test_pooled_daemon_counts_worker_milp_solves_and_closes_its_pool(
                 for name in ("milp.solves", "milp.memo_hits"))
     assert calls >= 2 and registry["milp.solves"]["value"] >= 1
     pids = list(daemon.engine.executor._pool._processes)
-    assert pids
+    assert 0 < len(pids) <= jobs and os.getpid() not in pids
     daemon.stop("test")
     deadline = time.monotonic() + 15
     while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:

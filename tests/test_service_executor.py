@@ -170,25 +170,47 @@ def test_one_item_batches_reuse_the_pool_workers():
     assert len(set(pids)) <= 2
 
 
-def test_one_item_batch_timeout_enforced_off_the_main_thread():
+def _off_main_thread(fn):
+    """``fn()`` run on a helper thread, as a daemon runs its batches."""
+    box = {}
+    thread = threading.Thread(target=lambda: box.setdefault("value", fn()))
+    thread.start()
+    thread.join(30)
+    return box["value"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_item_batch_timeout_enforced_off_the_main_thread(jobs):
     """A daemon runs batches on a helper thread, where ``SIGALRM`` cannot
     be armed; the one-item batch must still time out in its worker."""
-    exe = BatchExecutor(ExecutorConfig(jobs=2, timeout=0.3))
-    box = {}
+    exe = BatchExecutor(ExecutorConfig(jobs=jobs, timeout=0.3))
 
     def body():
         t0 = time.perf_counter()
-        box["outcome"] = exe.run(_sleepy, [2.0])[0]
-        box["elapsed"] = time.perf_counter() - t0
+        return exe.run(_sleepy, [2.0])[0], time.perf_counter() - t0
 
     try:
-        thread = threading.Thread(target=body)
-        thread.start()
-        thread.join(30)
+        outcome, elapsed = _off_main_thread(body)
     finally:
         exe.close()
-    assert box["outcome"].timed_out and not box["outcome"].ok
-    assert box["elapsed"] < 1.5
+    assert outcome.timed_out and not outcome.ok
+    assert elapsed < 1.5
+
+
+def test_jobs_1_runs_inline_only_on_the_main_thread():
+    """``repro map`` (main thread) maps in this process; a daemon's batch
+    thread hands every batch to one long-lived worker instead."""
+    exe = BatchExecutor(ExecutorConfig(jobs=1))
+    try:
+        assert exe.run(_pid, [0])[0].result == os.getpid()
+        assert exe._pool is None
+        pids = _off_main_thread(
+            lambda: [exe.run(_pid, [i])[0].result for i in range(3)]
+            + [o.result for o in exe.run(_pid, [3, 4])])
+        assert len(set(pids)) == 1 and os.getpid() not in pids
+        assert list(exe._pool._processes) == pids[:1]
+    finally:
+        exe.close()
 
 
 def test_pool_break_replaces_the_pool(tmp_path):
@@ -241,3 +263,25 @@ def test_pooled_jobs_ship_their_counter_deltas():
     finally:
         exe.close()
     assert registry.counter("test.worker_side").value == 6
+
+
+def _count_and_fail(seconds):
+    get_registry().counter("test.worker_side").inc(3)
+    if seconds:
+        time.sleep(seconds)
+    raise RuntimeError("after counting")
+
+
+def test_failed_pooled_jobs_ship_their_counter_deltas():
+    """A job that counts and then fails (retried, or timed out) still
+    ships its counts: two attempts of the failing job, one timed-out job."""
+    registry = get_registry()
+    exe = BatchExecutor(ExecutorConfig(jobs=2, retries=1, backoff=0.0,
+                                       timeout=0.3))
+    try:
+        failed, timed_out = exe.run(_count_and_fail, [0, 5.0])
+    finally:
+        exe.close()
+    assert failed.attempts == 2 and "after counting" in failed.error
+    assert timed_out.timed_out
+    assert registry.counter("test.worker_side").value == 9
