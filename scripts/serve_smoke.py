@@ -8,12 +8,14 @@ client lifecycle over actual HTTP:
 2. fetch the result payload and sanity-check the report;
 3. resubmit the identical spec and assert a submit-time cache hit
    (``from_cache`` + ``wall_seconds == 0.0`` + no second execution);
-4. scrape ``/metrics?format=prometheus`` and run it through the strict
+4. submit a spec whose mapper cannot be built (RAHTM with beam width 0)
+   and assert a 400 that leaves ``/healthz``'s job counts unchanged;
+5. scrape ``/metrics?format=prometheus`` and run it through the strict
    exposition parser — unparseable output fails the build;
-5. wait for a telemetry tick and assert the (absurdly tight) p99 SLO
+6. wait for a telemetry tick and assert the (absurdly tight) p99 SLO
    configured on the daemon fires an alert into ``/healthz``;
-6. render one ``repro top --once`` frame against the live daemon;
-7. SIGTERM the daemon and assert a clean drain: exit code 0, ready
+7. render one ``repro top --once`` frame against the live daemon;
+8. SIGTERM the daemon and assert a clean drain: exit code 0, ready
    file removed, no pending.json (the queue was empty).
 
 Exits 0 on success, 1 with a diagnosis on any failure — no pytest
@@ -122,6 +124,22 @@ def main() -> int:
                  f"{metrics['engine.executed']['value']} times, wanted 1")
         print("serve-smoke: resubmit joined the done job; "
               "mapper executed exactly once")
+
+        # -- an unbuildable mapper is refused at submit ------------------------
+        _, before = client.healthz()
+        bad = MappingJob(
+            topology=TopologySpec((4, 4)),
+            workload=WorkloadSpec("halo2d:4x4", seed=0),
+            mapper=MapperConfig.make("rahtm", beam_width=0),
+        ).payload()
+        code, doc = client.submit(bad, tenant="smoke")
+        if code != 400:
+            fail(f"unbuildable spec got {code}, wanted 400: {doc}")
+        _, after = client.healthz()
+        if after.get("jobs") != before.get("jobs"):
+            fail(f"refused spec left a job behind: {before.get('jobs')} -> "
+                 f"{after.get('jobs')}")
+        print(f"serve-smoke: unbuildable spec refused (400: {doc['error']})")
 
         # -- Prometheus exposition must parse strictly -------------------------
         code, text = client.metrics_text("prometheus")

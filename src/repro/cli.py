@@ -99,7 +99,7 @@ from repro.service import (
     WorkloadSpec,
     mapper_config_from_spec,
 )
-from repro.service.jobs import build_router
+from repro.service.jobs import MAPPER_SPEC_DEFAULTS, build_router
 from repro.topology import CartesianTopology
 from repro.utils.logconf import enable_console_logging
 from repro.workloads.registry import parse_workload
@@ -643,15 +643,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workload", required=True,
                        help="workload spec or graph file")
         p.add_argument("--router", choices=("mar", "dor"), default="mar")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--beam-width", type=int, default=16)
-        p.add_argument("--max-orientations", type=int, default=24)
-        p.add_argument("--milp-time-limit", type=float, default=60.0)
-        p.add_argument("--milp-gap", type=float, default=0.02)
+        d = MAPPER_SPEC_DEFAULTS
+        p.add_argument("--seed", type=int, default=d["seed"])
+        p.add_argument("--beam-width", type=int, default=d["beam_width"])
+        p.add_argument("--max-orientations", type=int,
+                       default=d["max_orientations"])
+        p.add_argument("--milp-time-limit", type=float,
+                       default=d["milp_time_limit"])
+        p.add_argument("--milp-gap", type=float, default=d["milp_gap"])
         p.add_argument("--reposition", action="store_true")
-        p.add_argument("--refine", type=int, default=0,
+        p.add_argument("--refine", type=int, default=d["refine"],
                        help="post-merge refinement proposals")
-        p.add_argument("--anneal-iters", type=int, default=5000)
+        p.add_argument("--anneal-iters", type=int, default=d["anneal_iters"])
         engine_opts(p)
 
     p = sub.add_parser("workload", help="generate and save a workload")
@@ -851,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "cannot travel over the API)")
     p.add_argument("--mapper", default="rahtm")
     p.add_argument("--router", choices=("mar", "dor"), default="mar")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=MAPPER_SPEC_DEFAULTS["seed"])
     p.add_argument("--tenant", default=None,
                    help="fair-share tenant to bill this job to")
     p.add_argument("--deadline", type=float, default=None,

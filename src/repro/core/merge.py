@@ -24,7 +24,7 @@ and copied (the paper's symmetry exploitation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,6 +49,9 @@ __all__ = ["MergeConfig", "MergeBlock", "MergeOutcome", "merge_blocks",
 
 log = get_logger("core.merge")
 
+#: Random orientation pairs per block pair in ``"sampled"`` order mode.
+ORDER_SAMPLES = 4
+
 
 @dataclass(frozen=True)
 class MergeConfig:
@@ -63,10 +66,9 @@ class MergeConfig:
         group; sampling keeps the identity).
     order_mode:
         How pairwise MCLs for the order heuristic are computed:
-        ``"identity"`` (cheapest), ``"sampled"`` (min over a few random
-        orientation pairs), ``"exhaustive"``.
-    order_samples:
-        Orientation pairs per block pair in ``"sampled"`` mode.
+        ``"identity"`` (cheapest), ``"sampled"`` (min over the identity
+        pair and :data:`ORDER_SAMPLES` random orientation pairs),
+        ``"exhaustive"``.
     reposition:
         Also search which congruent slot each block occupies (the paper's
         repositioning freedom). Grows the branching factor by the number
@@ -78,7 +80,6 @@ class MergeConfig:
     beam_width: int = 64
     max_orientations: int | None = None
     order_mode: str = "sampled"
-    order_samples: int = 4
     reposition: bool = False
     seed: int = 0
 
@@ -278,7 +279,7 @@ class _MergeEngine:
                     )
                 else:  # sampled
                     cands = {(0, 0)}
-                    for _ in range(cfg.order_samples):
+                    for _ in range(ORDER_SAMPLES):
                         cands.add((
                             int(self.rng.integers(len(self.orients[b1]))),
                             int(self.rng.integers(len(self.orients[b2]))),
@@ -542,14 +543,7 @@ def hierarchical_merge(
                     cluster = local_index[local]
                     assignment[cluster] = int(topo.index(parent_origin + rel))
                 continue
-            cfg = MergeConfig(
-                beam_width=config.beam_width,
-                max_orientations=config.max_orientations,
-                order_mode=config.order_mode,
-                order_samples=config.order_samples,
-                reposition=config.reposition,
-                seed=config.seed + 1009 * level + pb,
-            )
+            cfg = replace(config, seed=config.seed + 1009 * level + pb)
             with span("rahtm.merge.block", level=level, parent=pb) as msp:
                 outcome = merge_blocks(
                     topo, router, blocks, srcs, dsts, vols, cfg,

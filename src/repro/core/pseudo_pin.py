@@ -71,25 +71,24 @@ def pseudo_pin(
     cube_h: CubeHierarchy,
     time_limit: float | None = 120.0,
     mip_rel_gap: float | None = None,
-    enforce_minimal: bool = True,
-    fix_first: bool = True,
     use_milp: bool = True,
     budget=None,
     degradation=None,
 ) -> PinResult:
     """Map every node-cluster to a topology node, top-down.
 
-    Parameters mirror :func:`repro.core.milp.solve_cluster_milp`;
-    ``use_milp=False`` swaps in the greedy placer (ablation of the paper's
-    optimal-leaf-solve design decision).
+    ``time_limit`` and ``mip_rel_gap`` go to
+    :func:`repro.core.milp.solve_cluster_milp`, which solves the full
+    Table II model (C3 and the symmetry break); ``use_milp=False`` swaps
+    in the greedy placer (ablation of the paper's optimal-leaf-solve
+    design decision).
 
     ``budget`` (a :class:`~repro.resilience.Budget`) turns on the
     degradation ladder: each MILP's ``time_limit`` shrinks to an even
     share of the remaining wall clock over the outstanding levels; a
-    solver failure or an exhausted solver-call budget drops to the greedy
-    placer; an exhausted wall budget drops to the static dimension-order
-    placement. Every ladder step is appended to ``degradation`` (a
-    :class:`~repro.resilience.DegradationLog`).
+    solver failure drops to the greedy placer; an exhausted wall budget
+    drops to the static dimension-order placement. Every ladder step is
+    appended to ``degradation`` (a :class:`~repro.resilience.DegradationLog`).
     """
     q = cube_h.num_levels
     if len(hierarchy.levels) != q:
@@ -144,15 +143,11 @@ def pseudo_pin(
                     local = CommGraph.from_edges(branching, local_edges)
                     # Degradation ladder: MILP -> greedy -> static. The wall
                     # budget kills everything but the O(A) static placement;
-                    # the solver-call budget and solver errors only demote
-                    # the MILP rung.
+                    # a solver error only demotes the MILP rung.
                     mode = "milp" if use_milp else "greedy"
                     reason = None
-                    if budget is not None:
-                        if budget.enforce("phase2"):
-                            mode, reason = "static", "budget-exhausted"
-                        elif mode == "milp" and not budget.take_solver_call():
-                            mode, reason = "greedy", "solver-budget-exhausted"
+                    if budget is not None and budget.enforce("phase2"):
+                        mode, reason = "static", "budget-exhausted"
                     if mode == "milp":
                         limit = time_limit
                         if budget is not None:
@@ -161,8 +156,6 @@ def pseudo_pin(
                             res = solve_cluster_milp(
                                 cube, local,
                                 time_limit=limit, mip_rel_gap=mip_rel_gap,
-                                enforce_minimal=enforce_minimal,
-                                fix_first=fix_first,
                             )
                         except SolverError as exc:
                             mode, reason = "greedy", "solver-error"
@@ -186,10 +179,6 @@ def pseudo_pin(
                             else f"degraded:{reason}",
                             method="greedy",
                         ))
-                        if reason == "solver-budget-exhausted" \
-                                and degradation is not None:
-                            degradation.record("phase2", "milp->greedy",
-                                               reason, level=level)
                     elif mode == "static":
                         assignment, mcl = static_assignment(cube, local)
                         stats.append(MILPResult(

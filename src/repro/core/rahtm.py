@@ -62,17 +62,14 @@ class RAHTMConfig:
     max_orientations:
         Cap on block orientations searched (None = full hyperoctahedral
         group; the paper searches all orientations at its scales).
-    order_mode / order_samples:
+    order_mode:
         Merge-order heuristic fidelity (see :class:`MergeConfig`).
     milp_time_limit / milp_rel_gap:
         Phase-2 solver budget per subproblem.
     use_milp:
         ``False`` swaps phase 2's MILP for the greedy placer (ablation).
-    enforce_minimal:
-        Emit the C3 minimal-routing constraints (paper notes they may be
-        omitted; ablation knob).
-    fix_first:
-        Symmetry-break the MILP by pinning the heaviest cluster.
+        The MILP is always the full Table II model, with the C3
+        minimal-routing constraints and the symmetry break.
     routing:
         Router used for all MCL evaluations: ``"mar"`` (all-minimal-paths
         approximation of BG/Q's adaptive routing) or ``"dor"``
@@ -90,12 +87,9 @@ class RAHTMConfig:
     beam_width: int = 64
     max_orientations: int | None = None
     order_mode: str = "sampled"
-    order_samples: int = 4
     milp_time_limit: float | None = 60.0
     milp_rel_gap: float | None = None
     use_milp: bool = True
-    enforce_minimal: bool = True
-    fix_first: bool = True
     routing: str = "mar"
     reposition: bool = False
     refine_iterations: int = 0
@@ -113,10 +107,6 @@ class RAHTMConfig:
             raise ConfigError(
                 f"order_mode must be 'identity', 'sampled' or 'exhaustive', "
                 f"got {self.order_mode!r}"
-            )
-        if self.order_samples < 1:
-            raise ConfigError(
-                f"order_samples must be >= 1, got {self.order_samples}"
             )
         if self.milp_time_limit is not None and self.milp_time_limit <= 0:
             raise ConfigError(
@@ -137,7 +127,6 @@ class RAHTMConfig:
             beam_width=self.beam_width,
             max_orientations=self.max_orientations,
             order_mode=self.order_mode,
-            order_samples=self.order_samples,
             reposition=self.reposition,
             seed=self.seed,
         )
@@ -286,8 +275,6 @@ class RAHTMMapper:
                     hierarchy, cube_h,
                     time_limit=self.config.milp_time_limit,
                     mip_rel_gap=self.config.milp_rel_gap,
-                    enforce_minimal=self.config.enforce_minimal,
-                    fix_first=self.config.fix_first,
                     use_milp=self.config.use_milp,
                     budget=budget, degradation=self.degradation,
                 )

@@ -12,7 +12,6 @@ from repro.experiments.report import Table
 from repro.experiments.runner import (
     MapperSpec,
     default_mapper_configs,
-    default_mappers,
     run_comparison,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "Table",
     "MapperSpec",
     "run_comparison",
-    "default_mappers",
     "default_mapper_configs",
 ]

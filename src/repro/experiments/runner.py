@@ -5,9 +5,9 @@ cacheable, so the default path submits every cell as a
 :class:`~repro.service.jobs.MappingJob` through a
 :class:`~repro.service.engine.MappingEngine` (``jobs``/``cache_dir``/
 ``job_timeout`` control parallelism and the content-addressed warm
-cache). Callers that pass live mapper/app objects (``mappers=``/
-``apps=``) take the in-process serial path instead — those objects are
-not expressible as job specs.
+cache). Callers that pass live mapper objects (``mappers=``) take the
+in-process serial path instead — those objects are not expressible as
+job specs.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.baselines.dimorder import DimOrderMapper
-from repro.baselines.hilbert import HilbertMapper
-from repro.baselines.rubik import RubikTilingMapper
-from repro.core.rahtm import RAHTMMapper
 from repro.errors import ServiceError
 from repro.experiments.config import ExperimentScale, get_scale
 from repro.experiments.report import Table
@@ -32,12 +28,11 @@ from repro.simulator.apps import (
     cg_application,
     sp_application,
 )
-from repro.simulator.network import NetworkModel, NetworkParams
+from repro.simulator.network import NetworkModel
 from repro.utils.logconf import get_logger
 
-__all__ = ["MapperSpec", "ComparisonResult", "default_mappers",
-           "default_mapper_configs", "benchmark_apps",
-           "benchmark_workload_specs", "run_comparison"]
+__all__ = ["MapperSpec", "ComparisonResult", "default_mapper_configs",
+           "benchmark_apps", "benchmark_workload_specs", "run_comparison"]
 
 log = get_logger("experiments.runner")
 
@@ -53,26 +48,13 @@ class MapperSpec:
         return self.factory(topology)
 
 
-def default_mappers(scale: ExperimentScale) -> list[MapperSpec]:
-    """The paper's Figure 8/10 line-up at this scale.
+def default_mapper_configs(scale: ExperimentScale):
+    """The paper's Figure 8/10 line-up at this scale, as (label, config)
+    pairs.
 
     Order: platform default first (everything is normalized to it), the
     two alternate dimension permutations, Hilbert, RHT, then RAHTM.
     """
-    specs = [
-        MapperSpec(order, lambda t, o=order: DimOrderMapper(t, o))
-        for order in scale.dim_orders
-    ]
-    specs.append(MapperSpec("Hilbert", lambda t: HilbertMapper(t)))
-    specs.append(MapperSpec("RHT", lambda t: RubikTilingMapper(t)))
-    specs.append(
-        MapperSpec("RAHTM", lambda t: RAHTMMapper(t, scale.rahtm))
-    )
-    return specs
-
-
-def default_mapper_configs(scale: ExperimentScale):
-    """The same Figure 8/10 line-up as declarative (label, config) pairs."""
     from repro.service.jobs import MapperConfig
 
     configs = [
@@ -147,8 +129,6 @@ def _empty_result(scale: ExperimentScale) -> ComparisonResult:
 def run_comparison(
     scale="small",
     mappers: list[MapperSpec] | None = None,
-    apps: dict[str, ApplicationModel] | None = None,
-    network_params: NetworkParams | None = None,
     *,
     mapper_configs=None,
     engine=None,
@@ -163,19 +143,19 @@ def run_comparison(
     The first mapper is the platform default: applications are calibrated
     so its communication fraction matches the paper's Figure 9 values.
 
-    With the default declarative line-up (no ``mappers``/``apps``
-    objects), each cell is submitted as a job through a mapping engine;
-    ``jobs > 1`` computes cells in parallel and ``cache_dir`` makes
+    Without live ``mappers`` objects, each cell is submitted as a job
+    through a mapping engine; ``jobs > 1`` computes cells in parallel and ``cache_dir`` makes
     reruns warm-cache no-ops. ``runtime`` (a
     :class:`~repro.service.jobs.JobRuntime`) adds per-cell deadlines and
     checkpoint/resume. ``netview=True`` additionally collects a compact
     per-cell network-introspection summary into
     :attr:`ComparisonResult.netviews` (cache keys are unaffected).
-    Passing live ``mappers``/``apps`` objects keeps the legacy in-process
-    serial path.
+    Passing live ``mappers`` objects keeps the legacy in-process serial
+    path. Both paths run the :func:`benchmark_apps` of ``scale`` on the
+    default :class:`~repro.simulator.network.NetworkParams`.
     """
     scale = get_scale(scale)
-    if mappers is None and apps is None:
+    if mappers is None:
         owned = None  # an engine built here is closed here
         if engine is None:
             from repro.service.engine import MappingEngine
@@ -192,18 +172,17 @@ def run_comparison(
                 runtime=runtime)
         try:
             return _run_comparison_engine(
-                scale, network_params, engine,
-                mapper_configs or default_mapper_configs(scale),
+                scale, engine, mapper_configs or default_mapper_configs(scale),
             )
         finally:
             if owned is not None:
                 owned.close()
-    return _run_comparison_serial(scale, mappers, apps, network_params)
+    return _run_comparison_serial(scale, mappers)
 
 
 # -- engine path -----------------------------------------------------------------------
 def _run_comparison_engine(
-    scale: ExperimentScale, network_params, engine, mapper_configs,
+    scale: ExperimentScale, engine, mapper_configs,
 ) -> ComparisonResult:
     from repro.service.jobs import (
         MappingJob,
@@ -213,7 +192,7 @@ def _run_comparison_engine(
     )
 
     topo_spec = TopologySpec.from_topology(scale.topology())
-    net_spec = NetworkSpec.from_params(network_params)
+    net_spec = NetworkSpec()
     app_specs = benchmark_workload_specs(scale)
     grid, job_list = [], []
     for bench_name, workload in app_specs.items():
@@ -276,20 +255,16 @@ def _run_comparison_engine(
 
 
 # -- legacy in-process path ------------------------------------------------------------
-def _run_comparison_serial(
-    scale: ExperimentScale, mappers, apps, network_params,
-) -> ComparisonResult:
+def _run_comparison_serial(scale: ExperimentScale, mappers) -> ComparisonResult:
     topo = scale.topology()
     router = MinimalAdaptiveRouter(topo)
-    network = NetworkModel(router, network_params)
-    mappers = mappers or default_mappers(scale)
-    apps = apps or benchmark_apps(scale)
+    network = NetworkModel(router)
     # One mapper instance per (mapper, topology), reused across benchmarks
     # (every mapper resets its per-call state inside map()).
     built = [spec.build(topo) for spec in mappers]
 
     result = _empty_result(scale)
-    for bench_name, app in apps.items():
+    for bench_name, app in benchmark_apps(scale).items():
         graph = app.comm_graph()
         t0 = time.perf_counter()
         default_mapping = built[0].map(graph)

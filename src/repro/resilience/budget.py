@@ -1,16 +1,11 @@
-"""Wall-clock and solver-call budgets for the mapping pipeline.
+"""The wall-clock budget of the mapping pipeline.
 
 A :class:`Budget` is created once per mapping job (CLI ``--deadline``,
 :class:`~repro.service.jobs.JobRuntime`) and threaded through
 ``RAHTMMapper.map()`` into phase 2 (MILP subproblems) and phase 3 (merge
-levels). Two resources are tracked:
-
-- **wall clock** — seconds remaining until the global deadline; phase 2
-  divides what remains across its outstanding subproblems so every MILP
-  gets a shrinking ``time_limit`` and the sum stays under the deadline;
-- **solver calls** — an optional cap on the number of MILP invocations,
-  so a fleet operator can bound worst-case solver pressure independently
-  of wall time.
+levels). It tracks the seconds remaining until the global deadline;
+phase 2 divides what remains across its outstanding subproblems so every
+MILP gets a shrinking ``time_limit`` and the sum stays under the deadline.
 
 Exhaustion policy is carried by the budget itself: ``"degrade"`` (the
 default) lets each phase fall down its degradation ladder and always
@@ -33,14 +28,12 @@ MIN_SOLVER_SLICE = 0.05
 
 
 class Budget:
-    """A depleting wall-clock + solver-call budget.
+    """A depleting wall-clock budget.
 
     Parameters
     ----------
     wall_seconds:
         Global deadline in seconds from construction (None = unlimited).
-    solver_calls:
-        Cap on MILP solver invocations (None = unlimited).
     on_exhausted:
         ``"degrade"`` — phases fall back gracefully; ``"fail"`` —
         :meth:`enforce` raises :class:`DeadlineExceededError`.
@@ -51,24 +44,19 @@ class Budget:
     def __init__(
         self,
         wall_seconds: float | None = None,
-        solver_calls: int | None = None,
         on_exhausted: str = "degrade",
         clock=time.monotonic,
     ):
         if wall_seconds is not None and wall_seconds <= 0:
             raise ConfigError("wall_seconds must be > 0 (or None)")
-        if solver_calls is not None and solver_calls < 0:
-            raise ConfigError("solver_calls must be >= 0 (or None)")
         if on_exhausted not in ("degrade", "fail"):
             raise ConfigError(
                 f"on_exhausted must be 'degrade' or 'fail', got {on_exhausted!r}"
             )
         self.wall_seconds = wall_seconds
-        self.solver_calls = solver_calls
         self.on_exhausted = on_exhausted
         self._clock = clock
         self._start = clock()
-        self.solver_calls_used = 0
 
     # -- wall clock ---------------------------------------------------------------
     def elapsed(self) -> float:
@@ -98,15 +86,6 @@ class Budget:
             )
         return True
 
-    # -- solver calls -------------------------------------------------------------
-    def take_solver_call(self) -> bool:
-        """Consume one MILP invocation; False when the call budget is dry."""
-        if (self.solver_calls is not None
-                and self.solver_calls_used >= self.solver_calls):
-            return False
-        self.solver_calls_used += 1
-        return True
-
     def solver_slice(self, default: float | None, parts: int = 1) -> float | None:
         """Per-subproblem solver ``time_limit``: the configured default
         capped by an even share of the remaining wall clock over ``parts``
@@ -131,8 +110,6 @@ class Budget:
         return {
             "wall_seconds": self.wall_seconds,
             "elapsed_seconds": self.elapsed(),
-            "solver_calls": self.solver_calls,
-            "solver_calls_used": self.solver_calls_used,
             "on_exhausted": self.on_exhausted,
         }
 
@@ -140,6 +117,5 @@ class Budget:
         wall = "inf" if self.wall_seconds is None else f"{self.wall_seconds:g}s"
         return (
             f"Budget(wall={wall}, remaining={self.remaining():.3f}s, "
-            f"solver_calls_used={self.solver_calls_used}, "
             f"policy={self.on_exhausted})"
         )

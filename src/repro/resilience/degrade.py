@@ -1,7 +1,8 @@
 """Structured degradation events.
 
-Every time a phase steps down its fallback ladder (MILP → greedy →
-static in phase 2; full merge → first-fit orientation in phase 3) it
+Every time a phase steps down its fallback ladder (MILP → greedy on a
+solver error, or → static once the budget runs out, in phase 2; full
+merge → first-fit orientation in phase 3; refine skipped in phase 4) it
 records one :class:`DegradationEvent`. The log ends up in
 ``mapper.stats["degradation"]``, in the job payload, and in CLI output,
 so an operator can see exactly which quality was traded for which
@@ -23,8 +24,8 @@ class DegradationEvent:
     """One ladder step: which phase degraded, how, and why.
 
     ``action`` is a ``from->to`` label (``"milp->greedy"``,
-    ``"merge->first-fit"``); ``reason`` is machine-matchable
-    (``"budget-exhausted"``, ``"solver-budget-exhausted"``,
+    ``"milp->static"``, ``"merge->first-fit"``, ``"refine->skipped"``);
+    ``reason`` is machine-matchable (``"budget-exhausted"``,
     ``"solver-error"``).
     """
 

@@ -121,11 +121,9 @@ class DaemonConfig:
     min_grant_seconds: float = 0.5
     tenant_quota: int = 64
     tenant_weights: dict = field(default_factory=dict)
-    aging_rate: float = 0.05
     janitor_interval: float = 300.0
     requeue_pending: bool = True
     checkpoint_dir: str | None = None
-    netview: bool = False
     #: ``"local"`` = in-process pool; ``"distributed"`` = shard batches
     #: across fleet workers via the job board (``jobs`` then spawns that
     #: many local worker subprocesses; remote ``repro worker`` processes
@@ -140,8 +138,6 @@ class DaemonConfig:
     #: Seconds between telemetry samples (ring buffer + JSONL under
     #: ``<cache>/telemetry/``); 0 disables live telemetry and SLOs.
     telemetry_interval: float = 5.0
-    #: Samples retained in memory (720 x 5 s = one hour by default).
-    telemetry_capacity: int = 720
     #: SLO thresholds; None disables the corresponding alert rule.
     slo_p99_seconds: float | None = None
     slo_reject_rate: float | None = None
@@ -167,8 +163,6 @@ class DaemonConfig:
             raise ConfigError("lease_seconds must be > 0")
         if self.telemetry_interval < 0:
             raise ConfigError("telemetry_interval must be >= 0 (0 disables)")
-        if self.telemetry_capacity < 1:
-            raise ConfigError("telemetry_capacity must be >= 1")
         for name in ("slo_p99_seconds", "slo_reject_rate",
                      "slo_lease_deaths_per_minute"):
             value = getattr(self, name)
@@ -280,9 +274,7 @@ class MappingDaemon:
                 ),
             )
         self.queue = FairQueue(
-            default_policy=TenantPolicy(quota=config.tenant_quota),
-            aging_rate=config.aging_rate,
-        )
+            default_policy=TenantPolicy(quota=config.tenant_quota))
         for name, weight in sorted(config.tenant_weights.items()):
             self.queue.configure_tenant(name, weight=float(weight))
         self.admission = AdmissionController(
@@ -302,8 +294,7 @@ class MappingDaemon:
         self._stopping: asyncio.Event | None = None
         self._registry = get_registry()
         # -- live telemetry plane ---------------------------------------
-        self.telemetry = TimeSeriesRecorder(
-            self._registry, capacity=config.telemetry_capacity)
+        self.telemetry = TimeSeriesRecorder(self._registry)
         self._telemetry_sink = TelemetrySink(
             self.engine.store.root / TELEMETRY_DIR)
         self.slo = SloEvaluator(self._registry, SloPolicy(
@@ -405,6 +396,13 @@ class MappingDaemon:
                 self._registry.histogram(
                     self._tenant_metric(tenant, "e2e_seconds")).record(0.0)
                 return 200, record.to_dict()
+            try:
+                # A mapper that cannot be built would only fail in the
+                # pool, after a retry: refuse the spec here instead.
+                job.mapper.build(job.topology.build())
+            except (ConfigError, TypeError) as exc:
+                self._registry.counter("serve.bad_requests").inc()
+                return 400, {"error": f"unbuildable mapper: {exc}"}
             decision = self.admission.admit(deadline, force=force)
             if not decision.admitted:
                 self._registry.counter(
@@ -595,8 +593,6 @@ class MappingDaemon:
         if self.config.checkpoint_dir is not None:
             kwargs.update(checkpoint_dir=self.config.checkpoint_dir,
                           resume=True)
-        if self.config.netview:
-            kwargs["netview"] = True
         return JobRuntime(**kwargs) if kwargs else None
 
     def _run_batch(self, batch: list[JobRecord]) -> None:

@@ -29,15 +29,13 @@ __all__ = ["SloEvaluator", "SloPolicy"]
 class SloPolicy:
     """Alert thresholds; ``None`` disables a rule.
 
-    ``min_samples`` guards the ratio/quantile rules against firing off
-    one unlucky request: a tenant needs at least that many e2e samples
-    (or submissions, for the reject rule) before its rules evaluate.
+    A tenant's latency and reject-rate rules evaluate once it has one e2e
+    sample (or one submission, for the reject rule).
     """
 
     p99_latency_seconds: float | None = None
     reject_rate: float | None = None
     lease_deaths_per_minute: float | None = None
-    min_samples: int = 1
 
     def __post_init__(self):
         for field in ("p99_latency_seconds", "reject_rate",
@@ -45,9 +43,6 @@ class SloPolicy:
             value = getattr(self, field)
             if value is not None and value <= 0:
                 raise ValueError(f"{field} must be > 0, got {value}")
-        if self.min_samples < 1:
-            raise ValueError(
-                f"min_samples must be >= 1, got {self.min_samples}")
 
     @property
     def active(self) -> bool:
@@ -82,7 +77,7 @@ class SloEvaluator:
             prefix = f"serve.tenant.{tenant}"
             if policy.p99_latency_seconds is not None:
                 hist = self.registry.histogram(f"{prefix}.e2e_seconds")
-                if hist.count >= policy.min_samples:
+                if hist.count:
                     p99 = hist.quantile(0.99)
                     if p99 is not None and p99 > policy.p99_latency_seconds:
                         current[("p99_latency", tenant)] = {
@@ -95,7 +90,7 @@ class SloEvaluator:
             if policy.reject_rate is not None:
                 submitted = self.registry.counter(f"{prefix}.submitted").value
                 rejected = self.registry.counter(f"{prefix}.rejected").value
-                if submitted >= policy.min_samples and submitted > 0:
+                if submitted > 0:
                     rate = rejected / submitted
                     if rate > policy.reject_rate:
                         current[("reject_rate", tenant)] = {

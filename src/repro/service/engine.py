@@ -100,14 +100,14 @@ class MappingEngine:
         :meth:`close`.
     job_timeout:
         Per-attempt wall-clock budget in seconds.
-    retries / backoff:
-        Transient-failure retry policy (see :class:`ExecutorConfig`).
-    store:
-        Pre-built :class:`ResultStore`, overriding ``cache_dir``.
     runtime:
         Optional :class:`~repro.service.jobs.JobRuntime` resilience
         policy (deadline, degradation, checkpoint/resume) applied to
         every executed job. Never part of the cache key.
+    executor_config:
+        Full :class:`ExecutorConfig` of the local backend (retry policy,
+        poison and circuit thresholds), overriding ``jobs`` and
+        ``job_timeout``; by default the engine builds one from them.
     backend:
         ``"local"`` (default) runs misses on the in-process
         :class:`BatchExecutor`; ``"distributed"`` shards them across
@@ -125,9 +125,6 @@ class MappingEngine:
         cache_dir=None,
         jobs: int = 1,
         job_timeout: float | None = None,
-        retries: int = 1,
-        backoff: float = 0.05,
-        store: ResultStore | None = None,
         runtime: JobRuntime | None = None,
         executor_config: ExecutorConfig | None = None,
         backend: str = "local",
@@ -138,8 +135,7 @@ class MappingEngine:
                 f"unknown engine backend {backend!r}; "
                 "choose 'local' or 'distributed'"
             )
-        if store is None and cache_dir is not None:
-            store = ResultStore(cache_dir)
+        store = None if cache_dir is None else ResultStore(cache_dir)
         self.store = store
         self.runtime = runtime
         self.backend = backend
@@ -162,10 +158,8 @@ class MappingEngine:
             )
         else:
             if executor_config is None:
-                executor_config = ExecutorConfig(
-                    jobs=jobs, timeout=job_timeout,
-                    retries=retries, backoff=backoff,
-                )
+                executor_config = ExecutorConfig(jobs=jobs,
+                                                 timeout=job_timeout)
             self.executor = BatchExecutor(executor_config,
                                           on_event=self._on_executor_event)
         self.stats = EngineStats()

@@ -23,7 +23,7 @@ import hashlib
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro.core.rahtm import RAHTMConfig, RAHTMMapper
@@ -47,6 +47,7 @@ from repro.workloads.registry import is_workload_file, parse_application, parse_
 
 __all__ = [
     "SCHEMA_VERSION",
+    "MAPPER_SPEC_DEFAULTS",
     "TopologySpec",
     "WorkloadSpec",
     "MapperConfig",
@@ -74,7 +75,24 @@ __all__ = [
 #: v4: refine draws its proposal stream up front, so the same RAHTM job
 #: spec now maps differently wherever refine accepts a swap; v3 entries
 #: would serve the old walk's mapping.
-SCHEMA_VERSION = 4
+#: v5: RAHTM key payloads lose ``order_samples``, ``enforce_minimal`` and
+#: ``fix_first`` (now fixed at their defaults), and the stored
+#: ``resilience.budget`` loses the solver-call keys.
+SCHEMA_VERSION = 5
+
+#: Defaults of the CLI's mapper tunables, keyed by argparse dest: the
+#: ``repro map``/``compare``/``explain`` flags default to these, and
+#: ``repro submit`` (which has none of those flags) takes them as they are.
+MAPPER_SPEC_DEFAULTS = {
+    "beam_width": 16,
+    "max_orientations": 24,
+    "milp_time_limit": 60.0,
+    "milp_gap": 0.02,
+    "reposition": False,
+    "refine": 0,
+    "anneal_iters": 5000,
+    "seed": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -209,12 +227,6 @@ class NetworkSpec:
     phase_overhead: float = 2e-6
     phase_overlap: float = 0.5
 
-    @classmethod
-    def from_params(cls, params: NetworkParams | None) -> "NetworkSpec":
-        if params is None:
-            return cls()
-        return cls(**{f.name: getattr(params, f.name) for f in fields(cls)})
-
     def build(self) -> NetworkParams:
         return NetworkParams(**asdict(self))
 
@@ -319,8 +331,6 @@ class JobRuntime:
     ----------
     deadline_seconds:
         Wall-clock budget for one job's ``map()`` call (None = no limit).
-    solver_call_budget:
-        Cap on phase-2 MILP solves per job (None = no cap).
     on_deadline:
         ``"degrade"`` falls down the fallback ladder and still returns a
         valid mapping; ``"fail"`` raises
@@ -346,7 +356,6 @@ class JobRuntime:
     """
 
     deadline_seconds: float | None = None
-    solver_call_budget: int | None = None
     on_deadline: str = "degrade"
     checkpoint_dir: str | None = None
     resume: bool = True
@@ -356,8 +365,6 @@ class JobRuntime:
     def __post_init__(self):
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigError("deadline_seconds must be > 0 (or None)")
-        if self.solver_call_budget is not None and self.solver_call_budget < 0:
-            raise ConfigError("solver_call_budget must be >= 0 (or None)")
         if self.on_deadline not in ("degrade", "fail"):
             raise ConfigError(
                 f"on_deadline must be 'degrade' or 'fail', "
@@ -369,16 +376,14 @@ class JobRuntime:
     @property
     def active(self) -> bool:
         return (self.deadline_seconds is not None
-                or self.solver_call_budget is not None
                 or self.checkpoint_dir is not None
                 or self.trace
                 or self.netview)
 
     def budget(self) -> Budget | None:
-        if self.deadline_seconds is None and self.solver_call_budget is None:
+        if self.deadline_seconds is None:
             return None
         return Budget(wall_seconds=self.deadline_seconds,
-                      solver_calls=self.solver_call_budget,
                       on_exhausted=self.on_deadline)
 
     def checkpoint(self, job_key: str) -> MapperCheckpoint | None:
@@ -555,23 +560,24 @@ def mapper_config_from_spec(spec: str, args=None) -> MapperConfig:
     """Translate a CLI mapper spec (``dimorder:TABC``...) into a config.
 
     ``args`` is the CLI namespace carrying RAHTM/annealer tunables; any
-    object with the same attributes (or ``None`` for defaults) works.
+    object with the same attributes works. A tunable it lacks (or every
+    one, for ``args=None``) takes its :data:`MAPPER_SPEC_DEFAULTS` value.
     """
     kind, _, arg = spec.partition(":")
     kind = kind.lower()
 
-    def opt(name, default):
-        return getattr(args, name, default) if args is not None else default
+    def opt(name):
+        return getattr(args, name, MAPPER_SPEC_DEFAULTS[name])
 
     if kind == "rahtm":
         return MapperConfig.from_rahtm(RAHTMConfig(
-            beam_width=opt("beam_width", 16),
-            max_orientations=opt("max_orientations", 24),
-            milp_time_limit=opt("milp_time_limit", 60.0),
-            milp_rel_gap=opt("milp_gap", 0.02),
-            reposition=opt("reposition", False),
-            refine_iterations=opt("refine", 0),
-            seed=opt("seed", 0),
+            beam_width=opt("beam_width"),
+            max_orientations=opt("max_orientations"),
+            milp_time_limit=opt("milp_time_limit"),
+            milp_rel_gap=opt("milp_gap"),
+            reposition=opt("reposition"),
+            refine_iterations=opt("refine"),
+            seed=opt("seed"),
         ))
     if kind == "default":
         return MapperConfig.make("dimorder")
@@ -581,11 +587,11 @@ def mapper_config_from_spec(spec: str, args=None) -> MapperConfig:
     if kind in ("hilbert", "rubik"):
         return MapperConfig.make(kind)
     if kind in ("rcb", "bisection"):
-        return MapperConfig.make("rcb", seed=opt("seed", 0))
+        return MapperConfig.make("rcb", seed=opt("seed"))
     if kind in ("anneal-hopbytes", "anneal-mcl"):
         return MapperConfig.make(
-            kind, iterations=opt("anneal_iters", 5000), seed=opt("seed", 0)
+            kind, iterations=opt("anneal_iters"), seed=opt("seed")
         )
     if kind == "random":
-        return MapperConfig.make("random", seed=opt("seed", 0))
+        return MapperConfig.make("random", seed=opt("seed"))
     raise ConfigError(f"unknown mapper {spec!r}")

@@ -48,7 +48,6 @@ class TestBudget:
         assert b.remaining() == float("inf")
         assert not b.exhausted()
         assert not b.enforce("anywhere")
-        assert b.take_solver_call()
 
     def test_wall_clock_depletes(self):
         clock = FakeClock()
@@ -68,15 +67,6 @@ class TestBudget:
         clock.advance(2.0)
         with pytest.raises(DeadlineExceededError, match="phase2"):
             b.enforce("phase2")
-
-    def test_solver_call_budget(self):
-        b = Budget(solver_calls=2)
-        assert b.take_solver_call()
-        assert b.take_solver_call()
-        assert not b.take_solver_call()
-        assert b.solver_calls_used == 2
-        # The wall clock is independent of the call budget.
-        assert not b.exhausted()
 
     def test_solver_slice_divides_remaining(self):
         clock = FakeClock()
@@ -99,18 +89,15 @@ class TestBudget:
         assert b.solver_slice(None, parts=3) is None
 
     def test_snapshot_is_json_safe(self):
-        b = Budget(wall_seconds=5.0, solver_calls=3)
-        b.take_solver_call()
+        b = Budget(wall_seconds=5.0)
         snap = b.snapshot()
         json.dumps(snap)
-        assert snap["solver_calls_used"] == 1
+        assert snap["wall_seconds"] == 5.0
         assert snap["on_exhausted"] == "degrade"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             Budget(wall_seconds=0)
-        with pytest.raises(ConfigError):
-            Budget(solver_calls=-1)
         with pytest.raises(ConfigError):
             Budget(on_exhausted="panic")
 
@@ -136,7 +123,7 @@ class TestConfigValidation:
         {"beam_width": 0},
         {"max_orientations": 0},
         {"order_mode": "chaotic"},
-        {"order_samples": 0},
+        {"max_orientations": -1},
         {"milp_time_limit": 0.0},
         {"milp_time_limit": -5.0},
         {"milp_rel_gap": 0.0},
@@ -176,18 +163,6 @@ class TestDegradationLadder:
         with pytest.raises(DeadlineExceededError):
             mapper.map(random_uniform(16, 60, seed=0), budget=budget)
 
-    def test_solver_call_budget_degrades_to_greedy(self):
-        budget = Budget(solver_calls=0)
-        mapper = RAHTMMapper(torus(4, 4), FAST)
-        mapping = mapper.map(random_uniform(16, 60, seed=0), budget=budget)
-        assert mapping.is_permutation()
-        assert any(e["action"] == "milp->greedy"
-                   and e["reason"] == "solver-budget-exhausted"
-                   for e in mapper.stats["degradation"])
-        # Phase 3 still ran in full: wall clock was never exhausted.
-        assert not any(e["phase"] == "phase3"
-                       for e in mapper.stats["degradation"])
-
     def test_solver_fail_fault_degrades_to_greedy(self):
         mapper = RAHTMMapper(torus(4, 4), FAST)
         with injected_faults(FaultSpec("solver-fail", max_hits=1)):
@@ -213,7 +188,7 @@ class TestDegradationLadder:
         plain = RAHTMMapper(torus(4, 4), FAST).map(g)
         budgeted_mapper = RAHTMMapper(torus(4, 4), FAST)
         budgeted = budgeted_mapper.map(
-            g, budget=Budget(wall_seconds=3600.0, solver_calls=10_000)
+            g, budget=Budget(wall_seconds=3600.0)
         )
         assert np.array_equal(plain.task_to_node, budgeted.task_to_node)
         assert budgeted_mapper.stats["degradation"] == []
@@ -430,8 +405,6 @@ class TestJobRuntime:
         with pytest.raises(ConfigError):
             JobRuntime(deadline_seconds=0)
         with pytest.raises(ConfigError):
-            JobRuntime(solver_call_budget=-1)
-        with pytest.raises(ConfigError):
             JobRuntime(on_deadline="explode")
 
     def test_inactive_by_default(self):
@@ -441,12 +414,11 @@ class TestJobRuntime:
         assert rt.checkpoint("key") is None
 
     def test_builders(self, tmp_path):
-        rt = JobRuntime(deadline_seconds=5.0, solver_call_budget=3,
-                        on_deadline="fail", checkpoint_dir=str(tmp_path))
+        rt = JobRuntime(deadline_seconds=5.0, on_deadline="fail",
+                        checkpoint_dir=str(tmp_path))
         assert rt.active
         b = rt.budget()
         assert b.wall_seconds == 5.0
-        assert b.solver_calls == 3
         assert b.on_exhausted == "fail"
         ck = rt.checkpoint("somejobkey")
         assert ck is not None and ck.resume

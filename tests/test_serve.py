@@ -20,6 +20,7 @@ import pytest
 
 from repro.errors import ConfigError, ServiceError
 from repro.experiments.config import get_scale
+from repro.observability import get_registry
 from repro.serve import (
     AdmissionController,
     DaemonConfig,
@@ -372,6 +373,27 @@ def test_http_api_errors(daemon_factory):
     assert code == 405
     code, doc = client._request("POST", "/jobs", {"no": "spec"})
     assert code == 400
+
+
+@pytest.mark.parametrize("spec", [
+    job_spec("ring:16", (4, 4), "rahtm", beam_width=0),
+    job_spec("ring:16", (4, 4), "rahtm", beam_widht=4),
+    job_spec("ring:16", (4, 4), "no-such-mapper"),
+    job_spec("ring:36", (6, 6), "rahtm"),
+    job_spec("ring:16", (4, 4), "rahtm", fix_first=False),
+], ids=["beam-width-0", "misspelled-param", "unknown-kind", "6x6-torus",
+        "removed-field"])
+def test_unbuildable_mapper_is_refused_at_submit(daemon_factory, spec):
+    """A spec whose mapper can never be built gets a 400 and no job
+    record, instead of a queued job that fails in the pool."""
+    daemon, client = daemon_factory()
+    bad_requests = get_registry().counter("serve.bad_requests")
+    before = bad_requests.value
+    code, doc = client.submit(spec)
+    assert code == 400
+    assert "unbuildable mapper" in doc["error"]
+    assert daemon.records == {}
+    assert bad_requests.value == before + 1
 
 
 def test_healthz_and_metrics_reflect_traffic(daemon_factory):

@@ -11,6 +11,7 @@ from repro.experiments import run_comparison
 from repro.experiments.config import get_scale
 from repro.observability import get_registry
 from repro.service import (
+    ExecutorConfig,
     MapperConfig,
     MappingEngine,
     MappingJob,
@@ -62,7 +63,7 @@ def test_no_cache_dir_means_always_execute():
 
 
 def test_run_one_raises_on_failure():
-    engine = MappingEngine(jobs=1, retries=0)
+    engine = MappingEngine(executor_config=ExecutorConfig(jobs=1, retries=0))
     bad = MappingJob(TopologySpec((4, 4)), WorkloadSpec("ring:7"),
                      MapperConfig.make("dimorder"))  # 7 tasks on 16 nodes
     with pytest.raises(ServiceError):

@@ -230,8 +230,6 @@ def test_tracer_sink_unwritable_is_swallowed(tmp_path):
 def test_slo_policy_validation():
     with pytest.raises(ValueError):
         SloPolicy(p99_latency_seconds=0.0)
-    with pytest.raises(ValueError):
-        SloPolicy(min_samples=0)
     assert not SloPolicy().active
     assert SloPolicy(reject_rate=0.5).active
 
@@ -239,10 +237,10 @@ def test_slo_policy_validation():
 def test_slo_p99_and_reject_rules_fire_with_stable_onset():
     reg = MetricsRegistry()
     ev = SloEvaluator(reg, SloPolicy(p99_latency_seconds=0.5,
-                                     reject_rate=0.25, min_samples=2))
+                                     reject_rate=0.25))
     hist = reg.histogram("serve.tenant.alice.e2e_seconds")
+    assert ev.evaluate(["alice"], now=100.0) == []  # no samples yet
     hist.record(10.0)
-    assert ev.evaluate(["alice"], now=100.0) == []  # below min_samples
     hist.record(12.0)
     reg.counter("serve.tenant.alice.submitted").inc(4)
     reg.counter("serve.tenant.alice.rejected").inc(2)
@@ -451,8 +449,6 @@ def test_daemon_config_validates_telemetry_fields(tmp_path):
         DaemonConfig(cache_dir=str(tmp_path), telemetry_interval=-1.0)
     with pytest.raises(ConfigError):
         DaemonConfig(cache_dir=str(tmp_path), slo_p99_seconds=0.0)
-    with pytest.raises(ConfigError):
-        DaemonConfig(cache_dir=str(tmp_path), telemetry_capacity=0)
 
 
 # ===================== distributed fleet telemetry ====================================
