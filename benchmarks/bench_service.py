@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.service import (
+    ExecutorConfig,
     MapperConfig,
     MappingEngine,
     MappingJob,
@@ -39,7 +40,7 @@ def test_bench_engine_cold(benchmark):
     """Uncached serial engine pass over the 4x4 job grid."""
 
     def cold():
-        engine = MappingEngine(jobs=1)
+        engine = MappingEngine()
         outcomes = engine.run(_grid_jobs())
         assert all(o.ok for o in outcomes)
         return engine.stats.executed
@@ -66,7 +67,8 @@ def test_bench_engine_fanout(benchmark, jobs):
     """Pool fan-out vs. serial on the same uncached grid."""
 
     def run():
-        outcomes = MappingEngine(jobs=jobs).run(_grid_jobs())
+        engine = MappingEngine(executor_config=ExecutorConfig(jobs=jobs))
+        outcomes = engine.run(_grid_jobs())
         assert all(o.ok for o in outcomes)
 
     benchmark.pedantic(run, rounds=3, iterations=1)

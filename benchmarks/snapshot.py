@@ -74,11 +74,11 @@ def run_grid(scale_name: str, explain: dict | None = None) -> dict:
         benchmark_workload_specs,
         default_mapper_configs,
     )
+    from repro.observability.netview import netview_summary
     from repro.routing.minimal_adaptive import MinimalAdaptiveRouter
     from repro.routing.reference import reference_link_loads
     from repro.service.engine import MappingEngine
     from repro.service.jobs import (
-        JobRuntime,
         MappingJob,
         TopologySpec,
         WorkloadSpec,
@@ -89,9 +89,10 @@ def run_grid(scale_name: str, explain: dict | None = None) -> dict:
     cells: dict[str, dict] = {}
     phases: dict[str, float] = {}
     # No cache: a snapshot that hit the store would report 0s timings.
-    # The netview flag attributes each cell's MCL to its hottest link so
-    # the compare gate can explain drift, not just detect it.
-    engine = MappingEngine(cache_dir=None, runtime=JobRuntime(netview=True))
+    engine = MappingEngine(cache_dir=None)
+    # The MCL oracle's router; its netview of each mapping also names the
+    # hottest link, so the compare gate can explain drift, not just
+    # detect it.
     oracle = MinimalAdaptiveRouter(topo_spec.build())
     for bench, workload in benchmark_workload_specs(scale).items():
         cells[bench] = {}
@@ -114,15 +115,16 @@ def run_grid(scale_name: str, explain: dict | None = None) -> dict:
                 "mcl": result.report.mcl,
                 "map_seconds": result.map_seconds,
             }
-            if result.netview and result.netview.get("top"):
-                top = result.netview["top"][0]
+            netview = netview_summary(oracle, result.mapping, graph)
+            if netview["top"]:
+                top = netview["top"][0]
                 cells[bench][label]["hotspot"] = {
                     "slot": top["slot"],
                     "label": top["label"],
                     "load": top["load"],
                 }
-            if explain is not None and result.netview:
-                explain.setdefault(bench, {})[label] = result.netview
+            if explain is not None:
+                explain.setdefault(bench, {})[label] = netview
             for phase, seconds in (result.phase_seconds or {}).items():
                 phases[phase] = phases.get(phase, 0.0) + seconds
     return {"phases": phases, "cells": cells}
@@ -235,8 +237,7 @@ def bench_fleet(repeats: int) -> dict:
             with tempfile.TemporaryDirectory(prefix="bench-fleet-") as cache:
                 engine = MappingEngine(
                     cache_dir=cache,
-                    backend="distributed",
-                    distributed=DistributedConfig(spawn_workers=workers),
+                    executor_config=DistributedConfig(spawn_workers=workers),
                 )
                 try:
                     start = time.perf_counter()

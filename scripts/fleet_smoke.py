@@ -76,8 +76,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="fleet-smoke-hits-") as hits:
         engine = MappingEngine(
             cache_dir=cache,
-            backend="distributed",
-            distributed=DistributedConfig(
+            executor_config=DistributedConfig(
                 spawn_workers=2,
                 lease_seconds=2.0,
                 cleanup=False,

@@ -104,8 +104,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="multihost-hits-") as hits:
         engine = MappingEngine(
             cache_dir=cache,
-            backend="distributed",
-            distributed=DistributedConfig(
+            executor_config=DistributedConfig(
                 hosts=tuple(f"ssh:{name}" for name in HOSTS),
                 worker_python=sys.executable,
                 lease_seconds=1.0,

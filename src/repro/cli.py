@@ -61,8 +61,8 @@ are retried with full-jitter backoff (``--retries``). See
 
 Distributed fleet (``repro.distributed``): ``repro worker DIR`` runs a
 work-stealing fleet worker against a shared cache directory's job board;
-``repro serve --backend distributed`` (and ``MappingEngine(
-backend="distributed")``) shard batches across such workers with
+``repro serve --backend distributed`` (and a ``MappingEngine`` given a
+``DistributedConfig``) shard batches across such workers with
 lease-based fault tolerance — a SIGKILLed worker's claim expires and the
 job is reclaimed, requeued and finished elsewhere with zero repeat MILP
 solves. See ``docs/distributed.md``.
@@ -82,6 +82,7 @@ in ``<cache-dir>/pending.json`` for resubmission.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -92,6 +93,7 @@ from repro.errors import ConfigError, ReproError
 from repro.metrics import evaluate_mapping
 from repro.observability import Tracer, activate, get_registry
 from repro.service import (
+    ExecutorConfig,
     JobRuntime,
     MappingEngine,
     MappingJob,
@@ -105,6 +107,14 @@ from repro.utils.logconf import enable_console_logging
 from repro.workloads.registry import parse_workload
 
 __all__ = ["main", "parse_topology", "parse_workload", "build_mapper"]
+
+#: ``repro experiment`` names, each a module of ``repro.experiments``
+#: whose ``run`` takes the scale and the engine, the scale only, or
+#: nothing.
+_ENGINE_EXPERIMENTS = ("fig8", "fig9", "fig10")
+_SCALED_EXPERIMENTS = ("table1", "opt_time")
+EXPERIMENTS = (_ENGINE_EXPERIMENTS + _SCALED_EXPERIMENTS
+               + ("fig1", "fig234", "fig7", "table2", "scaling"))
 
 
 # -- spec parsing -------------------------------------------------------------------
@@ -168,23 +178,14 @@ def _engine_from_args(args):
         cache_dir = None
     engine = MappingEngine(
         cache_dir=cache_dir,
-        jobs=args.jobs,
-        job_timeout=args.job_timeout,
         runtime=_runtime_from_args(args),
+        executor_config=ExecutorConfig(jobs=args.jobs,
+                                       timeout=args.job_timeout),
     )
     try:
         yield engine
     finally:
         engine.close()
-
-
-def _engine_kwargs(args) -> dict:
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if args.no_cache:
-        cache_dir = None
-    return {"jobs": args.jobs, "cache_dir": cache_dir,
-            "job_timeout": args.job_timeout,
-            "runtime": _runtime_from_args(args)}
 
 
 from repro.mapping import load_mapping as _load_mapping
@@ -411,13 +412,24 @@ def cmd_serve(args) -> int:
         if not name:
             raise ConfigError(
                 f"bad --tenant-weight {spec!r}; expected NAME=WEIGHT")
+    if args.backend == "distributed":
+        from repro.distributed import DistributedConfig
+
+        executor_config = DistributedConfig(
+            spawn_workers=0 if args.fleet_host else args.jobs,
+            hosts=tuple(args.fleet_host or ()),
+            timeout=args.job_timeout,
+            lease_seconds=args.lease,
+        )
+    else:
+        executor_config = ExecutorConfig(jobs=args.jobs,
+                                         timeout=args.job_timeout)
     config = DaemonConfig(
         cache_dir=cache_dir,
         host=args.host,
         port=args.port,
-        jobs=args.jobs,
+        executor_config=executor_config,
         batch_size=args.batch_size,
-        job_timeout=args.job_timeout,
         capacity_seconds=args.capacity,
         default_cost_seconds=args.default_cost,
         min_grant_seconds=args.min_grant,
@@ -426,9 +438,6 @@ def cmd_serve(args) -> int:
         janitor_interval=args.janitor_interval,
         requeue_pending=not args.no_requeue,
         checkpoint_dir=args.checkpoint_dir,
-        backend=args.backend,
-        lease_seconds=args.lease,
-        fleet_hosts=tuple(args.fleet_host or ()),
         telemetry_interval=args.telemetry_interval,
         slo_p99_seconds=args.slo_p99,
         slo_reject_rate=args.slo_reject_rate,
@@ -566,29 +575,15 @@ def cmd_top(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from repro.experiments import (
-        fig1, fig234, fig7, fig8, fig9, fig10, opt_time, scaling,
-        table1, table2,
-    )
-
-    engine_kwargs = _engine_kwargs(args)
-    modules = {
-        "fig1": lambda: fig1.run(),
-        "fig234": lambda: fig234.run(),
-        "fig7": lambda: fig7.run(),
-        "table1": lambda: table1.run(args.scale),
-        "table2": lambda: table2.run(),
-        "fig8": lambda: fig8.run(args.scale, **engine_kwargs),
-        "fig9": lambda: fig9.run(args.scale, **engine_kwargs),
-        "fig10": lambda: fig10.run(args.scale, **engine_kwargs),
-        "opt_time": lambda: opt_time.run(args.scale),
-        "scaling": lambda: scaling.run(),
-    }
-    if args.name not in modules:
-        raise ConfigError(
-            f"unknown experiment {args.name!r}; choose from {sorted(modules)}"
-        )
-    print(modules[args.name]().to_text())
+    module = importlib.import_module(f"repro.experiments.{args.name}")
+    with _engine_from_args(args) as engine:
+        if args.name in _ENGINE_EXPERIMENTS:
+            table = module.run(args.scale, engine=engine)
+        elif args.name in _SCALED_EXPERIMENTS:
+            table = module.run(args.scale)
+        else:
+            table = module.run()
+    print(table.to_text())
     return 0
 
 
@@ -905,8 +900,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_top)
 
     p = sub.add_parser("experiment", help="regenerate a paper figure/table")
-    p.add_argument("name", help="fig1|fig234|fig7|fig8|fig9|fig10|"
-                                "table1|table2|opt_time")
+    p.add_argument("name", choices=EXPERIMENTS,
+                   help="the figure or table to regenerate")
     p.add_argument("--scale", default="tiny")
     engine_opts(p)
     p.set_defaults(func=cmd_experiment)
@@ -928,7 +923,10 @@ def _write_trace(tracer: Tracer, target: str) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error (exit 2) or --help (exit 0)
+        return exc.code
     if args.verbose:
         enable_console_logging()
     trace_target = getattr(args, "trace", None)

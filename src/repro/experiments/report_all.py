@@ -26,6 +26,7 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.config import get_scale
+from repro.service import ExecutorConfig, MappingEngine
 
 __all__ = ["generate_report", "main"]
 
@@ -62,16 +63,14 @@ def generate_report(
     scale="tiny",
     include=_SECTIONS,
     *,
-    jobs: int = 1,
-    cache_dir=None,
-    job_timeout: float | None = None,
+    engine=None,
 ) -> str:
     """Run the selected experiments and return a markdown report.
 
-    ``jobs``/``cache_dir``/``job_timeout`` are forwarded to the mapping
-    engine behind the comparison sweep: ``jobs > 1`` computes the
-    mapper x benchmark grid in parallel, and a ``cache_dir`` makes
-    repeated report generation a warm-cache no-op.
+    ``engine`` (a :class:`~repro.service.engine.MappingEngine`) runs the
+    comparison sweep: one with a pool computes the mapper x benchmark
+    grid in parallel, and one with a cache directory makes repeated
+    report generation a warm-cache no-op.
     """
     scale = get_scale(scale)
     parts = [
@@ -93,8 +92,7 @@ def generate_report(
     if "table1" in include:
         parts += ["## Table I — benchmarks", _code_block(table1.run(scale))]
     if "comparison" in include:
-        result = run_comparison(scale, jobs=jobs, cache_dir=cache_dir,
-                                job_timeout=job_timeout, netview=True)
+        result = run_comparison(scale, engine=engine, netview=True)
         parts += [
             "## Figure 8 — overall execution time",
             _code_block(fig8.from_comparison(result)),
@@ -133,11 +131,16 @@ def main(argv=None) -> int:
     parser.add_argument("--job-timeout", type=float, default=None,
                         help="per-job wall-clock budget in seconds")
     args = parser.parse_args(argv)
-    report = generate_report(
-        args.scale, tuple(args.sections.split(",")),
-        jobs=args.jobs, cache_dir=args.cache_dir,
-        job_timeout=args.job_timeout,
+    engine = MappingEngine(
+        cache_dir=args.cache_dir,
+        executor_config=ExecutorConfig(jobs=args.jobs,
+                                       timeout=args.job_timeout),
     )
+    try:
+        report = generate_report(args.scale, tuple(args.sections.split(",")),
+                                 engine=engine)
+    finally:
+        engine.close()
     if args.out:
         Path(args.out).write_text(report)
         print(f"wrote {args.out}")

@@ -3,11 +3,10 @@
 The mapper x benchmark grid is embarrassingly parallel and highly
 cacheable, so the default path submits every cell as a
 :class:`~repro.service.jobs.MappingJob` through a
-:class:`~repro.service.engine.MappingEngine` (``jobs``/``cache_dir``/
-``job_timeout`` control parallelism and the content-addressed warm
-cache). Callers that pass live mapper objects (``mappers=``) take the
-in-process serial path instead — those objects are not expressible as
-job specs.
+:class:`~repro.service.engine.MappingEngine` (the caller's engine sets
+parallelism, the content-addressed warm cache and resilience). Callers
+that pass live mapper objects (``mappers=``) take the in-process serial
+path instead — those objects are not expressible as job specs.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from repro.errors import ServiceError
 from repro.experiments.config import ExperimentScale, get_scale
 from repro.experiments.report import Table
 from repro.metrics.core import evaluate_mapping
+from repro.observability.netview import netview_summary
 from repro.routing.minimal_adaptive import MinimalAdaptiveRouter
 from repro.simulator.app import ApplicationModel, calibrate_compute
 from repro.simulator.apps import (
@@ -132,10 +132,6 @@ def run_comparison(
     *,
     mapper_configs=None,
     engine=None,
-    jobs: int = 1,
-    cache_dir=None,
-    job_timeout: float | None = None,
-    runtime=None,
     netview: bool = False,
 ) -> ComparisonResult:
     """Run every benchmark under every mapper and collect all metrics.
@@ -144,45 +140,37 @@ def run_comparison(
     so its communication fraction matches the paper's Figure 9 values.
 
     Without live ``mappers`` objects, each cell is submitted as a job
-    through a mapping engine; ``jobs > 1`` computes cells in parallel and ``cache_dir`` makes
-    reruns warm-cache no-ops. ``runtime`` (a
-    :class:`~repro.service.jobs.JobRuntime`) adds per-cell deadlines and
-    checkpoint/resume. ``netview=True`` additionally collects a compact
-    per-cell network-introspection summary into
-    :attr:`ComparisonResult.netviews` (cache keys are unaffected).
-    Passing live ``mappers`` objects keeps the legacy in-process serial
-    path. Both paths run the :func:`benchmark_apps` of ``scale`` on the
-    default :class:`~repro.simulator.network.NetworkParams`.
+    through ``engine`` (a :class:`~repro.service.engine.MappingEngine`,
+    which sets parallelism, caching, deadlines and checkpoint/resume);
+    without one, a serial uncached engine is built here and closed on
+    return. ``netview=True`` additionally collects a compact per-cell
+    network-introspection summary of each returned mapping into
+    :attr:`ComparisonResult.netviews`. Passing live ``mappers`` objects
+    keeps the legacy in-process serial path. Both paths run the
+    :func:`benchmark_apps` of ``scale`` on the default
+    :class:`~repro.simulator.network.NetworkParams`.
     """
     scale = get_scale(scale)
-    if mappers is None:
-        owned = None  # an engine built here is closed here
-        if engine is None:
-            from repro.service.engine import MappingEngine
+    if mappers is not None:
+        return _run_comparison_serial(scale, mappers)
+    owned = None  # an engine built here is closed here
+    if engine is None:
+        from repro.service.engine import MappingEngine
 
-            if netview:
-                from dataclasses import replace
-
-                from repro.service.jobs import JobRuntime
-
-                runtime = (replace(runtime, netview=True) if runtime
-                           is not None else JobRuntime(netview=True))
-            engine = owned = MappingEngine(
-                cache_dir=cache_dir, jobs=jobs, job_timeout=job_timeout,
-                runtime=runtime)
-        try:
-            return _run_comparison_engine(
-                scale, engine, mapper_configs or default_mapper_configs(scale),
-            )
-        finally:
-            if owned is not None:
-                owned.close()
-    return _run_comparison_serial(scale, mappers)
+        engine = owned = MappingEngine()
+    try:
+        return _run_comparison_engine(
+            scale, engine, mapper_configs or default_mapper_configs(scale),
+            netview,
+        )
+    finally:
+        if owned is not None:
+            owned.close()
 
 
 # -- engine path -----------------------------------------------------------------------
 def _run_comparison_engine(
-    scale: ExperimentScale, engine, mapper_configs,
+    scale: ExperimentScale, engine, mapper_configs, netview: bool,
 ) -> ComparisonResult:
     from repro.service.jobs import (
         MappingJob,
@@ -219,7 +207,10 @@ def _run_comparison_engine(
     result = _empty_result(scale)
     labels = [label for label, _ in mapper_configs]
     default_label = labels[0]
-    for bench_name in app_specs:
+    router = MinimalAdaptiveRouter(topo_spec.build()) if netview else None
+    for bench_name, workload in app_specs.items():
+        if netview:
+            graph = WorkloadSpec(workload).build_application().comm_graph()
         default_cell = cells[(bench_name, default_label)]
         target = PAPER_COMM_FRACTIONS.get(bench_name, 0.5)
         # Same arithmetic as calibrate_compute + ApplicationModel.simulate,
@@ -239,8 +230,9 @@ def _run_comparison_engine(
             result.mcl.set(bench_name, label, cell.report.mcl)
             result.hop_bytes.set(bench_name, label, cell.report.hop_bytes)
             result.mapping_seconds.set(bench_name, label, cell.map_seconds)
-            if cell.netview is not None:
-                result.netviews[(bench_name, label)] = cell.netview
+            if netview:
+                result.netviews[(bench_name, label)] = netview_summary(
+                    router, cell.mapping, graph)
             if label == default_label:
                 result.comm_fraction[bench_name] = (
                     comm / total if total else 0.0

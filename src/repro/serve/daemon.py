@@ -107,15 +107,19 @@ class DaemonConfig:
 
     ``capacity_seconds=None`` disables admission control; otherwise it
     is the aggregate deadline demand (queued + running) the daemon will
-    hold before degrading or rejecting submissions.
+    hold before degrading or rejecting submissions. ``executor_config``
+    is the engine's: an :class:`~repro.service.executor.ExecutorConfig`
+    maps in a local process pool, a
+    :class:`~repro.distributed.DistributedConfig` shards batches across
+    fleet workers via the job board under ``cache_dir`` (remote ``repro
+    worker`` processes sharing it join the same fleet).
     """
 
     cache_dir: str
     host: str = "127.0.0.1"
     port: int = 0
-    jobs: int = 1
+    executor_config: object = field(default_factory=ExecutorConfig)
     batch_size: int = 4
-    job_timeout: float | None = None
     capacity_seconds: float | None = None
     default_cost_seconds: float = 10.0
     min_grant_seconds: float = 0.5
@@ -124,17 +128,6 @@ class DaemonConfig:
     janitor_interval: float = 300.0
     requeue_pending: bool = True
     checkpoint_dir: str | None = None
-    #: ``"local"`` = in-process pool; ``"distributed"`` = shard batches
-    #: across fleet workers via the job board (``jobs`` then spawns that
-    #: many local worker subprocesses; remote ``repro worker`` processes
-    #: sharing the cache dir join the same fleet).
-    backend: str = "local"
-    lease_seconds: float = 15.0
-    #: Multi-host fleet registry for the distributed backend:
-    #: ``[kind:]name[*slots]`` strings (``repro serve --fleet-host``),
-    #: forwarded to :class:`~repro.distributed.DistributedConfig.hosts`.
-    #: When set, ``jobs`` no longer spawns local workers — the hosts do.
-    fleet_hosts: tuple = ()
     #: Seconds between telemetry samples (ring buffer + JSONL under
     #: ``<cache>/telemetry/``); 0 disables live telemetry and SLOs.
     telemetry_interval: float = 5.0
@@ -156,11 +149,6 @@ class DaemonConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.janitor_interval < 0:
             raise ConfigError("janitor_interval must be >= 0 (0 disables)")
-        if self.backend not in ("local", "distributed"):
-            raise ConfigError(f"unknown backend {self.backend!r}; choose "
-                              "'local' or 'distributed'")
-        if self.lease_seconds <= 0:
-            raise ConfigError("lease_seconds must be > 0")
         if self.telemetry_interval < 0:
             raise ConfigError("telemetry_interval must be >= 0 (0 disables)")
         for name in ("slo_p99_seconds", "slo_reject_rate",
@@ -237,8 +225,6 @@ def result_doc(result: JobResult) -> dict:
     if result.iter_comm_seconds is not None:
         doc["iter_comm_seconds"] = result.iter_comm_seconds
         doc["iterations"] = result.iterations
-    if result.netview is not None:
-        doc["netview"] = result.netview
     return doc
 
 
@@ -253,26 +239,8 @@ class MappingDaemon:
 
     def __init__(self, config: DaemonConfig):
         self.config = config
-        if config.backend == "distributed":
-            from repro.distributed import DistributedConfig
-
-            self.engine = MappingEngine(
-                cache_dir=config.cache_dir,
-                backend="distributed",
-                distributed=DistributedConfig(
-                    spawn_workers=0 if config.fleet_hosts else config.jobs,
-                    hosts=tuple(config.fleet_hosts),
-                    timeout=config.job_timeout,
-                    lease_seconds=config.lease_seconds,
-                ),
-            )
-        else:
-            self.engine = MappingEngine(
-                cache_dir=config.cache_dir,
-                executor_config=ExecutorConfig(
-                    jobs=config.jobs, timeout=config.job_timeout,
-                ),
-            )
+        self.engine = MappingEngine(cache_dir=config.cache_dir,
+                                    executor_config=config.executor_config)
         self.queue = FairQueue(
             default_policy=TenantPolicy(quota=config.tenant_quota))
         for name, weight in sorted(config.tenant_weights.items()):
@@ -867,9 +835,9 @@ class MappingDaemon:
         janitor = (asyncio.create_task(self._janitor())
                    if (self.config.janitor_interval > 0
                        or self.config.telemetry_interval > 0) else None)
-        log.warning("repro serve listening on %s (cache %s, %d worker "
-                    "process(es))", self.url, self.config.cache_dir,
-                    self.config.jobs)
+        log.warning("repro serve listening on %s (cache %s, %r)",
+                    self.url, self.config.cache_dir,
+                    self.config.executor_config)
         self.ready.set()
         try:
             await self._stopping.wait()

@@ -31,7 +31,6 @@ from repro.service.jobs import (
     JobResult,
     JobRuntime,
     MappingJob,
-    attach_netview,
     execute_mapping_job,
 )
 from repro.service.store import ResultStore
@@ -94,52 +93,34 @@ class MappingEngine:
     ----------
     cache_dir:
         Root of the content-addressed store; ``None`` disables caching.
-    jobs:
-        Worker processes (``1`` = serial in-process execution when run
-        from the main thread). A pool of workers lives until
-        :meth:`close`.
-    job_timeout:
-        Per-attempt wall-clock budget in seconds.
     runtime:
         Optional :class:`~repro.service.jobs.JobRuntime` resilience
         policy (deadline, degradation, checkpoint/resume) applied to
         every executed job. Never part of the cache key.
     executor_config:
-        Full :class:`ExecutorConfig` of the local backend (retry policy,
-        poison and circuit thresholds), overriding ``jobs`` and
-        ``job_timeout``; by default the engine builds one from them.
-    backend:
-        ``"local"`` (default) runs misses on the in-process
-        :class:`BatchExecutor`; ``"distributed"`` shards them across
-        fleet workers via the shared job board under the cache
-        directory (requires a store — the board lives inside it).
-    distributed:
-        Optional :class:`~repro.distributed.DistributedConfig` for the
-        distributed backend; by default the engine spawns ``jobs``
-        local worker subprocesses with ``job_timeout`` as the per-job
-        budget.
+        How misses run. An :class:`ExecutorConfig` (the default,
+        ``ExecutorConfig()``: one job at a time, in this process when
+        run from the main thread) runs them on the local
+        :class:`BatchExecutor`, whose pool of workers lives until
+        :meth:`close`. A :class:`~repro.distributed.DistributedConfig`
+        shards them across fleet workers via the shared job board under
+        the cache directory (which it therefore requires).
     """
 
     def __init__(
         self,
         cache_dir=None,
-        jobs: int = 1,
-        job_timeout: float | None = None,
         runtime: JobRuntime | None = None,
-        executor_config: ExecutorConfig | None = None,
-        backend: str = "local",
-        distributed=None,
+        executor_config=None,
     ):
-        if backend not in ("local", "distributed"):
-            raise ConfigError(
-                f"unknown engine backend {backend!r}; "
-                "choose 'local' or 'distributed'"
-            )
         store = None if cache_dir is None else ResultStore(cache_dir)
         self.store = store
         self.runtime = runtime
-        self.backend = backend
-        if backend == "distributed":
+        executor_config = executor_config or ExecutorConfig()
+        if isinstance(executor_config, ExecutorConfig):
+            self.executor = BatchExecutor(executor_config,
+                                          on_event=self._on_executor_event)
+        else:
             if store is None:
                 raise ConfigError(
                     "the distributed backend needs a cache directory: the "
@@ -147,21 +128,11 @@ class MappingEngine:
                 )
             # Imported lazily: the fleet package sits above the service
             # layer and most engine users never touch it.
-            from repro.distributed import DistributedConfig, DistributedExecutor
+            from repro.distributed import DistributedExecutor
 
-            if distributed is None:
-                distributed = DistributedConfig(
-                    spawn_workers=max(jobs, 1), timeout=job_timeout
-                )
             self.executor = DistributedExecutor(
-                store, distributed, on_event=self._on_executor_event
+                store, executor_config, on_event=self._on_executor_event
             )
-        else:
-            if executor_config is None:
-                executor_config = ExecutorConfig(jobs=jobs,
-                                                 timeout=job_timeout)
-            self.executor = BatchExecutor(executor_config,
-                                          on_event=self._on_executor_event)
         self.stats = EngineStats()
 
     def close(self) -> None:
@@ -262,15 +233,6 @@ class MappingEngine:
                     )
                     trace_event("engine.cache_hit", index=i, key=key[:12],
                                 saved_s=float(payload.get("map_seconds", 0.0)))
-                    if (self.runtime is not None and self.runtime.netview
-                            and "netview" not in payload):
-                        # Cached payloads from pre-netview runs are upgraded
-                        # in place: the summary is deterministic, so the
-                        # refreshed artifact is what the worker would have
-                        # produced (file-backed workloads can't be rebuilt
-                        # here and simply stay summary-less).
-                        if attach_netview(payload):
-                            self._store_put(key, payload)
                     result = JobResult.from_payload(payload, from_cache=True)
                     outcomes[i] = JobOutcome(
                         index=i, item=job, result=result, error=None,

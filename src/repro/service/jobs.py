@@ -55,7 +55,6 @@ __all__ = [
     "MappingJob",
     "JobRuntime",
     "JobResult",
-    "attach_netview",
     "execute_mapping_job",
     "mapping_job_from_payload",
     "mapper_config_from_spec",
@@ -65,10 +64,6 @@ __all__ = [
 #: Version of both the cache-key payload and the stored artifact schema.
 #: Bump whenever either changes shape — old artifacts then miss cleanly.
 #: v2: payloads carry ``phase_seconds`` (per-phase wall-time breakdown).
-#: Still v2 after netview: the optional ``netview`` key is runtime-flagged
-#: (never part of the job spec) and readers treat it as absent-able, so
-#: cache keys and stored artifacts stay compatible; the engine upgrades
-#: cached payloads in place when a netview is requested but missing.
 #: v3: entries come from RAHTM's mirror fold of arity-2 dimensions, which
 #: changes every mixed-arity mapping; v2 entries would serve the old
 #: partition-and-stitch result.
@@ -347,12 +342,6 @@ class JobRuntime:
         and ship the serialized tree back in the payload's ``trace`` key
         for the engine to graft (see
         :meth:`repro.observability.trace.Tracer.graft`).
-    netview:
-        Attach a compact network-introspection summary (top hotspots,
-        load-distribution statistics — see
-        :func:`repro.observability.netview.netview_summary`) to the
-        payload's ``netview`` key. Deterministic and derived, so cached
-        payloads lacking it are upgraded in place by the engine.
     """
 
     deadline_seconds: float | None = None
@@ -360,7 +349,6 @@ class JobRuntime:
     checkpoint_dir: str | None = None
     resume: bool = True
     trace: bool = False
-    netview: bool = False
 
     def __post_init__(self):
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
@@ -377,8 +365,7 @@ class JobRuntime:
     def active(self) -> bool:
         return (self.deadline_seconds is not None
                 or self.checkpoint_dir is not None
-                or self.trace
-                or self.netview)
+                or self.trace)
 
     def budget(self) -> Budget | None:
         if self.deadline_seconds is None:
@@ -472,11 +459,6 @@ def _execute_mapping_job(job: MappingJob, runtime: JobRuntime | None,
                 "checkpoint": stats.get("checkpoint"),
                 "milp_solves": len(stats.get("milp", [])),
             }
-        if runtime is not None and runtime.netview:
-            from repro.observability.netview import netview_summary
-
-            with span("job.netview"):
-                payload["netview"] = netview_summary(router, mapping, graph)
         if app is not None:
             network = NetworkModel(router, job.network.build())
             with span("job.simulate"):
@@ -502,7 +484,6 @@ class JobResult:
     degradation: list = None
     degraded: bool = False
     phase_seconds: dict = None
-    netview: dict | None = None
 
     @classmethod
     def from_payload(cls, payload: dict, from_cache: bool = False) -> "JobResult":
@@ -519,41 +500,9 @@ class JobResult:
                 degradation=list(payload.get("degradation", [])),
                 degraded=bool(payload.get("degraded", False)),
                 phase_seconds=dict(payload.get("phase_seconds", {})),
-                netview=payload.get("netview"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed job payload: {exc}") from exc
-
-
-def attach_netview(payload: dict) -> bool:
-    """Compute and attach the compact netview summary to a job payload.
-
-    Used by the engine to upgrade cached payloads produced before the
-    netview flag (or by runs without it): the summary is deterministic
-    and derived, so attaching it engine-side is equivalent to having
-    computed it in the worker. Returns False when the payload cannot be
-    re-derived — file-backed workloads are stored by content digest, not
-    path, so their graphs cannot be rebuilt here.
-    """
-    from repro.observability.netview import netview_summary
-
-    job = payload.get("job", {})
-    workload = job.get("workload", {})
-    if "digest" in workload:
-        return False
-    topology = TopologySpec(
-        tuple(job["topology"]["shape"]), tuple(job["topology"]["wrap"])
-    ).build()
-    spec = WorkloadSpec(workload["spec"], seed=int(workload.get("seed", 0)))
-    if job.get("network") is not None:
-        graph = spec.build_application().comm_graph()
-    else:
-        graph = spec.build_graph()
-    mapping = mapping_from_dict(payload["mapping"], topology)
-    router = build_router(job.get("router", "mar"), topology)
-    with span("job.netview", upgraded=True):
-        payload["netview"] = netview_summary(router, mapping, graph)
-    return True
 
 
 def mapper_config_from_spec(spec: str, args=None) -> MapperConfig:

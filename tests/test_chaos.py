@@ -53,8 +53,9 @@ def test_chaos_matrix_always_yields_valid_mapping(point, jobs, tmp_path,
     _arm(monkeypatch, tmp_path, faults)
     runtime = JobRuntime(deadline_seconds=60.0,
                          checkpoint_dir=str(tmp_path / "ck"))
-    engine = MappingEngine(cache_dir=str(tmp_path / "cache"), jobs=jobs,
-                           runtime=runtime)
+    engine = MappingEngine(cache_dir=str(tmp_path / "cache"),
+                           runtime=runtime,
+                           executor_config=ExecutorConfig(jobs=jobs))
     outcomes = engine.run([_job(0), _job(1)])
     assert all(o.ok for o in outcomes), [o.error for o in outcomes]
     for o in outcomes:
@@ -71,7 +72,7 @@ def test_chaos_matrix_always_yields_valid_mapping(point, jobs, tmp_path,
 
 def test_worker_crash_rebuilds_pool_once(tmp_path, monkeypatch):
     _arm(monkeypatch, tmp_path, "worker-crash:1")
-    engine = MappingEngine(jobs=2)
+    engine = MappingEngine(executor_config=ExecutorConfig(jobs=2))
     outcomes = engine.run([_job(0), _job(1)])
     assert all(o.ok for o in outcomes), [o.error for o in outcomes]
     assert engine.executor.pool_rebuilds == 1
@@ -81,7 +82,7 @@ def test_worker_crash_rebuilds_pool_once(tmp_path, monkeypatch):
 
 def test_worker_crash_in_serial_mode_is_retried(tmp_path, monkeypatch):
     _arm(monkeypatch, tmp_path, "worker-crash:1")
-    engine = MappingEngine(jobs=1)
+    engine = MappingEngine()
     outcome = engine.run([_job(0)])[0]
     assert outcome.ok, outcome.error
     assert outcome.attempts == 2
@@ -90,19 +91,19 @@ def test_worker_crash_in_serial_mode_is_retried(tmp_path, monkeypatch):
 def test_store_corrupt_artifact_self_heals(tmp_path, monkeypatch):
     _arm(monkeypatch, tmp_path, "store-corrupt:1")
     cache = str(tmp_path / "cache")
-    first = MappingEngine(cache_dir=cache, jobs=1)
+    first = MappingEngine(cache_dir=cache)
     assert first.run([_job(0)])[0].ok
     # The cached artifact was corrupted by the fault; a second engine
     # treats it as a miss, quarantines it with a report, recomputes and
     # re-caches.
-    second = MappingEngine(cache_dir=cache, jobs=1)
+    second = MappingEngine(cache_dir=cache)
     outcome = second.run([_job(0)])[0]
     assert outcome.ok
     assert not outcome.result.from_cache
     assert second.store.stats.quarantined >= 1
     assert second.stats.quarantined >= 1  # surfaced at engine level too
     assert second.store.list_quarantine()
-    third = MappingEngine(cache_dir=cache, jobs=1)
+    third = MappingEngine(cache_dir=cache)
     assert third.run([_job(0)])[0].result.from_cache
 
 
@@ -199,7 +200,7 @@ def test_killed_job_resumes_with_zero_repeat_milp_solves(tmp_path,
 
 def test_degraded_results_are_not_cached(tmp_path):
     runtime = JobRuntime(deadline_seconds=1e-6)  # expires immediately
-    engine = MappingEngine(cache_dir=str(tmp_path / "cache"), jobs=1,
+    engine = MappingEngine(cache_dir=str(tmp_path / "cache"),
                            runtime=runtime)
     outcome = engine.run([_job(0)])[0]
     assert outcome.ok
@@ -207,7 +208,7 @@ def test_degraded_results_are_not_cached(tmp_path):
     assert engine.stats.degraded == 1
     assert engine.store.stats.writes == 0
     # A later unconstrained engine recomputes at full quality and caches.
-    full = MappingEngine(cache_dir=str(tmp_path / "cache"), jobs=1)
+    full = MappingEngine(cache_dir=str(tmp_path / "cache"))
     outcome = full.run([_job(0)])[0]
     assert not outcome.result.degraded
     assert full.store.stats.writes == 1

@@ -117,12 +117,12 @@ def job(seed):
                       mapper=mapper_config_from_spec("hilbert"))
 
 # Batch 1 commits job(0) cleanly.
-MappingEngine(cache_dir=root, jobs=1).run([job(0)])
+MappingEngine(cache_dir=root).run([job(0)])
 print("BATCH1-DONE", flush=True)
 # Batch 2: job(0) hits the cache; job(1) computes and its commit is
 # SIGKILLed just before the atomic rename.
 with injected_faults(FaultSpec("store-kill-pre-rename", max_hits=1)):
-    MappingEngine(cache_dir=root, jobs=1).run([job(0), job(1)])
+    MappingEngine(cache_dir=root).run([job(0), job(1)])
 print("BATCH2-DONE")
 """
 
@@ -142,7 +142,7 @@ def test_warm_rerun_recomputes_only_the_killed_job(tmp_path):
                           workload=WorkloadSpec("random:16:60", seed=seed),
                           mapper=mapper_config_from_spec("hilbert"))
 
-    engine = MappingEngine(cache_dir=str(root), jobs=1)
+    engine = MappingEngine(cache_dir=str(root))
     outcomes = engine.run([job(0), job(1)])
     assert all(o.ok for o in outcomes), [o.error for o in outcomes]
     # job(0) survived the crash as a cache hit; only job(1) recomputed.
@@ -154,8 +154,9 @@ def test_warm_rerun_recomputes_only_the_killed_job(tmp_path):
 
 ENGINE_RACER = """
 import sys
-from repro.service import (MappingEngine, MappingJob, TopologySpec,
-                           WorkloadSpec, mapper_config_from_spec)
+from repro.service import (ExecutorConfig, MappingEngine, MappingJob,
+                           TopologySpec, WorkloadSpec,
+                           mapper_config_from_spec)
 
 root = sys.argv[1]
 jobs = [
@@ -165,7 +166,8 @@ jobs = [
     for seed in (0, 1)
     for kind in ("default", "hilbert")
 ]
-engine = MappingEngine(cache_dir=root, jobs=2)
+engine = MappingEngine(cache_dir=root,
+                       executor_config=ExecutorConfig(jobs=2))
 outcomes = engine.run(jobs)
 if not all(o.ok for o in outcomes):
     sys.exit("FAILED: " + "; ".join(o.error or "" for o in outcomes))
@@ -194,7 +196,7 @@ def test_two_engines_share_one_cache_dir_without_corruption(tmp_path):
     ]
     # Ground truth: the same batch, serially, in a private directory.
     serial_root = tmp_path / "serial"
-    serial = MappingEngine(cache_dir=str(serial_root), jobs=1)
+    serial = MappingEngine(cache_dir=str(serial_root))
     assert all(o.ok for o in serial.run(jobs))
 
     shared = tmp_path / "shared"

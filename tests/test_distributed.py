@@ -67,8 +67,8 @@ def _jobs(n=3):
 def _fleet_engine(cache, workers, **cfg):
     cfg.setdefault("worker_idle_exit", 60.0)
     return MappingEngine(
-        cache_dir=cache, backend="distributed",
-        distributed=DistributedConfig(spawn_workers=workers, **cfg),
+        cache_dir=cache,
+        executor_config=DistributedConfig(spawn_workers=workers, **cfg),
     )
 
 
@@ -185,7 +185,7 @@ def test_host_registry_roundtrip(tmp_path):
 def test_worker_free_cache_hit_skips_the_mapper(tmp_path):
     cache = tmp_path / "cache"
     job = _jobs(1)[0]
-    MappingEngine(cache_dir=cache, jobs=1).run([job])  # make it durable
+    MappingEngine(cache_dir=cache).run([job])  # make it durable
 
     board = JobBoard.under_cache(cache)
     board.ensure_dirs()
@@ -267,7 +267,7 @@ def test_heartbeat_loop_exits_when_reclaimed(tmp_path):
 # -- fleet end to end -----------------------------------------------------------------
 def test_three_worker_fleet_bitwise_equals_serial(tmp_path):
     jobs = _jobs(3)
-    want = MappingEngine(cache_dir=tmp_path / "serial", jobs=1).run(jobs)
+    want = MappingEngine(cache_dir=tmp_path / "serial").run(jobs)
     engine = _fleet_engine(tmp_path / "fleet", workers=3)
     try:
         got = engine.run(jobs)
@@ -291,7 +291,7 @@ def test_sigkilled_worker_lease_reclaim_completes_batch(tmp_path):
     held, nothing durable) must cost one reclaim, zero duplicate solves,
     and no deviation from the serial results."""
     jobs = _jobs(3)
-    want = MappingEngine(cache_dir=tmp_path / "serial", jobs=1).run(jobs)
+    want = MappingEngine(cache_dir=tmp_path / "serial").run(jobs)
     registry = get_registry()
     engine = _fleet_engine(
         tmp_path / "fleet", workers=2,
@@ -412,7 +412,7 @@ def test_store_hit_settles_only_a_job_off_the_board(tmp_path):
 
     cache = tmp_path / "cache"
     job = _jobs(1)[0]
-    MappingEngine(cache_dir=cache, jobs=1).run([job])  # the holder's commit
+    MappingEngine(cache_dir=cache).run([job])  # the holder's commit
     executor = DistributedExecutor(
         ResultStore(cache),
         DistributedConfig(spawn_workers=0, lease_seconds=30.0))
@@ -777,11 +777,10 @@ def test_distributed_config_validation():
 
 
 def test_engine_backend_validation(tmp_path):
-    with pytest.raises(ConfigError):
-        MappingEngine(backend="bogus")
-    with pytest.raises(ConfigError):
-        MappingEngine(backend="distributed")  # no cache directory
-    engine = MappingEngine(cache_dir=tmp_path, backend="distributed")
+    with pytest.raises(ConfigError):  # no cache directory
+        MappingEngine(executor_config=DistributedConfig())
+    engine = MappingEngine(cache_dir=tmp_path,
+                           executor_config=DistributedConfig())
     assert isinstance(engine.executor, DistributedExecutor)
 
 
@@ -822,7 +821,7 @@ def test_ssh_spawner_full_remote_lifecycle(tmp_path, monkeypatch):
     _fake_ssh_env(monkeypatch)
     cache = tmp_path / "cache"
     job = _jobs(1)[0]
-    MappingEngine(cache_dir=cache, jobs=1).run([job])  # warm the store
+    MappingEngine(cache_dir=cache).run([job])  # warm the store
     board = JobBoard.under_cache(cache)
     board.ensure_dirs()
     key = job.cache_key()
@@ -916,7 +915,7 @@ def test_cli_worker_idles_out_cleanly(tmp_path, capsys):
 def test_worker_once_processes_at_most_one_job(tmp_path):
     cache = tmp_path / "cache"
     jobs = _jobs(2)
-    MappingEngine(cache_dir=cache, jobs=1).run(jobs)  # warm the store
+    MappingEngine(cache_dir=cache).run(jobs)  # warm the store
     board = JobBoard.under_cache(cache)
     board.ensure_dirs()
     for job in jobs:
@@ -947,7 +946,7 @@ def test_sigkilled_ssh_worker_reclaim_and_parity(tmp_path, monkeypatch):
     host labels threaded end to end."""
     _fake_ssh_env(monkeypatch)
     jobs = _jobs(3)
-    want = MappingEngine(cache_dir=tmp_path / "serial", jobs=1).run(jobs)
+    want = MappingEngine(cache_dir=tmp_path / "serial").run(jobs)
     registry = get_registry()
     src_root = str(Path(repro.__file__).resolve().parents[1])
     engine = _fleet_engine(

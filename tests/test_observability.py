@@ -22,6 +22,7 @@ from repro.observability.trace import (
     span,
 )
 from repro.service import (
+    ExecutorConfig,
     MapperConfig,
     MappingEngine,
     MappingJob,
@@ -280,7 +281,8 @@ def test_pooled_worker_traces_merge_without_collisions(tmp_path):
     jobs = [_job("halo2d:4x4"), _job("ring:16"), _job("transpose:4")]
     tracer = Tracer(run_id="pooled")
     with activate(tracer):
-        engine = MappingEngine(cache_dir=tmp_path / "cache", jobs=2)
+        engine = MappingEngine(cache_dir=tmp_path / "cache",
+                               executor_config=ExecutorConfig(jobs=2))
         outcomes = engine.run(jobs)
     assert all(o.ok for o in outcomes)
     rows = tracer.rows()

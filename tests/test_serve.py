@@ -31,7 +31,7 @@ from repro.serve import (
     TenantPolicy,
     discover_url,
 )
-from repro.service import MappingJob, mapping_job_from_payload
+from repro.service import ExecutorConfig, MappingJob, mapping_job_from_payload
 from repro.service.jobs import MapperConfig, TopologySpec, WorkloadSpec
 
 
@@ -435,13 +435,71 @@ def test_daemon_config_validation(tmp_path):
         DaemonConfig(cache_dir=str(tmp_path), janitor_interval=-1.0)
 
 
+def _served_config(monkeypatch, tmp_path, *flags) -> DaemonConfig:
+    """The DaemonConfig ``repro serve FLAGS`` builds (the daemon not run)."""
+    import repro.serve
+    from repro.cli import main as cli_main
+
+    seen = []
+
+    class CapturingDaemon:
+        def __init__(self, config):
+            seen.append(config)
+
+        def run(self):
+            return 0
+
+    monkeypatch.setattr(repro.serve, "MappingDaemon", CapturingDaemon)
+    assert cli_main(["serve", "--cache-dir", str(tmp_path), *flags]) == 0
+    (config,) = seen
+    return config
+
+
+def test_serve_flags_build_a_local_executor_config(monkeypatch, tmp_path):
+    assert _served_config(monkeypatch, tmp_path).executor_config == \
+        ExecutorConfig()
+    config = _served_config(monkeypatch, tmp_path, "--backend", "local",
+                            "--jobs", "3", "--job-timeout", "7.5")
+    assert config.executor_config == ExecutorConfig(jobs=3, timeout=7.5)
+
+
+def test_serve_flags_build_a_distributed_config(monkeypatch, tmp_path):
+    from repro.distributed import DistributedConfig
+
+    config = _served_config(monkeypatch, tmp_path, "--backend",
+                            "distributed", "--jobs", "2")
+    assert config.executor_config == DistributedConfig(
+        spawn_workers=2, lease_seconds=15.0)
+    config = _served_config(
+        monkeypatch, tmp_path, "--backend", "distributed", "--jobs", "2",
+        "--job-timeout", "9", "--lease", "4", "--fleet-host", "local*2",
+        "--fleet-host", "ssh:node7*4")
+    assert config.executor_config == DistributedConfig(
+        spawn_workers=0, hosts=("local*2", "ssh:node7*4"), timeout=9.0,
+        lease_seconds=4.0)
+
+
+def test_entry_modules_do_not_load_the_fleet_package():
+    import subprocess
+    import sys
+
+    code = ("import sys, repro.cli, repro.serve.daemon, "
+            "repro.service.engine; "
+            "sys.exit('repro.distributed' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode \
+        == 0
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_pooled_daemon_counts_worker_milp_solves_and_closes_its_pool(
         daemon_factory, jobs):
     """A daemon maps every batch in the executor's long-lived pool, also
     at the default ``--jobs 1``: the workers' MILP counters reach
     ``/metrics``, and shutdown leaves no worker process behind."""
-    daemon, client = daemon_factory(jobs=jobs)
+    daemon, client = daemon_factory(
+        executor_config=ExecutorConfig(jobs=jobs))
     config = get_scale("tiny").rahtm
     ids = []
     for seed in (1, 2):

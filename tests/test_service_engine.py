@@ -37,16 +37,17 @@ def _jobs(n=3):
 
 # -- caching --------------------------------------------------------------------------
 def test_warm_cache_executes_zero_jobs(tmp_path):
-    engine = MappingEngine(cache_dir=tmp_path / "cache", jobs=1)
+    engine = MappingEngine(cache_dir=tmp_path / "cache")
     cold = engine.run(_jobs())
     assert engine.stats.executed == 3
     assert engine.stats.cache_hits == 0
     assert all(o.ok and not o.result.from_cache for o in cold)
 
-    warm_engine = MappingEngine(cache_dir=tmp_path / "cache", jobs=1)
+    warm_engine = MappingEngine(cache_dir=tmp_path / "cache")
     warm = warm_engine.run(_jobs())
     assert warm_engine.stats.cache_hits == 3
     assert warm_engine.stats.executed == 0  # zero mapper computations
+    assert warm_engine.store.stats.writes == 0  # a hit is a pure read
     assert all(o.ok and o.result.from_cache for o in warm)
     for a, b in zip(cold, warm):
         assert a.result.report == b.result.report
@@ -55,7 +56,7 @@ def test_warm_cache_executes_zero_jobs(tmp_path):
 
 
 def test_no_cache_dir_means_always_execute():
-    engine = MappingEngine(jobs=1)
+    engine = MappingEngine()
     engine.run(_jobs(1))
     engine.run(_jobs(1))
     assert engine.stats.executed == 2
@@ -73,8 +74,13 @@ def test_run_one_raises_on_failure():
 
 # -- run_comparison through the engine -------------------------------------------------
 def test_comparison_parallel_matches_serial_bitwise(tmp_path):
-    serial = run_comparison("tiny", mapper_configs=CHEAP_CONFIGS, jobs=1)
-    parallel = run_comparison("tiny", mapper_configs=CHEAP_CONFIGS, jobs=4)
+    serial = run_comparison("tiny", mapper_configs=CHEAP_CONFIGS)
+    pool = MappingEngine(executor_config=ExecutorConfig(jobs=4))
+    try:
+        parallel = run_comparison("tiny", mapper_configs=CHEAP_CONFIGS,
+                                  engine=pool)
+    finally:
+        pool.close()
     for a, b in (
         (serial.exec_seconds, parallel.exec_seconds),
         (serial.comm_seconds, parallel.comm_seconds),
@@ -89,11 +95,13 @@ def test_comparison_parallel_matches_serial_bitwise(tmp_path):
 
 def test_comparison_warm_cache_zero_computations(tmp_path):
     cache = tmp_path / "cache"
-    engine_cold = MappingEngine(cache_dir=cache, jobs=2)
+    engine_cold = MappingEngine(cache_dir=cache,
+                                executor_config=ExecutorConfig(jobs=2))
     cold = run_comparison("tiny", mapper_configs=CHEAP_CONFIGS,
                           engine=engine_cold)
     assert engine_cold.stats.executed == 9  # 3 benchmarks x 3 mappers
-    engine_warm = MappingEngine(cache_dir=cache, jobs=2)
+    engine_warm = MappingEngine(cache_dir=cache,
+                                executor_config=ExecutorConfig(jobs=2))
     warm = run_comparison("tiny", mapper_configs=CHEAP_CONFIGS,
                           engine=engine_warm)
     assert engine_warm.stats.executed == 0
@@ -169,87 +177,38 @@ def test_cli_compare_failure_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
-# -- netview payloads -----------------------------------------------------------------
-def _netview_job():
-    return MappingJob(TopologySpec((4, 4)), WorkloadSpec("halo2d:4x4"),
-                      MapperConfig.make("dimorder", order="ABT"))
-
-
-def test_netview_flag_attaches_summary():
-    from repro.service import JobRuntime
-
-    engine = MappingEngine(cache_dir=None, runtime=JobRuntime(netview=True))
-    result = engine.run_one(_netview_job())
-    assert result.netview is not None
-    assert result.netview["kind"] == "netview_summary"
-    assert result.netview["mcl"] == pytest.approx(result.report.mcl)
-    assert result.netview["top"][0]["load"] == pytest.approx(
-        result.report.mcl
-    )
-
-
-def test_netview_off_by_default():
-    result = MappingEngine(cache_dir=None).run_one(_netview_job())
-    assert result.netview is None
-
-
+# -- netviews -----------------------------------------------------------------------
 def test_netview_does_not_change_cache_key(tmp_path):
-    """Runtime flags must never fork the content-addressed cache."""
-    from repro.service import JobRuntime
-
+    """Asking for netviews never forks the content-addressed cache."""
     cache = tmp_path / "cache"
-    plain = MappingEngine(cache_dir=cache).run_one(_netview_job())
-    hit = MappingEngine(
-        cache_dir=cache, runtime=JobRuntime(netview=True)
-    ).run_one(_netview_job())
-    assert hit.from_cache
-    assert hit.key == plain.key
+    cold = run_comparison("tiny", mapper_configs=CHEAP_CONFIGS,
+                          engine=MappingEngine(cache_dir=cache))
+    assert not cold.netviews
+    engine = MappingEngine(cache_dir=cache)
+    warm = run_comparison("tiny", mapper_configs=CHEAP_CONFIGS,
+                          engine=engine, netview=True)
+    assert engine.stats.cache_hits == 9 and engine.stats.executed == 0
+    assert engine.store.stats.writes == 0
+    assert len(warm.netviews) == 9
 
 
-def test_netview_cache_hit_upgrades_payload_in_place(tmp_path):
-    from repro.service import JobRuntime
-
-    cache = tmp_path / "cache"
-    cold = MappingEngine(cache_dir=cache).run_one(_netview_job())
-    assert cold.netview is None
-    upgraded = MappingEngine(
-        cache_dir=cache, runtime=JobRuntime(netview=True)
-    ).run_one(_netview_job())
-    assert upgraded.from_cache and upgraded.netview is not None
-    # The upgrade was persisted: later engines see it without the flag.
-    warm = MappingEngine(cache_dir=cache).run_one(_netview_job())
-    assert warm.from_cache and warm.netview is not None
-    assert warm.netview == upgraded.netview
-
-
-def test_netview_upgrade_skips_file_backed_workloads(tmp_path):
-    """File workloads are stored by digest, not path: no upgrade, no crash."""
-    from repro.commgraph import save_commgraph
-    from repro.service import JobRuntime
-    from repro.workloads.registry import parse_workload
-
-    graph_file = tmp_path / "g.json"
-    save_commgraph(parse_workload("halo2d:4x4"), graph_file)
-    job = MappingJob(TopologySpec((4, 4)), WorkloadSpec(str(graph_file)),
-                     MapperConfig.make("dimorder", order="ABT"))
-    cache = tmp_path / "cache"
-    MappingEngine(cache_dir=cache).run_one(job)
-    hit = MappingEngine(
-        cache_dir=cache, runtime=JobRuntime(netview=True)
-    ).run_one(job)
-    assert hit.from_cache and hit.netview is None
-
-
-def test_run_comparison_collects_netviews(tmp_path):
-    result = run_comparison("tiny", cache_dir=tmp_path / "cache",
-                            netview=True)
+def test_run_comparison_collects_netviews():
+    """Netviews come from the returned mappings, so a caller's engine
+    gets them too: 3 benchmarks x 6 mappers at ``tiny``."""
+    engine = MappingEngine()
+    try:
+        result = run_comparison("tiny", engine=engine, netview=True)
+    finally:
+        engine.close()
     benches = set(result.mcl.row_labels)
     for (bench, label), summary in result.netviews.items():
         assert bench in benches
+        assert summary["kind"] == "netview_summary"
         assert summary["mcl"] == pytest.approx(result.mcl.get(bench, label))
+        assert summary["top"][0]["load"] == pytest.approx(summary["mcl"])
     assert len(result.netviews) == len(result.mcl.row_labels) * len(
         result.mcl.col_labels
-    )
+    ) == 18
 
 
 def test_pooled_jobs_fold_their_counters_into_this_registry():
@@ -265,12 +224,12 @@ def test_pooled_jobs_fold_their_counters_into_this_registry():
         return (registry.counter("milp.solves").value
                 + registry.counter("milp.memo_hits").value)
 
-    MappingEngine(jobs=1).run_one(job(1))
+    MappingEngine().run_one(job(1))
     per_job = milp_calls()
     assert per_job > 0
     get_registry().reset()
     clear_milp_memo()
-    engine = MappingEngine(jobs=2)
+    engine = MappingEngine(executor_config=ExecutorConfig(jobs=2))
     try:
         engine.run_one(job(1))
         assert all(o.ok for o in engine.run([job(2), job(3)]))

@@ -361,7 +361,8 @@ def test_engine_poison_job_writes_postmortem_and_doctor_lists_it(
 
 def test_engine_drain_persists_pending_queue(tmp_path):
     cache = tmp_path / "cache"
-    engine = MappingEngine(cache_dir=str(cache), jobs=2)
+    engine = MappingEngine(cache_dir=str(cache),
+                           executor_config=ExecutorConfig(jobs=2))
     # SIGTERM on the first job completion: the pool holds at most
     # workers + 1 calls, so at least four of the eight jobs are still
     # queued and must drain, however fast the mapper runs.
@@ -389,7 +390,8 @@ def test_engine_drain_persists_pending_queue(tmp_path):
     assert {j["index"] for j in doc["jobs"]} == {o.index for o in drained}
     # A fresh engine resubmits the same batch: completed jobs hit the
     # cache, drained ones compute, and the pending receipt is cleared.
-    fresh = MappingEngine(cache_dir=str(cache), jobs=2)
+    fresh = MappingEngine(cache_dir=str(cache),
+                          executor_config=ExecutorConfig(jobs=2))
     redone = fresh.run([_job(i) for i in range(8)])
     assert all(o.ok for o in redone), [o.error for o in redone]
     assert not pending.exists()

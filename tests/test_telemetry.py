@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro.distributed import DistributedConfig
 from repro.errors import ConfigError, ServiceError
 from repro.observability import (
     MetricsRegistry,
@@ -454,8 +455,8 @@ def test_daemon_config_validates_telemetry_fields(tmp_path):
 # ===================== distributed fleet telemetry ====================================
 @pytest.mark.slow
 def test_fleet_worker_stats_survive_sigkill(daemon_factory):
-    daemon, client = daemon_factory(backend="distributed", jobs=2,
-                                    job_timeout=60.0)
+    daemon, client = daemon_factory(executor_config=DistributedConfig(
+        spawn_workers=2, timeout=60.0, lease_seconds=15.0))
     ids = []
     for spec in (job_spec(workload="ring:8"), job_spec(workload="ring:16")):
         code, doc = client.submit(spec, tenant="fleet")
