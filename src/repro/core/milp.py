@@ -20,10 +20,18 @@ columns ``z``, ``g``, ``f``, ``r``; row blocks C1, C2, C3, the per-arc load
 rows and the symmetry break — and solved by :func:`scipy.optimize.milp`
 (HiGHS).
 
+Table II's objective is the MCL under the placement's *best* minimal
+routing. RAHTM is scored under minimal adaptive routing (MAR), modelled
+as an even split over minimal paths, which can load the same placement
+more. On cubes of at most :data:`MAR_ENUMERATION_MAX_VERTICES` vertices
+phase 2 therefore uses :func:`solve_cluster_mar` instead: it scores
+every placement under MAR in batches and keeps the best, which is exact
+for the router that judges the mapping.
+
 Solves that finish optimal are memoized per process
-(:func:`clear_milp_memo`): HiGHS is deterministic, so a repeated
-subproblem — another serve request, another hierarchy level — gets the
-stored optimum without a solve.
+(:func:`clear_milp_memo`), keyed by model: both solvers are
+deterministic, so a repeated subproblem — another serve request, another
+hierarchy level — gets the stored optimum without a solve.
 
 Companions: :func:`solve_routing_lp` (optimal minimal routing for a fixed
 placement — pure LP), :func:`brute_force_mapping` (exhaustive placement
@@ -54,6 +62,8 @@ __all__ = [
     "CubeArcs",
     "MILPResult",
     "clear_milp_memo",
+    "MAR_ENUMERATION_MAX_VERTICES",
+    "solve_cluster_mar",
     "solve_cluster_milp",
     "solve_routing_lp",
     "brute_force_mapping",
@@ -136,11 +146,12 @@ class MILPResult:
     extras: dict = field(default_factory=dict)
 
 
-# Process-wide memo of optimal Table II solves, keyed by everything that
-# defines the model except the time limit. HiGHS is deterministic, so a
-# stored optimum is what a fresh solve returns whenever that solve also
-# finishes optimal; where a fresh solve would stop at its limit, the hit
-# returns the optimum instead. Incumbents and fallbacks are never stored.
+# Process-wide memo of optimal phase-2 solves, keyed by the model's name
+# and everything that defines it except the time limit. Both solvers are
+# deterministic, so a stored optimum is what a fresh solve returns
+# whenever that solve also finishes optimal; where a fresh Table II solve
+# would stop at its limit, the hit returns the optimum instead.
+# Incumbents and fallbacks are never stored.
 _MILP_MEMO: dict[tuple, MILPResult] = {}
 _MILP_MEMO_CAP = 10_000
 
@@ -150,9 +161,30 @@ def clear_milp_memo() -> None:
     _MILP_MEMO.clear()
 
 
+def _memo_get(key: tuple) -> MILPResult | None:
+    """A copy of the memoized solve under ``key``, counted as a hit."""
+    hit = _MILP_MEMO.get(key)
+    if hit is None:
+        return None
+    get_registry().counter("milp.memo_hits").inc()
+    return replace(hit, assignment=hit.assignment.copy(), solve_seconds=0.0,
+                   extras={**hit.extras, "memo_hit": True})
+
+
+def _memo_put(key: tuple, result: MILPResult) -> None:
+    if len(_MILP_MEMO) < _MILP_MEMO_CAP:
+        _MILP_MEMO[key] = replace(result, assignment=result.assignment.copy())
+
+
 def _network_flows(graph: CommGraph):
     mask = graph.srcs != graph.dsts
     return graph.srcs[mask], graph.dsts[mask], graph.vols[mask]
+
+
+def _heaviest(A: int, srcs, dsts, vols) -> int:
+    """The cluster with the most traffic in and out (first on ties)."""
+    return int(np.argmax(np.bincount(
+        np.r_[srcs, dsts], weights=np.r_[vols, vols], minlength=A)))
 
 
 class _Rows:
@@ -256,15 +288,12 @@ def solve_cluster_milp(
             mcl=0.0, optimal=True, status="trivial", method="trivial",
         )
     registry = get_registry()
-    memo_key = (type(cube), cube.shape, cube.wrap, A, srcs.tobytes(),
-                dsts.tobytes(), vols.tobytes(), mip_rel_gap,
+    memo_key = ("table2", type(cube), cube.shape, cube.wrap, A,
+                srcs.tobytes(), dsts.tobytes(), vols.tobytes(), mip_rel_gap,
                 enforce_minimal, fix_first)
-    hit = _MILP_MEMO.get(memo_key)
+    hit = _memo_get(memo_key)
     if hit is not None:
-        registry.counter("milp.memo_hits").inc()
-        return replace(hit, assignment=hit.assignment.copy(),
-                       solve_seconds=0.0,
-                       extras={**hit.extras, "memo_hit": True})
+        return hit
     arcs = CubeArcs.from_topology(cube)
     E, D = arcs.num_arcs, cube.ndim
 
@@ -299,10 +328,7 @@ def solve_cluster_milp(
     rows.add(E, -np.inf, -0.0,
              (np.arange(E), f, 1.0), (np.arange(E), 0, -arcs.mults))
     if fix_first:
-        heaviest = int(np.argmax(np.bincount(
-            np.r_[srcs, dsts], weights=np.r_[vols, vols], minlength=A
-        )))
-        rows.add(1, 1.0, 1.0, (0, g[heaviest, 0], 1.0))
+        rows.add(1, 1.0, 1.0, (0, g[_heaviest(A, srcs, dsts, vols), 0], 1.0))
     matrix, row_lb, row_ub = rows.matrix(num_vars)
     num_constraints = rows.count
 
@@ -322,7 +348,7 @@ def solve_cluster_milp(
 
     registry.histogram("milp.lp_rows").record(num_constraints)
     registry.histogram("milp.lp_cols").record(num_vars)
-    with span("milp.solve", clusters=A, vertices=V,
+    with span("milp.solve", clusters=A, vertices=V, method="milp",
               rows=num_constraints, cols=num_vars) as solve_span:
         start = time.perf_counter()
         res = spo.milp(
@@ -357,8 +383,94 @@ def solve_cluster_milp(
         num_vars=num_vars,
         num_constraints=num_constraints,
     )
-    if result.optimal and len(_MILP_MEMO) < _MILP_MEMO_CAP:
-        _MILP_MEMO[memo_key] = replace(result, assignment=assignment.copy())
+    if result.optimal:
+        _memo_put(memo_key, result)
+    return result
+
+
+#: Largest cube :func:`solve_cluster_mar` enumerates: 7! = 5,040
+#: placements once the heaviest cluster is pinned. A 16-vertex cube has
+#: 15! (about 1.3e12), so phase 2 keeps Table II there.
+MAR_ENUMERATION_MAX_VERTICES = 8
+
+# Placements :func:`solve_cluster_mar` scores per link_loads_many call.
+# All 5,040 rows of a 2x2x2 cube in one call raised the peak RSS of a
+# ``cg:32:C`` map on 2x2x2 by 15 MB, 512-row chunks by 3.6 MB. Rows are
+# independent, so the chunk size never changes the placement picked.
+_MAR_CHUNK_ROWS = 512
+
+
+def solve_cluster_mar(cube: CartesianTopology, graph: CommGraph) -> MILPResult:
+    """Place ``graph``'s clusters on ``cube`` at the least MCL under MAR.
+
+    Enumerates every placement with the heaviest cluster pinned to vertex
+    0 (the symmetry break of :func:`solve_cluster_milp`; 2-ary cubes are
+    vertex-transitive), the other clusters taking the remaining vertices
+    in :func:`itertools.permutations` order. Each chunk of placements is
+    scored by one :meth:`~repro.routing.base.Router.link_loads_many` call
+    of the :class:`MinimalAdaptiveRouter`, and the first placement with
+    the least maximum load wins. Its ``mcl`` is therefore bitwise the
+    router's :meth:`~repro.routing.base.Router.max_channel_load` of that
+    placement.
+    """
+    A, V = graph.num_tasks, cube.num_nodes
+    if A > V:
+        raise SolverError(f"{A} clusters exceed {V} cube vertices")
+    if V > MAR_ENUMERATION_MAX_VERTICES:
+        raise SolverError(
+            f"MAR enumeration is limited to {MAR_ENUMERATION_MAX_VERTICES} "
+            f"vertices, got {V}")
+    faultinject.inject("solver-fail")
+    faultinject.inject("solver-slow")
+    srcs, dsts, vols = _network_flows(graph)
+    if len(srcs) == 0:
+        return MILPResult(
+            assignment=np.arange(A, dtype=np.int64),
+            mcl=0.0, optimal=True, status="trivial", method="trivial",
+        )
+    memo_key = ("mar-enumerate", type(cube), cube.shape, cube.wrap, A,
+                srcs.tobytes(), dsts.tobytes(), vols.tobytes())
+    hit = _memo_get(memo_key)
+    if hit is not None:
+        return hit
+    heaviest = _heaviest(A, srcs, dsts, vols)
+    others = np.flatnonzero(np.arange(A) != heaviest)
+    perms = itertools.permutations(range(1, V), A - 1)
+    router = MinimalAdaptiveRouter(cube)
+    best_mcl, best = np.inf, None
+    placements = 0
+    with span("milp.solve", clusters=A, vertices=V,
+              method="enumerate") as solve_span:
+        start = time.perf_counter()
+        while True:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(
+                    itertools.islice(perms, _MAR_CHUNK_ROWS)),
+                dtype=np.int64)
+            if len(flat) == 0:
+                break
+            # The heaviest cluster's column stays 0: it is pinned there.
+            chunk = np.zeros((len(flat) // (A - 1), A), dtype=np.int64)
+            chunk[:, others] = flat.reshape(len(chunk), A - 1)
+            loads = router.link_loads_many(
+                chunk[:, srcs], chunk[:, dsts], vols,
+                np.zeros((len(chunk), cube.num_channel_slots)))
+            peaks = loads.max(axis=1)
+            row = int(np.argmin(peaks))  # the first of the least
+            if peaks[row] < best_mcl:
+                best_mcl, best = float(peaks[row]), chunk[row].copy()
+            placements += len(chunk)
+        solve_seconds = time.perf_counter() - start
+        solve_span.set(status="optimal", placements=placements)
+    registry = get_registry()
+    registry.counter("milp.solves").inc()
+    registry.histogram("milp.solve_seconds").record(solve_seconds)
+    result = MILPResult(
+        assignment=best, mcl=best_mcl, optimal=True, status="optimal",
+        solve_seconds=solve_seconds, method="enumerate",
+        extras={"placements": placements},
+    )
+    _memo_put(memo_key, result)
     return result
 
 
@@ -448,7 +560,11 @@ def brute_force_mapping(
 
     ``evaluator="lp"`` scores each placement with :func:`solve_routing_lp`
     (matches the MILP objective exactly); ``"uniform"`` scores with the
-    all-minimal-paths router (matches the merge phase's evaluator).
+    all-minimal-paths router (matches the merge phase's evaluator and
+    :func:`solve_cluster_mar`). With ``fix_first`` and as many clusters as
+    vertices, the heaviest cluster stays on vertex 0, as in the MILP. The
+    first placement with the least score wins, so on equal enumerations
+    this oracle and :func:`solve_cluster_mar` agree bitwise.
     """
     A, V = graph.num_tasks, cube.num_nodes
     if A > V:
@@ -459,11 +575,15 @@ def brute_force_mapping(
     router = MinimalAdaptiveRouter(cube) if evaluator == "uniform" else None
     best_mcl, best_assign = np.inf, None
     tried = 0
+    pinned = _heaviest(A, srcs, dsts, vols)
+    rest = [a for a in range(A) if a != pinned]
     first_positions = [0] if (fix_first and A == V) else range(V)
     for v0 in first_positions:
         others = [v for v in range(V) if v != v0]
         for perm in itertools.permutations(others, A - 1):
-            assignment = np.array((v0,) + perm, dtype=np.int64)
+            assignment = np.empty(A, dtype=np.int64)
+            assignment[pinned] = v0
+            assignment[rest] = perm
             ns, nd = assignment[srcs], assignment[dsts]
             if evaluator == "uniform":
                 mcl = router.max_channel_load(ns, nd, vols)
@@ -472,7 +592,7 @@ def brute_force_mapping(
             else:
                 raise SolverError(f"unknown evaluator {evaluator!r}")
             tried += 1
-            if mcl < best_mcl - 1e-9:
+            if mcl < best_mcl:
                 best_mcl, best_assign = mcl, assignment
     assert best_assign is not None
     return MILPResult(

@@ -1,9 +1,10 @@
 """Phase 2 — top-down hierarchical MILP mapping ("pseudo-pinning").
 
 Starting at the root, each cluster's ``2^n`` children are mapped onto the
-parent block's child cube (Table II MILP, Figures 5-6). The placements are
-*pseudo*-pins: phase 3 may later reorient whole blocks, but the relative
-arrangement inside each block is decided here.
+parent block's child cube (Figures 5-6): exactly under MAR by enumeration
+on cubes of up to 8 vertices, by the Table II MILP on larger ones. The
+placements are *pseudo*-pins: phase 3 may later reorient whole blocks,
+but the relative arrangement inside each block is decided here.
 
 Identical sibling subproblems (same child communication graph) are solved
 once and copied — the paper's symmetry trick for reducing compute.
@@ -17,8 +18,10 @@ import numpy as np
 
 from repro.core.clustering import ClusterHierarchy
 from repro.core.milp import (
+    MAR_ENUMERATION_MAX_VERTICES,
     MILPResult,
     greedy_assignment,
+    solve_cluster_mar,
     solve_cluster_milp,
     static_assignment,
 )
@@ -77,11 +80,13 @@ def pseudo_pin(
 ) -> PinResult:
     """Map every node-cluster to a topology node, top-down.
 
-    ``time_limit`` and ``mip_rel_gap`` go to
+    Cubes of up to :data:`~repro.core.milp.MAR_ENUMERATION_MAX_VERTICES`
+    vertices are solved exactly under MAR by
+    :func:`repro.core.milp.solve_cluster_mar`. Larger ones go to
     :func:`repro.core.milp.solve_cluster_milp`, which solves the full
-    Table II model (C3 and the symmetry break); ``use_milp=False`` swaps
-    in the greedy placer (ablation of the paper's optimal-leaf-solve
-    design decision).
+    Table II model (C3 and the symmetry break) within ``time_limit`` and
+    ``mip_rel_gap``. ``use_milp=False`` swaps in the greedy placer
+    (ablation of the paper's optimal-leaf-solve design decision).
 
     ``budget`` (a :class:`~repro.resilience.Budget`) turns on the
     degradation ladder: each MILP's ``time_limit`` shrinks to an even
@@ -149,14 +154,18 @@ def pseudo_pin(
                     if budget is not None and budget.enforce("phase2"):
                         mode, reason = "static", "budget-exhausted"
                     if mode == "milp":
-                        limit = time_limit
-                        if budget is not None:
-                            limit = budget.solver_slice(time_limit, parts=level)
                         try:
-                            res = solve_cluster_milp(
-                                cube, local,
-                                time_limit=limit, mip_rel_gap=mip_rel_gap,
-                            )
+                            if cube.num_nodes <= MAR_ENUMERATION_MAX_VERTICES:
+                                res = solve_cluster_mar(cube, local)
+                            else:
+                                limit = time_limit
+                                if budget is not None:
+                                    limit = budget.solver_slice(
+                                        time_limit, parts=level)
+                                res = solve_cluster_milp(
+                                    cube, local,
+                                    time_limit=limit, mip_rel_gap=mip_rel_gap,
+                                )
                         except SolverError as exc:
                             mode, reason = "greedy", "solver-error"
                             log.warning(

@@ -45,7 +45,7 @@ def run(heavy: float = 100.0, light: float = 1.0) -> Table:
         if rep.hop_bytes < best_hb - 1e-9:
             best_hb, hb_assign = rep.hop_bytes, mapping
 
-    # (c) MCL-optimal placement under MAR: the Table II MILP's answer.
+    # (c) MCL-optimal placement under MAR, what phase 2 picks on a 2x2.
     res = brute_force_mapping(topo, graph, evaluator="uniform")
     mcl_mapping = Mapping(topo, res.assignment)
 

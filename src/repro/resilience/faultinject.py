@@ -6,8 +6,8 @@ seams; each is a no-op unless a :class:`FaultPlan` arms it:
 ===================== ============================================== =========================
 point                 placed at                                      effect when armed
 ===================== ============================================== =========================
-solver-fail           ``core.milp.solve_cluster_milp`` entry          raises ``SolverError``
-solver-slow           ``core.milp.solve_cluster_milp`` entry          sleeps ``delay`` seconds
+solver-fail           ``core.milp.solve_cluster_{milp,mar}`` entry    raises ``SolverError``
+solver-slow           ``core.milp.solve_cluster_{milp,mar}`` entry    sleeps ``delay`` seconds
 worker-crash          executor worker entry (``_invoke``)             ``os._exit(13)`` in a pool
                                                                       worker; raises
                                                                       ``FaultInjectionError``

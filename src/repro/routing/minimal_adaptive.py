@@ -4,8 +4,8 @@ BG/Q's minimal adaptive routing (MAR) dynamically picks among minimal
 paths to balance load. Following the paper (Section III-D), we approximate
 it with an *oblivious* router that splits every flow **uniformly over all
 minimal Manhattan paths** between source and destination — the
-approximation under which both the Table II MILP and the merge-phase MCL
-evaluation operate.
+approximation under which phase 2's enumeration on small cubes and the
+merge-phase MCL evaluation operate.
 
 Direction resolution per dimension on a torus: the shorter way around is
 minimal; at a tie (offset of exactly ``k/2`` on an even-arity dimension)

@@ -73,7 +73,11 @@ __all__ = [
 #: v5: RAHTM key payloads lose ``order_samples``, ``enforce_minimal`` and
 #: ``fix_first`` (now fixed at their defaults), and the stored
 #: ``resilience.budget`` loses the solver-call keys.
-SCHEMA_VERSION = 5
+#: v6: phase 2 solves cubes of up to 8 vertices exactly under MAR by
+#: enumeration instead of the Table II MILP, so the same RAHTM spec on a
+#: shape with 8-vertex cubes now maps differently; v5 entries would serve
+#: the MILP's placement.
+SCHEMA_VERSION = 6
 
 #: Defaults of the CLI's mapper tunables, keyed by argparse dest: the
 #: ``repro map``/``compare``/``explain`` flags default to these, and

@@ -1,4 +1,5 @@
-"""Table II MILP tests: optimality, constraints, cross-checks."""
+"""Phase-2 solver tests: the Table II MILP (optimality, constraints,
+cross-checks) and the exact MAR placer."""
 
 import time
 from dataclasses import replace
@@ -13,6 +14,7 @@ from repro.core.milp import (
     brute_force_mapping,
     clear_milp_memo,
     greedy_assignment,
+    solve_cluster_mar,
     solve_cluster_milp,
     solve_routing_lp,
 )
@@ -150,6 +152,7 @@ def test_model_size_matches_column_and_row_blocks():
     assert solve.attrs["rows"] == full.num_constraints
     assert solve.attrs["cols"] == full.num_vars
     assert solve.attrs["status"] == "optimal"
+    assert solve.attrs["method"] == "milp"
 
     reduced = solve_cluster_milp(cube, g, enforce_minimal=False,
                                  fix_first=False)
@@ -384,10 +387,138 @@ def test_milp_mcl_is_the_routing_lp_of_its_placement(wrap, seed):
     assert mar >= res.mcl * (1 - 1e-9)
 
 
-def test_small_milp_job_scores_higher_under_mar_than_its_objective():
+# -- exact placement under MAR by enumeration ---------------------------------------
+def _mar_of(cube, g, assignment):
+    mask = g.srcs != g.dsts
+    return MinimalAdaptiveRouter(cube).max_channel_load(
+        assignment[g.srcs[mask]], assignment[g.dsts[mask]], g.vols[mask])
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 5, 12])
+def test_mar_placer_matches_the_enumeration_oracle(n, wrap, seed):
+    """One batched enumeration picks bitwise what scoring one placement
+    at a time picks, and its MCL is bitwise MAR's MCL of its placement."""
+    cube, g = hypercube(n, wrap=wrap), random_graph(2**n, seed)
+    res = solve_cluster_mar(cube, g)
+    oracle = brute_force_mapping(cube, g, evaluator="uniform")
+    assert res.mcl == oracle.mcl
+    assert res.assignment.tolist() == oracle.assignment.tolist()
+    assert res.mcl == _mar_of(cube, g, res.assignment)
+    assert (res.status, res.optimal, res.method) == (
+        "optimal", True, "enumerate")
+    assert res.extras == {"placements": oracle.extras["placements_tried"]}
+
+
+def test_mar_placer_pins_the_heaviest_cluster():
+    g = CommGraph.from_edges(4, [(2, 1, 50.0), (2, 3, 40.0), (0, 1, 5.0)])
+    res = solve_cluster_mar(hypercube(2), g)
+    assert res.assignment[2] == 0
+    assert res.extras == {"placements": 6}
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_mar_placer_chunk_size_never_changes_the_row(monkeypatch, wrap):
+    import repro.core.milp as milp
+
+    cube, g = hypercube(3, wrap=wrap), random_graph(8, 3)
+    picks = []
+    for chunk_rows in (1, 7, milp._MAR_CHUNK_ROWS, 10_000):
+        monkeypatch.setattr(milp, "_MAR_CHUNK_ROWS", chunk_rows)
+        clear_milp_memo()  # a hit would answer without enumerating
+        res = solve_cluster_mar(cube, g)
+        picks.append((res.assignment.tobytes(), res.mcl))
+    assert len(set(picks)) == 1
+
+
+def test_mar_placer_with_fewer_clusters_than_vertices():
+    g = CommGraph.from_edges(3, [(0, 1, 5.0), (1, 2, 7.0), (2, 0, 1.0)])
+    res = solve_cluster_mar(hypercube(3), g)
+    assert len(np.unique(res.assignment)) == 3
+    assert res.extras == {"placements": 7 * 6}
+    assert res.mcl == _mar_of(hypercube(3), g, res.assignment)
+
+
+def test_mar_placer_guards_and_trivial_case():
+    with pytest.raises(SolverError, match="exceed"):
+        solve_cluster_mar(hypercube(2), random_graph(5, 0))
+    with pytest.raises(SolverError, match="limited to 8"):
+        solve_cluster_mar(hypercube(4), random_graph(16, 0))
+    res = solve_cluster_mar(hypercube(2), CommGraph(4, [0], [0], [5.0]))
+    assert (res.mcl, res.method) == (0.0, "trivial")
+
+
+def test_mar_placer_span_and_counters():
+    """The enumeration opens the ``milp.solve`` span with the status a
+    finished Table II solve reports, so layer accounting counts it as an
+    optimal phase-2 solve."""
+    cube, g = hypercube(3), random_graph(8, 1)
+    tracer = Tracer()
+    with activate(tracer):
+        res = solve_cluster_mar(cube, g)
+    (solve,) = tracer.roots
+    assert solve.name == "milp.solve"
+    assert solve.attrs == {"clusters": 8, "vertices": 8,
+                           "method": "enumerate", "status": "optimal",
+                           "placements": 5040}
+    assert _counter("milp.solves") == 1
+    assert _counter("router.batch_load_calls") == 10  # 5,040 rows in 512s
+    assert res.solve_seconds > 0
+
+
+def test_mar_memo_hit_is_bitwise_equal_to_fresh_solve():
+    cube, g = hypercube(3, wrap=True), random_graph(8, 4)
+    fresh = solve_cluster_mar(cube, g)
+    hit = solve_cluster_mar(cube, g)
+    assert "memo_hit" not in fresh.extras
+    assert hit.extras == {**fresh.extras, "memo_hit": True}
+    assert hit.assignment.tobytes() == fresh.assignment.tobytes()
+    assert (hit.mcl, hit.status, hit.optimal, hit.method) == (
+        fresh.mcl, fresh.status, fresh.optimal, fresh.method)
+    assert hit.solve_seconds == 0.0
+    assert _counter("milp.solves") == 1 and _counter("milp.memo_hits") == 1
+    hit.assignment[:] = -1
+    assert solve_cluster_mar(cube, g).assignment.tobytes() == (
+        fresh.assignment.tobytes())
+    clear_milp_memo()
+    resolved = solve_cluster_mar(cube, g)
+    assert "memo_hit" not in resolved.extras
+    assert resolved.assignment.tobytes() == fresh.assignment.tobytes()
+    assert resolved.mcl == fresh.mcl
+
+
+def test_memo_key_names_the_model():
+    """A Table II optimum never answers the MAR placer, or the reverse:
+    the two models can pick different placements of the same graph."""
+    cube, g = hypercube(2), random_graph(4, 5)
+    milp = solve_cluster_milp(cube, g)
+    mar = solve_cluster_mar(cube, g)
+    assert "memo_hit" not in mar.extras
+    assert (milp.method, mar.method) == ("milp", "enumerate")
+    assert _counter("milp.memo_hits") == 0 and _counter("milp.solves") == 2
+    assert "memo_hit" in solve_cluster_mar(cube, g).extras
+    assert "memo_hit" in solve_cluster_milp(cube, g).extras
+
+
+def test_injection_points_fire_on_the_mar_placer():
+    cube, g = hypercube(2), random_graph(4, 0)
+    solve_cluster_mar(cube, g)
+    with injected_faults(FaultSpec("solver-fail")):
+        with pytest.raises(SolverError, match="injected"):
+            solve_cluster_mar(cube, g)
+    with injected_faults(FaultSpec("solver-slow", delay=0.2)):
+        t0 = time.perf_counter()
+        res = solve_cluster_mar(cube, g)
+        assert time.perf_counter() - t0 >= 0.2
+    assert res.extras["memo_hit"] is True
+
+
+def test_small_milp_job_is_mar_optimal_without_refine():
     """The ``small-milp`` job (``cg:32:C`` on 2x2x2, ``small``, no
-    refine): one leaf solve whose 7,500,400 is its placement's optimal
-    routing, while MAR scores the same placement 11,875,633."""
+    refine): its one phase-2 subproblem is solved under MAR, at the
+    7,500,400 that the Table II placement (11,875,633 under MAR) reached
+    only through refine."""
     topo = torus(2, 2, 2)
     g = parse_workload("cg:32:C")
     config = replace(get_scale("small").rahtm, refine_iterations=0)
@@ -395,7 +526,5 @@ def test_small_milp_job_scores_higher_under_mar_than_its_objective():
     flows = mapper.map(g).network_flows(g)
     (status, mcl, _), = mapper.stats["milp"]
     assert status == "optimal"
-    assert mcl == pytest.approx(7_500_400, rel=1e-6)
-    assert solve_routing_lp(topo, *flows) == pytest.approx(mcl, rel=1e-6)
-    mar = MinimalAdaptiveRouter(topo).max_channel_load(*flows)
-    assert mar == pytest.approx(11_875_633, rel=1e-6)
+    assert mcl == 7_500_400
+    assert MinimalAdaptiveRouter(topo).max_channel_load(*flows) == mcl

@@ -108,3 +108,38 @@ def test_level_mismatch_rejected():
     bad = build_cluster_hierarchy(graph, 16, 16, 1)  # wrong branching
     with pytest.raises(ConfigError):
         pseudo_pin(bad, cube_h)
+
+
+@pytest.mark.parametrize("shape,want", [
+    ((4, 4), "mar"), ((4, 4, 4), "mar"), ((2, 2, 2, 2), "milp"),
+])
+def test_cubes_up_to_8_vertices_are_enumerated_larger_go_to_table2(
+        monkeypatch, shape, want):
+    """Phase 2 solves 4- and 8-vertex cubes exactly under MAR and keeps
+    the Table II MILP (with its time limit) for 16-vertex cubes."""
+    import repro.core.pseudo_pin as pp
+    from repro.core.milp import MILPResult
+
+    calls = []
+    real_mar = pp.solve_cluster_mar
+
+    def mar(cube, graph):
+        calls.append(("mar", cube.num_nodes))
+        return real_mar(cube, graph)
+
+    def milp(cube, graph, time_limit, mip_rel_gap):
+        calls.append(("milp", cube.num_nodes, time_limit))
+        return MILPResult(np.arange(graph.num_tasks), 0.0, True, "optimal")
+
+    monkeypatch.setattr(pp, "solve_cluster_mar", mar)
+    monkeypatch.setattr(pp, "solve_cluster_milp", milp)
+    topo = torus(*shape)
+    graph = random_uniform(topo.num_nodes, 4 * topo.num_nodes, seed=2)
+    hierarchy, cube_h = build(graph, topo)
+    pin = pseudo_pin(hierarchy, cube_h, time_limit=7.0)
+    assert sorted(pin.cluster_to_node.tolist()) == list(range(topo.num_nodes))
+    vertices = 2**cube_h.n
+    expected = (("mar", vertices) if want == "mar"
+                else ("milp", vertices, 7.0))
+    assert calls and set(calls) == {expected}
+    assert len(calls) == len(pin.milp_stats)

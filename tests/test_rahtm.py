@@ -162,3 +162,42 @@ def test_identity_is_optimal_for_matched_halo():
     router = MinimalAdaptiveRouter(topo)
     mcl = evaluate_mapping(router, RAHTMMapper(topo, FAST).map(g), g).mcl
     assert mcl == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("perm", [(1, 0, 2), (2, 0, 1)])
+def test_small_bt_final_mcl_does_not_depend_on_which_tied_optimum(
+        monkeypatch, perm):
+    """On ``small`` BT, phase 2's MAR optima come in ties that differ by
+    a permutation of the cube's dimensions. Handing phase 2 a permuted
+    optimum instead of the enumeration's first one must not move the
+    final MCL: the merge tries every orientation of each block, so either
+    tie reaches the same mappings."""
+    import repro.core.pseudo_pin as pseudo_pin
+    from repro.experiments.config import get_scale
+    from repro.workloads.registry import parse_workload
+
+    scale = get_scale("small")
+    topo, g = scale.topology(), parse_workload("bt:256:C")
+    solve = pseudo_pin.solve_cluster_mar
+    moved = []
+
+    def permuted(cube, graph):
+        res = solve(cube, graph)
+        coords = cube.coords_array[res.assignment][:, list(perm)]
+        assignment = np.array([cube.index(c) for c in coords])
+        mar = MinimalAdaptiveRouter(cube)
+        mask = graph.srcs != graph.dsts
+        flows = graph.srcs[mask], graph.dsts[mask], graph.vols[mask]
+        assert mar.max_channel_load(
+            assignment[flows[0]], assignment[flows[1]], flows[2]
+        ) == pytest.approx(res.mcl, rel=1e-12)  # a tied optimum
+        moved.append((assignment != res.assignment).any())
+        res.assignment = assignment
+        return res
+
+    router = MinimalAdaptiveRouter(topo)
+    first = evaluate_mapping(router, RAHTMMapper(topo, scale.rahtm).map(g), g)
+    monkeypatch.setattr(pseudo_pin, "solve_cluster_mar", permuted)
+    tied = evaluate_mapping(router, RAHTMMapper(topo, scale.rahtm).map(g), g)
+    assert any(moved)
+    assert tied.mcl == first.mcl == 1_280_000
