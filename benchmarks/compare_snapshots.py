@@ -88,7 +88,7 @@ def trend_table(snapshots: list[tuple[str, dict]]) -> str:
     header = (
         f"{'snapshot':<16}{'scale':<8}{'cells':>6}{'geomean MCL':>14}"
         f"{'sum map_s':>11}{'milp_s':>9}{'merge_s':>9}{'refine_s':>9}"
-        f"{'serve_ms':>10}{'fleet_ms':>10}"
+        f"{'serve_ms':>10}"
     )
     lines = ["bench trajectory:", header, "-" * len(header)]
     for label, snap in snapshots:
@@ -110,12 +110,10 @@ def trend_table(snapshots: list[tuple[str, dict]]) -> str:
         refine_s = float(phases.get("phase4-refine", 0.0))
         cold = snap.get("serve", {}).get("submit_to_done_seconds")
         serve_ms = f"{cold * 1000:.1f}" if cold is not None else "-"
-        fanout = snap.get("fleet", {}).get("workers3_seconds")
-        fleet_ms = f"{fanout * 1000:.1f}" if fanout is not None else "-"
         lines.append(
             f"{label:<16}{snap.get('scale', '?'):<8}{len(cells):>6}"
             f"{geomean:>14.6g}{map_s:>11.3f}{milp_s:>9.3f}{merge_s:>9.3f}"
-            f"{refine_s:>9.3f}{serve_ms:>10}{fleet_ms:>10}"
+            f"{refine_s:>9.3f}{serve_ms:>10}"
         )
     return "\n".join(lines)
 
@@ -166,15 +164,6 @@ def compare(
             failures.append(f"serve metric {key!r} missing from current snapshot")
             continue
         check_timing(f"serve {key}", float(base), float(cur))
-
-    # Distributed-fleet micro-bench: same deal, gated only when the
-    # baseline carries it (snapshots before PR 7 predate the fleet).
-    for key, base in baseline.get("fleet", {}).items():
-        cur = current.get("fleet", {}).get(key)
-        if cur is None:
-            failures.append(f"fleet metric {key!r} missing from current snapshot")
-            continue
-        check_timing(f"fleet {key}", float(base), float(cur))
 
     # Vectorized hot-path kernel micro-benches: gated only when the
     # baseline carries them (snapshots before PR 8 predate the family).

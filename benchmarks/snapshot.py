@@ -18,8 +18,6 @@ writes one JSON document::
                                              "load": ...}}, ...}},
       "serve": {"submit_to_done_seconds": ...,          # daemon micro-bench
                 "cache_hit_submit_seconds": ...},
-      "fleet": {"workers1_seconds": ...,                # distributed backend
-                "workers3_seconds": ...},               # 1 vs 3 workers
       "vectorized": {"stencil_accumulate_seconds": ..., # hot-path kernels
                      "orientation_batch_seconds": ...,
                      "merge_scoring_seconds": ...},
@@ -196,63 +194,6 @@ def bench_serve(repeats: int) -> dict:
             thread.join(15)
 
 
-def bench_fleet(repeats: int) -> dict:
-    """Distributed-backend batch latency, 1 vs 3 workers, min over repeats.
-
-    Pushes the same six-job batch through the fleet (coordinator + N
-    spawned worker subprocesses over the shared board) on a throwaway
-    cache per run, so every repeat really claims, executes and commits —
-    no store hits. Jobs this small cannot show fan-out *speedup*; the
-    two numbers track what the protocol costs end to end (claim, lease
-    heartbeat, receipt, settle) at one worker and how that overhead
-    scales with worker-spawn fan-out at three.
-    """
-    import tempfile
-    import time
-
-    from repro.distributed import DistributedConfig
-    from repro.service.engine import MappingEngine
-    from repro.service.jobs import (
-        MapperConfig,
-        MappingJob,
-        TopologySpec,
-        WorkloadSpec,
-    )
-
-    def batch() -> list:
-        return [
-            MappingJob(
-                topology=TopologySpec((4, 4)),
-                workload=WorkloadSpec(workload, seed=seed),
-                mapper=MapperConfig.make("dimorder"),
-            )
-            for workload in ("halo2d:4x4", "ring:16", "transpose:4")
-            for seed in (0, 1)
-        ]
-
-    out: dict[str, float] = {}
-    for workers in (1, 3):
-        times: list[float] = []
-        for _ in range(max(repeats, 1)):
-            with tempfile.TemporaryDirectory(prefix="bench-fleet-") as cache:
-                engine = MappingEngine(
-                    cache_dir=cache,
-                    executor_config=DistributedConfig(spawn_workers=workers),
-                )
-                try:
-                    start = time.perf_counter()
-                    outcomes = engine.run(batch())
-                    elapsed = time.perf_counter() - start
-                finally:
-                    engine.executor.stop_workers()
-                bad = [o.error for o in outcomes if not o.ok]
-                if bad:
-                    raise SystemExit(f"fleet bench: job failures: {bad}")
-                times.append(elapsed)
-        out[f"workers{workers}_seconds"] = min(times)
-    return out
-
-
 def bench_vectorized(repeats: int) -> dict:
     """Hot-path kernel micro-benches, min over repeats.
 
@@ -393,7 +334,7 @@ def merge_min(runs: list[dict]) -> dict:
 
 def take_snapshot(
     scale: str, repeats: int, pr: str | None = None,
-    explain: dict | None = None, serve: bool = True, fleet: bool = True,
+    explain: dict | None = None, serve: bool = True,
     vectorized: bool = True, telemetry: bool = True,
 ) -> dict:
     from repro.core.milp import clear_milp_memo
@@ -418,8 +359,6 @@ def take_snapshot(
     }
     if serve:
         snap["serve"] = bench_serve(repeats)
-    if fleet:
-        snap["fleet"] = bench_fleet(repeats)
     if vectorized:
         snap["vectorized"] = bench_vectorized(repeats)
     if telemetry:
@@ -459,11 +398,6 @@ def main(argv=None) -> int:
         help="skip the daemon submit->result latency micro-bench",
     )
     parser.add_argument(
-        "--no-fleet",
-        action="store_true",
-        help="skip the distributed-backend 1-vs-3-worker micro-bench",
-    )
-    parser.add_argument(
         "--no-vectorized",
         action="store_true",
         help="skip the vectorized hot-path kernel micro-benches",
@@ -481,7 +415,6 @@ def main(argv=None) -> int:
         pr=args.pr,
         explain=explain,
         serve=not args.no_serve,
-        fleet=not args.no_fleet,
         vectorized=not args.no_vectorized,
         telemetry=not args.no_telemetry,
     )

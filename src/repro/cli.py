@@ -59,14 +59,6 @@ ready file in the cache directory; transient transport failures and 503s
 are retried with full-jitter backoff (``--retries``). See
 ``docs/serve.md``.
 
-Distributed fleet (``repro.distributed``): ``repro worker DIR`` runs a
-work-stealing fleet worker against a shared cache directory's job board;
-``repro serve --backend distributed`` (and a ``MappingEngine`` given a
-``DistributedConfig``) shard batches across such workers with
-lease-based fault tolerance — a SIGKILLed worker's claim expires and the
-job is reclaimed, requeued and finished elsewhere with zero repeat MILP
-solves. See ``docs/distributed.md``.
-
 Durability: cached artifacts are checksummed; corrupt entries are moved
 to ``<cache-dir>/quarantine/`` with a structured report instead of being
 silently dropped, and concurrent engines can safely share one cache
@@ -412,23 +404,12 @@ def cmd_serve(args) -> int:
         if not name:
             raise ConfigError(
                 f"bad --tenant-weight {spec!r}; expected NAME=WEIGHT")
-    if args.backend == "distributed":
-        from repro.distributed import DistributedConfig
-
-        executor_config = DistributedConfig(
-            spawn_workers=0 if args.fleet_host else args.jobs,
-            hosts=tuple(args.fleet_host or ()),
-            timeout=args.job_timeout,
-            lease_seconds=args.lease,
-        )
-    else:
-        executor_config = ExecutorConfig(jobs=args.jobs,
-                                         timeout=args.job_timeout)
     config = DaemonConfig(
         cache_dir=cache_dir,
         host=args.host,
         port=args.port,
-        executor_config=executor_config,
+        executor_config=ExecutorConfig(jobs=args.jobs,
+                                       timeout=args.job_timeout),
         batch_size=args.batch_size,
         capacity_seconds=args.capacity,
         default_cost_seconds=args.default_cost,
@@ -441,30 +422,9 @@ def cmd_serve(args) -> int:
         telemetry_interval=args.telemetry_interval,
         slo_p99_seconds=args.slo_p99,
         slo_reject_rate=args.slo_reject_rate,
-        slo_lease_deaths_per_minute=args.slo_lease_deaths,
         span_log=args.span_log,
     )
     return MappingDaemon(config).run()
-
-
-def cmd_worker(args) -> int:
-    """Run one fleet worker against a shared cache directory."""
-    from repro.distributed import FleetWorker
-
-    worker = FleetWorker(
-        args.directory,
-        worker_id=args.id,
-        poll=args.poll,
-        idle_exit=args.idle_exit,
-        host_label=args.host_label,
-        once=args.once,
-    )
-    print(f"worker {worker.worker_id} stealing from "
-          f"{worker.board.root} (ctrl-C to stop)")
-    published = worker.run()
-    print(f"worker {worker.worker_id} exiting; published {published} "
-          "receipt(s)")
-    return 0
 
 
 def _serve_client(args):
@@ -712,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "doctor",
         help="fsck a cache/checkpoint directory (checksums, orphaned "
-             "temp files, stale locks, quarantine, fleet job board)",
+             "temp files, stale locks, quarantine)",
     )
     p.add_argument("directory",
                    help="cache or checkpoint directory to diagnose")
@@ -768,20 +728,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "startup")
     p.add_argument("--checkpoint-dir", default=None,
                    help="phase-checkpoint store for resumable mappers")
-    p.add_argument("--backend", choices=("local", "distributed"),
-                   default="local",
-                   help="execution backend: in-process pool (local) or "
-                        "the lease-based worker fleet sharing the cache "
-                        "directory's job board (distributed)")
-    p.add_argument("--lease", type=float, default=15.0,
-                   help="distributed-backend claim lease in seconds; a "
-                        "worker whose heartbeat goes quiet this long "
-                        "loses its job to the reaper")
-    p.add_argument("--fleet-host", action="append", metavar="SPEC",
-                   help="dispatch distributed-backend workers to a host "
-                        "instead of spawning locally: [kind:]name[*slots] "
-                        "with kind local|ssh|slurm (repeatable; e.g. "
-                        "ssh:node7*4, slurm:batch*8, local*2)")
+    p.add_argument("--backend", choices=("local",), default="local",
+                   help="execution backend; the local process pool "
+                        "(--jobs workers) is the only one")
     p.add_argument("--telemetry-interval", type=float, default=5.0,
                    help="seconds between telemetry samples (ring buffer "
                         "+ <cache>/telemetry/metrics.jsonl; 0 disables "
@@ -792,37 +741,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo-reject-rate", type=float, default=None,
                    help="per-tenant reject-rate SLO as a fraction "
                         "(e.g. 0.05 alerts past 5%% rejected)")
-    p.add_argument("--slo-lease-deaths", type=float, default=None,
-                   help="fleet-wide lease deaths per minute before the "
-                        "lease-death alert fires (distributed backend)")
     p.add_argument("--span-log", action="store_true",
                    help="stream the daemon's spans to "
                         "<cache>/telemetry/spans.jsonl with bounded "
                         "in-memory retention")
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "worker",
-        help="run a fleet worker stealing jobs from a shared cache "
-             "directory's board (see `repro serve --backend distributed`)",
-    )
-    p.add_argument("directory",
-                   help="shared cache directory holding the job board")
-    p.add_argument("--poll", type=float, default=0.05,
-                   help="seconds between board scans while idle")
-    p.add_argument("--idle-exit", type=float, default=None,
-                   help="exit after this many idle seconds "
-                        "(default: run until signalled)")
-    p.add_argument("--id", default=None,
-                   help="worker id (default: w-<hostname>-<pid>)")
-    p.add_argument("--host-label", default=None,
-                   help="host label recorded on claims, receipts and "
-                        "registrations (default: $REPRO_HOST_LABEL, else "
-                        "this machine's hostname)")
-    p.add_argument("--once", action="store_true",
-                   help="process at most one job then exit (smoke tests, "
-                        "cron-style draining)")
-    p.set_defaults(func=cmd_worker)
 
     def client_opts(p):
         p.add_argument("--url", default=None,
@@ -885,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "top",
         help="live dashboard over a running daemon (/healthz + /metrics): "
-             "tenants, fleet workers, sparklines, firing SLO alerts",
+             "tenants, sparklines, firing SLO alerts",
     )
     p.add_argument("--interval", type=float, default=2.0,
                    help="seconds between refreshes")

@@ -1,6 +1,6 @@
 """Robustness layer: budgets, graceful degradation, checkpoints, chaos.
 
-``repro.resilience`` makes long-running mapping fleets survivable:
+``repro.resilience`` makes long-running mapping jobs survivable:
 
 - :mod:`~repro.resilience.budget` — a depleting wall-clock/solver-call
   :class:`Budget` threaded from the CLI and service runtime into every
@@ -22,7 +22,6 @@ from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import MapperCheckpoint
 from repro.resilience.degrade import DegradationEvent, DegradationLog
 from repro.resilience.faultinject import (
-    FLEET_KILL_POINTS,
     INJECTION_POINTS,
     KILL_POINTS,
     FaultPlan,
@@ -35,7 +34,6 @@ __all__ = [
     "MapperCheckpoint",
     "DegradationEvent",
     "DegradationLog",
-    "FLEET_KILL_POINTS",
     "INJECTION_POINTS",
     "KILL_POINTS",
     "FaultPlan",

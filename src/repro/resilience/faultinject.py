@@ -18,30 +18,6 @@ checkpoint-torn-write ``MapperCheckpoint.save``                       writes a t
                                                                       checkpoint file
 serve-enqueue         ``MappingDaemon.submit`` after admission        raises
                                                                       ``FaultInjectionError``
-lease-expire          fleet coordinator claim liveness check          treats the claim as
-                      (``DistributedExecutor._poll_key``)             expired (behavioral,
-                                                                      via :func:`fires`)
-heartbeat-stall       fleet worker heartbeat thread                   stops refreshing the
-                      (``FleetWorker._heartbeat_loop``)               lease while the job
-                                                                      keeps running
-                                                                      (behavioral, sticky)
-worker-partition      fleet worker heartbeat thread                   full partition: beats
-                      (``FleetWorker._heartbeat_loop``)               stop AND the worker
-                                                                      assumes it lost sight
-                                                                      of the board — it must
-                                                                      self-fence before
-                                                                      publishing (behavioral,
-                                                                      sticky)
-clock-skew            fleet worker heartbeat thread, after            stamps the claim mtime
-                      each successful beat                            an hour into the past —
-                                                                      seq advances, mtime
-                                                                      looks dead (behavioral,
-                                                                      sticky)
-lease-renew-latency   fleet worker heartbeat thread, before           sleeps ``delay`` seconds
-                      each beat                                       before the renewal write
-                                                                      (slow shared mount;
-                                                                      behavioral, via
-                                                                      :func:`stall_seconds`)
 ===================== ============================================== =========================
 
 A second family of **kill points** (:data:`KILL_POINTS`) SIGKILLs the
@@ -55,8 +31,6 @@ store-kill-mid-write  a torn (half-written) temp file
 store-kill-pre-rename temp file complete + fsynced, not yet renamed
 store-kill-post-rename artifact renamed into place, directory not
                       yet fsynced
-worker-kill-after-claim fleet worker dies immediately after taking
-                      a job claim (lease held, nothing durable)
 ===================== ==============================================
 
 Kill points are never part of :data:`INJECTION_POINTS` (the chaos
@@ -99,7 +73,6 @@ from repro.errors import ConfigError, FaultInjectionError, SolverError
 __all__ = [
     "INJECTION_POINTS",
     "KILL_POINTS",
-    "FLEET_KILL_POINTS",
     "FaultSpec",
     "FaultPlan",
     "activate",
@@ -107,7 +80,6 @@ __all__ = [
     "injected_faults",
     "inject",
     "fires",
-    "stall_seconds",
 ]
 
 INJECTION_POINTS = (
@@ -118,16 +90,6 @@ INJECTION_POINTS = (
     "store-enospc",
     "checkpoint-torn-write",
     "serve-enqueue",
-    # Fleet (behavioral, consumed via fires()/stall_seconds()): the
-    # coordinator treats a healthy claim as expired; a worker's
-    # heartbeat thread goes quiet, partitions, skews its clock, or
-    # renews through a slow mount. Harmless in the local chaos matrix —
-    # the local engine never consults these hooks.
-    "lease-expire",
-    "heartbeat-stall",
-    "worker-partition",
-    "clock-skew",
-    "lease-renew-latency",
 )
 
 #: SIGKILL-the-writer points along the store commit protocol. Deliberately
@@ -139,13 +101,6 @@ KILL_POINTS = (
     "store-kill-pre-rename",
     "store-kill-post-rename",
 )
-
-#: SIGKILL points that live outside the store commit protocol (and thus
-#: outside the crash-consistency matrix, which drives every KILL_POINTS
-#: entry through ``ResultStore.put``). ``worker-kill-after-claim`` kills
-#: a fleet worker the instant it takes a job claim — lease held, nothing
-#: durable — the worst-case death the lease reaper must recover from.
-FLEET_KILL_POINTS = ("worker-kill-after-claim",)
 
 ENV_FAULTS = "REPRO_FAULTS"
 ENV_HITS_DIR = "REPRO_FAULT_HITS_DIR"
@@ -168,7 +123,7 @@ class FaultSpec:
     probability: float = 1.0
 
     def __post_init__(self):
-        known = INJECTION_POINTS + KILL_POINTS + FLEET_KILL_POINTS
+        known = INJECTION_POINTS + KILL_POINTS
         if self.point not in known:
             raise ConfigError(
                 f"unknown injection point {self.point!r}; choose from {known}"
@@ -309,7 +264,7 @@ def inject(point: str) -> None:
     spec = plan.claim(point)
     if spec is None:
         return
-    if point in KILL_POINTS + FLEET_KILL_POINTS:
+    if point in KILL_POINTS:
         # Simulate a hard crash (power loss, OOM kill) at this exact
         # step: no cleanup handlers, no atexit, no flushing.
         os.kill(os.getpid(), signal.SIGKILL)
@@ -333,15 +288,3 @@ def fires(point: str) -> bool:
     if plan is None:
         return False
     return plan.claim(point) is not None
-
-
-def stall_seconds(point: str) -> float | None:
-    """Behavioral delay hook: the armed spec's ``delay`` when ``point``
-    fires (consuming a hit), else None. Lets latency-shaped faults
-    (``lease-renew-latency``) carry their magnitude in the plan —
-    ``lease-renew-latency:*:0.7`` stalls every renewal 0.7 s."""
-    plan = _active()
-    if plan is None:
-        return None
-    spec = plan.claim(point)
-    return None if spec is None else spec.delay

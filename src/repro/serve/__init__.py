@@ -10,7 +10,7 @@ Layers, bottom up:
   the supervised engine, graceful SIGTERM drain to ``pending.json``,
   startup auto-requeue, periodic doctor janitor;
 - :mod:`repro.serve.slo` — per-tenant SLO rules (p99 latency, reject
-  rate, lease deaths) evaluated on the telemetry cadence;
+  rate) evaluated on the telemetry cadence;
 - :mod:`repro.serve.http` — stdlib HTTP/1.1 JSON front-end (plus the
   Prometheus plain-text exposition on ``/metrics?format=prometheus``);
 - :mod:`repro.serve.client` — :class:`ServeClient` used by the

@@ -108,17 +108,13 @@ class DaemonConfig:
     ``capacity_seconds=None`` disables admission control; otherwise it
     is the aggregate deadline demand (queued + running) the daemon will
     hold before degrading or rejecting submissions. ``executor_config``
-    is the engine's: an :class:`~repro.service.executor.ExecutorConfig`
-    maps in a local process pool, a
-    :class:`~repro.distributed.DistributedConfig` shards batches across
-    fleet workers via the job board under ``cache_dir`` (remote ``repro
-    worker`` processes sharing it join the same fleet).
+    is the engine's :class:`~repro.service.executor.ExecutorConfig`.
     """
 
     cache_dir: str
     host: str = "127.0.0.1"
     port: int = 0
-    executor_config: object = field(default_factory=ExecutorConfig)
+    executor_config: ExecutorConfig = field(default_factory=ExecutorConfig)
     batch_size: int = 4
     capacity_seconds: float | None = None
     default_cost_seconds: float = 10.0
@@ -134,7 +130,6 @@ class DaemonConfig:
     #: SLO thresholds; None disables the corresponding alert rule.
     slo_p99_seconds: float | None = None
     slo_reject_rate: float | None = None
-    slo_lease_deaths_per_minute: float | None = None
     #: Stream the daemon's own spans to ``<cache>/telemetry/spans.jsonl``
     #: with bounded in-memory retention (off by default: the tracer
     #: global is process-wide and embedding hosts may own it).
@@ -151,8 +146,7 @@ class DaemonConfig:
             raise ConfigError("janitor_interval must be >= 0 (0 disables)")
         if self.telemetry_interval < 0:
             raise ConfigError("telemetry_interval must be >= 0 (0 disables)")
-        for name in ("slo_p99_seconds", "slo_reject_rate",
-                     "slo_lease_deaths_per_minute"):
+        for name in ("slo_p99_seconds", "slo_reject_rate"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigError(f"{name} must be > 0 (None disables)")
@@ -268,7 +262,6 @@ class MappingDaemon:
         self.slo = SloEvaluator(self._registry, SloPolicy(
             p99_latency_seconds=config.slo_p99_seconds,
             reject_rate=config.slo_reject_rate,
-            lease_deaths_per_minute=config.slo_lease_deaths_per_minute,
         ))
         #: Alerts firing as of the last telemetry tick (healthz surface).
         self.alerts: list[dict] = []
@@ -493,10 +486,6 @@ class MappingDaemon:
                                      or {}).get("time_unix"),
             },
         }
-        if hasattr(self.engine.executor, "snapshot"):
-            # Distributed backend: board depths, spawned-worker health,
-            # merged per-worker stats and death-surviving fleet totals.
-            doc["fleet"] = self.engine.executor.snapshot()
         return 200, doc
 
     def metrics(self, fmt: str | None = None) -> tuple[int, object]:
@@ -845,8 +834,7 @@ class MappingDaemon:
             server.close()
             await server.wait_closed()
             await scheduler
-            # Join the local pool's workers or the spawned fleet workers
-            # (request_drain already SIGTERMed the latter).
+            # Join the pool's workers.
             await asyncio.to_thread(self.engine.close)
             if janitor is not None:
                 janitor.cancel()

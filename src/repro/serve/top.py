@@ -1,9 +1,9 @@
 """``repro top`` — a live ANSI dashboard over a running daemon.
 
 Polls ``/healthz`` + ``/metrics`` (JSON) on an interval and renders a
-terminal frame: daemon vitals, per-tenant queue/latency table, fleet
-worker table (distributed backend), firing SLO alerts, and unicode
-sparklines over the poll history for queue depth and wait latency.
+terminal frame: daemon vitals, per-tenant queue/latency table, firing
+SLO alerts, and unicode sparklines over the poll history for queue
+depth and wait latency.
 Stdlib only — plain ANSI clear codes, no curses dependency — so it
 works over ssh, in CI (``--once`` renders a single frame and exits),
 and piped to a file.
@@ -137,48 +137,6 @@ def render(health: dict, metrics: dict, history=None, width: int = 100) -> str:
                 f"{_fmt_num(_counter_value(metrics, f'{prefix}.completed')):>6} "
                 f"{_fmt_num(_counter_value(metrics, f'{prefix}.rejected')):>8} "
                 f"{_fmt_seconds(_hist_p99(metrics, f'{prefix}.e2e_seconds')):>9}"
-            )
-
-    # -- fleet ----------------------------------------------------------
-    fleet = health.get("fleet") or {}
-    workers = fleet.get("worker_stats") or {}
-    if fleet:
-        lines.append("")
-        lines.append(
-            f"fleet: queued={_fmt_num(fleet.get('queued'))} "
-            f"claimed={_fmt_num(fleet.get('claimed'))} "
-            f"alive={_fmt_num(fleet.get('workers_alive'))} "
-            f"spawned={_fmt_num(fleet.get('spawned_workers'))} "
-            f"respawns={_fmt_num(fleet.get('worker_respawns'))}"
-        )
-    hosts = fleet.get("hosts") or {}
-    if hosts:
-        parts = []
-        for name in sorted(hosts):
-            hdoc = hosts[name] or {}
-            parts.append(
-                f"{name}[{hdoc.get('kind', '?')}] "
-                f"alive={_fmt_num(hdoc.get('alive'))}/"
-                f"{_fmt_num(hdoc.get('slots'))} "
-                f"respawns={_fmt_num(hdoc.get('respawns'))}"
-            )
-        lines.append("hosts: " + "  ".join(parts))
-    if workers:
-        lines.append(f"{'worker':<28} {'host':<12} {'alive':>5} {'age':>6} "
-                     f"{'published':>9} {'executed':>8} {'jobs/s':>7}")
-        for worker_id in sorted(workers):
-            stats = workers[worker_id] or {}
-            rate = stats.get("jobs_per_second")
-            host = stats.get("host")
-            host = host if isinstance(host, str) and host else "-"
-            lines.append(
-                f"{worker_id[:28]:<28} "
-                f"{host[:12]:<12} "
-                f"{'yes' if stats.get('alive') else 'DEAD':>5} "
-                f"{_fmt_seconds(stats.get('age_seconds')):>6} "
-                f"{_fmt_num(stats.get('published')):>9} "
-                f"{_fmt_num(stats.get('executed')):>8} "
-                f"{'-' if rate is None else f'{rate:.2f}':>7}"
             )
 
     # -- sparklines over the poll history -------------------------------

@@ -17,29 +17,13 @@ that *eagerly* visible for one directory tree:
 - the quarantine directory and any drained-batch ``pending.json`` are
   listed so an operator sees what needs a postmortem or a resubmit;
 - a ``checkpoints/`` subdirectory (the default phase-checkpoint
-  location) is fsck'd recursively with the same rules;
-- a ``board/`` subdirectory (the distributed fleet's job board, see
-  :mod:`repro.distributed`) is swept for dead coordination state:
-  claims whose heartbeat outlived their lease (``expired-lease``),
-  claims whose queue entry is gone (``orphan-claim``), worker
-  registrations whose process died or stopped heartbeating
-  (``stale-worker``), registrations whose host label is absent from the
-  coordinator-published ``board/hosts.json`` registry
-  (``unknown-host``, informational — possibly a live foreign worker,
-  never swept), stats snapshots whose heartbeat sequence regressed
-  behind their registration's (skew debris: mtimes on that host cannot
-  be trusted), and reclaim/duplicate-marker/temp debris
-  (``board-debris``, informational). Repairs reuse the board's own
-  rename-aside reclaim discipline, so a doctor racing a live reaper is
-  safe.
+  location) is fsck'd recursively with the same rules.
 
 The exit contract is binary: a directory is **clean** when it has no
 *problem* findings (``corrupt-artifact``, ``stale-schema``,
-``orphan-tmp``, ``stale-lock``, ``missing-root``, ``orphan-claim``,
-``expired-lease``, ``stale-worker``). Informational findings
-(``quarantine-entry``, ``active-lock``, ``pending-batch``,
-``board-debris``, ``unknown-host``) never fail a directory —
-quarantine is where problems go to be *handled*, so its contents are
+``orphan-tmp``, ``stale-lock``, ``missing-root``). Informational
+findings (``quarantine-entry``, ``active-lock``, ``pending-batch``)
+never fail a directory — quarantine is where problems go to be *handled*, so its contents are
 news, not sickness.
 
 Repairs run under the store's :class:`~repro.service.locking.DirectoryLock`
@@ -75,11 +59,8 @@ DOCTOR_SCHEMA_VERSION = 1
 #: Finding kinds that make a directory unhealthy (exit 1).
 PROBLEM_KINDS = frozenset({
     "missing-root", "corrupt-artifact", "stale-schema", "orphan-tmp",
-    "stale-lock", "orphan-claim", "expired-lease", "stale-worker",
+    "stale-lock",
 })
-
-#: Age past which a worker stats snapshot counts as board debris.
-STALE_STATS_SECONDS = 3600.0
 
 
 @dataclass
@@ -219,7 +200,6 @@ def _scan(root: Path, store: ResultStore, report: DoctorReport,
         _scan_lock(store, report, repair)
     _scan_quarantine(store, report)
     _scan_pending(root, report, requeue)
-    _scan_board(root, report, repair)
 
 
 def _scan_artifacts(store: ResultStore, report: DoctorReport,
@@ -324,171 +304,6 @@ def _scan_quarantine(store: ResultStore, report: DoctorReport) -> None:
             kind="quarantine-entry",
             path=f"{QUARANTINE_DIR}/{entry['file']}",
             detail=detail, key=key))
-
-
-def _scan_board(root: Path, report: DoctorReport, repair: bool) -> None:
-    """Sweep a distributed fleet's job board for dead coordination state.
-
-    Imported lazily (and by submodule, not the ``repro.distributed``
-    package) to keep the service layer's import graph acyclic: the
-    board module only depends on ``repro.service.store``.
-    """
-    from repro.distributed.board import BOARD_DIR, JobBoard, read_json
-
-    board_root = root / BOARD_DIR
-    if not board_root.is_dir():
-        return
-    board = JobBoard(board_root)
-    now = time.time()
-
-    def _relative(path: Path) -> str:
-        return str(path.relative_to(root))
-
-    def _repair_unlink(finding: Finding, path: Path) -> None:
-        if not repair:
-            return
-        try:
-            os.unlink(path)
-            finding.repaired = True
-            finding.action = "removed"
-        except FileNotFoundError:
-            finding.repaired = True
-            finding.action = "already gone"
-
-    # -- claims: expired leases and orphans ---------------------------------
-    try:
-        claim_paths = sorted(board.claims_dir.glob("*.claim"))
-    except OSError:
-        claim_paths = []
-    for path in claim_paths:
-        key = path.name[: -len(".claim")]
-        try:
-            age = now - path.stat().st_mtime
-        except OSError:
-            continue  # released/reclaimed mid-scan
-        doc = read_json(path)
-        lease = 10.0
-        if isinstance(doc, dict):
-            try:
-                lease = float(doc.get("lease_seconds", 10.0))
-            except (TypeError, ValueError):
-                pass
-        if age <= lease:
-            continue  # heartbeat is fresh: the holder is alive
-        holder = (f"worker {doc.get('worker')}" if isinstance(doc, dict)
-                  else "unparseable claim")
-        seq_note = ""
-        if isinstance(doc, dict) and isinstance(doc.get("seq"), int):
-            seq_note = f", heartbeat seq {doc['seq']}"
-        if board.entry_path(key).exists():
-            finding = Finding(
-                kind="expired-lease", path=_relative(path), key=key,
-                detail=(f"{holder} stopped heartbeating "
-                        f"{age:.1f}s ago (lease {lease:.1f}s{seq_note}); "
-                        "a live coordinator would reclaim and requeue "
-                        "this job"))
-        else:
-            finding = Finding(
-                kind="orphan-claim", path=_relative(path), key=key,
-                detail=(f"{holder}'s claim outlived its queue entry by "
-                        f"{age:.1f}s (job settled or poisoned)"))
-        if repair and board.reclaim(key):
-            finding.repaired = True
-            finding.action = "reclaimed (rename-aside)"
-        elif repair:
-            finding.repaired = True
-            finding.action = "already reclaimed"
-        report.findings.append(finding)
-
-    # -- worker registrations -----------------------------------------------
-    known_hosts = board.read_host_registry()
-    reg_seq: dict[str, int] = {}
-    for path, doc, age in board.list_workers():
-        stale_after = 10.0
-        host = pid = None
-        if isinstance(doc, dict):
-            host, pid = doc.get("host"), doc.get("pid")
-            try:
-                stale_after = float(doc.get("stale_after", 10.0))
-            except (TypeError, ValueError):
-                pass
-            worker = doc.get("worker")
-            if isinstance(doc.get("seq"), int) and worker:
-                reg_seq[str(worker)] = doc["seq"]
-        if (known_hosts is not None and isinstance(host, str)
-                and host not in known_hosts
-                and host != socket.gethostname()):
-            # Informational, never swept: possibly a live worker from a
-            # rig nobody told this coordinator about (split brain) — the
-            # store stays safe either way, but the operator should know.
-            report.findings.append(Finding(
-                kind="unknown-host", path=_relative(path),
-                detail=(f"registration of {doc.get('worker') if doc else '?'}"
-                        f" claims host {host!r}, which is not in the "
-                        "board's host registry")))
-        same_host = host in (None, socket.gethostname())
-        dead = (same_host and isinstance(pid, int)
-                and not pid_alive(pid))
-        if not dead and age <= stale_after:
-            continue
-        why = (f"pid {pid} is dead" if dead
-               else f"no heartbeat for {age:.1f}s "
-                    f"(stale after {stale_after:.1f}s)")
-        finding = Finding(
-            kind="stale-worker", path=_relative(path),
-            detail=f"registration of {doc.get('worker') if doc else '?'}: "
-                   f"{why}")
-        _repair_unlink(finding, path)
-        report.findings.append(finding)
-
-    # -- worker stats snapshots ---------------------------------------------
-    # Stats files deliberately outlive their worker (the fleet totals of
-    # a SIGKILLed worker stay mergeable), so only sweep truly ancient
-    # ones — an hour with no publish means nobody is merging them — plus
-    # sequence regressions: a snapshot lagging its own registration's
-    # heartbeat seq by more than one publish means mtimes on that host
-    # went backwards (clock skew debris) or its stats writes are failing.
-    for worker_id, doc, age in board.list_worker_stats():
-        path = board.worker_stats_path(worker_id)
-        stats_seq = doc.get("seq") if isinstance(doc, dict) else None
-        expected = reg_seq.get(worker_id)
-        if (isinstance(stats_seq, int) and expected is not None
-                and stats_seq + 2 < expected):
-            finding = Finding(
-                kind="board-debris", path=_relative(path),
-                detail=(f"worker stats snapshot of {worker_id}: heartbeat "
-                        f"sequence went backwards (stats seq {stats_seq} "
-                        f"vs registration seq {expected}; clock-skew "
-                        "debris)"))
-            _repair_unlink(finding, path)
-            report.findings.append(finding)
-            continue
-        if age <= STALE_STATS_SECONDS:
-            continue
-        finding = Finding(
-            kind="board-debris", path=_relative(path),
-            detail=f"worker stats snapshot of {worker_id}: "
-                   f"last published {age:.0f}s ago")
-        _repair_unlink(finding, path)
-        report.findings.append(finding)
-
-    # -- debris: reclaim asides, duplicate markers, torn publishes ----------
-    debris = (
-        sorted(board.claims_dir.glob("*.claim.reclaimed-*"))
-        + sorted(board.done_dir.glob("*.dup-*"))
-        + sorted(board_root.rglob(".*.tmp"))  # covers .bp-* publishes too
-    )
-    for path in debris:
-        kinds = {"reclaimed": "reaper rename-aside debris",
-                 "dup": "duplicate-execution marker (lost a "
-                        "first-commit-wins race)"}
-        what = ("torn exclusive-publish temp file"
-                if path.suffix == ".tmp"
-                else kinds["dup" if ".dup-" in path.name else "reclaimed"])
-        finding = Finding(kind="board-debris", path=_relative(path),
-                          detail=what)
-        _repair_unlink(finding, path)
-        report.findings.append(finding)
 
 
 def _scan_pending(root: Path, report: DoctorReport,

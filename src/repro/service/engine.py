@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
-from repro.errors import ConfigError, ServiceError
+from repro.errors import ServiceError
 from repro.observability.metrics import get_registry
 from repro.observability.trace import active_tracer, event as trace_event, span
 from repro.service.executor import BatchExecutor, ExecutorConfig, JobOutcome
@@ -98,41 +98,22 @@ class MappingEngine:
         policy (deadline, degradation, checkpoint/resume) applied to
         every executed job. Never part of the cache key.
     executor_config:
-        How misses run. An :class:`ExecutorConfig` (the default,
-        ``ExecutorConfig()``: one job at a time, in this process when
-        run from the main thread) runs them on the local
-        :class:`BatchExecutor`, whose pool of workers lives until
-        :meth:`close`. A :class:`~repro.distributed.DistributedConfig`
-        shards them across fleet workers via the shared job board under
-        the cache directory (which it therefore requires).
+        How misses run on the :class:`BatchExecutor`, whose pool of
+        workers lives until :meth:`close`. The default,
+        ``ExecutorConfig()``, runs one job at a time, in this process
+        when run from the main thread.
     """
 
     def __init__(
         self,
         cache_dir=None,
         runtime: JobRuntime | None = None,
-        executor_config=None,
+        executor_config: ExecutorConfig | None = None,
     ):
-        store = None if cache_dir is None else ResultStore(cache_dir)
-        self.store = store
+        self.store = None if cache_dir is None else ResultStore(cache_dir)
         self.runtime = runtime
-        executor_config = executor_config or ExecutorConfig()
-        if isinstance(executor_config, ExecutorConfig):
-            self.executor = BatchExecutor(executor_config,
-                                          on_event=self._on_executor_event)
-        else:
-            if store is None:
-                raise ConfigError(
-                    "the distributed backend needs a cache directory: the "
-                    "shared store is the fleet's coordination substrate"
-                )
-            # Imported lazily: the fleet package sits above the service
-            # layer and most engine users never touch it.
-            from repro.distributed import DistributedExecutor
-
-            self.executor = DistributedExecutor(
-                store, executor_config, on_event=self._on_executor_event
-            )
+        self.executor = BatchExecutor(executor_config or ExecutorConfig(),
+                                      on_event=self._on_executor_event)
         self.stats = EngineStats()
 
     def close(self) -> None:
@@ -178,8 +159,6 @@ class MappingEngine:
                             "job": job.payload(),
                             "describe": job.describe(),
                             "deaths": info.get("deaths"),
-                            "worker": info.get("worker"),
-                            "host": info.get("host"),
                             "error": info.get("error"),
                             "time_unix": time.time(),
                         },
@@ -253,10 +232,6 @@ class MappingEngine:
                 body = execute_mapping_job
                 if runtime is not None and runtime.active:
                     body = partial(execute_mapping_job, runtime=runtime)
-                if hasattr(self.executor, "runtime"):
-                    # The distributed backend serializes the runtime into
-                    # each board entry instead of closing over it.
-                    self.executor.runtime = runtime
                 raw = self.executor.run(body, [jobs[i] for i in miss_indices])
                 for outcome, i in zip(raw, miss_indices):
                     job = jobs[i]

@@ -47,7 +47,7 @@ picklable items with
   reported with ``drained`` outcomes so the engine can persist the
   pending queue for a warm resume. A drain also shuts the pool down.
 
-Outcomes and events are settled through the shared
+Outcomes and events are settled through a
 :class:`~repro.service.supervision.BatchLedger`.
 """
 
@@ -74,7 +74,6 @@ from repro.service.supervision import (
     BatchLedger,
     CircuitBreaker,
     JobOutcome,
-    Supervised,
     full_jitter_delay,
     jitter_token,
 )
@@ -210,7 +209,7 @@ class _InlinePool:
         pass
 
 
-class BatchExecutor(Supervised):
+class BatchExecutor:
     """Run a batch of ``fn(item)`` calls per :class:`ExecutorConfig`.
 
     ``on_event(event, info)`` (optional) receives ``"queued"``,
@@ -218,11 +217,14 @@ class BatchExecutor(Supervised):
     ``"poisoned"``, ``"circuit_open"`` and ``"drain_requested"``
     telemetry. Batches run one at a time; pooled ones (``jobs > 1``, or
     any batch run off the main thread) share one process pool, which
-    :meth:`close` shuts down.
+    :meth:`close` shuts down. :meth:`request_drain` is sticky, so an
+    executor told to shut down fails further dispatch fast until the
+    process exits.
     """
 
     def __init__(self, config: ExecutorConfig | None = None, on_event=None):
-        super().__init__(on_event)
+        self.on_event = on_event
+        self._drain = threading.Event()
         self.config = config or ExecutorConfig()
         #: Times a broken process pool was rebuilt (reset per batch).
         self.pool_rebuilds = 0
@@ -255,6 +257,23 @@ class BatchExecutor(Supervised):
         The next batch builds a new pool.
         """
         self._drop_pool(wait=True)
+
+    @property
+    def draining(self) -> bool:
+        return self._drain.is_set()
+
+    def request_drain(self, reason: str = "drain requested") -> None:
+        """Stop dispatching; harvest in-flight work and return early."""
+        if self._drain.is_set():
+            return
+        log.warning("draining %s: %s", type(self).__name__, reason)
+        get_registry().counter("executor.drains").inc()
+        self._drain.set()
+        self._emit("drain_requested", reason=reason)
+
+    def _emit(self, event: str, **info) -> None:
+        if self.on_event is not None:
+            self.on_event(event, info)
 
     @contextmanager
     def _drain_signals(self):

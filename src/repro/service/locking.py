@@ -1,7 +1,7 @@
 """Cross-process advisory directory locks.
 
-Concurrent mapping engines may share one cache directory (a CI fleet, two
-operators on one NFS scratch space). Single-artifact writes are already
+Concurrent mapping engines may share one cache directory (parallel CI
+shards, two operators on one NFS scratch space). Single-artifact writes are already
 safe — the store's commit protocol is one atomic rename — but multi-step
 maintenance (``repro doctor --repair``, ``ResultStore.clear``, quarantine
 sweeps) must not interleave across processes. :class:`DirectoryLock`

@@ -1,13 +1,11 @@
 """Executor supervision: the batch ledger, circuit breaker and backoff.
 
-Both batch backends (the process pool in
-:mod:`repro.service.executor` and the fleet coordinator in
-:mod:`repro.distributed.coordinator`) settle their work through one
-:class:`BatchLedger` and share the drain plumbing of :class:`Supervised`.
-The ledger is the single place a :class:`JobOutcome` is made: it emits
-``queued`` for every item, ``started`` per attempt and exactly one
-``finished`` per item (the first outcome recorded wins), counts worker
-deaths per item and poisons an item at the threshold.
+:class:`~repro.service.executor.BatchExecutor` settles every batch
+through one :class:`BatchLedger`. The ledger is the single place a
+:class:`JobOutcome` is made: it emits ``queued`` for every item,
+``started`` per attempt and exactly one ``finished`` per item (the first
+outcome recorded wins), counts worker deaths per item and poisons an
+item at the threshold.
 
 Infrastructure failures (a worker segfaulting takes its whole process
 pool down) are different from job failures: retrying into a broken
@@ -35,14 +33,12 @@ stay reproducible.
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 from dataclasses import dataclass
 
-from repro.observability.metrics import get_registry
 from repro.utils.logconf import get_logger
 
-__all__ = ["BatchLedger", "CircuitBreaker", "JobOutcome", "Supervised",
+__all__ = ["BatchLedger", "CircuitBreaker", "JobOutcome",
            "full_jitter_delay", "jitter_token"]
 
 log = get_logger("service.supervision")
@@ -71,10 +67,8 @@ class BatchLedger:
     """Outcomes and lifecycle events of one batch.
 
     ``attempts`` counts the ``started`` events of each item and the wall
-    clock runs from its first start; both are the defaults of
-    :meth:`finish`, which a backend with its own clock (the fleet times
-    from the board post) may override. ``deaths`` counts the worker
-    deaths charged to each item since it last survived one.
+    clock runs from its first start. ``deaths`` counts the worker deaths
+    charged to each item since it last survived one.
     """
 
     def __init__(self, items, emit, poison_threshold: int):
@@ -97,17 +91,14 @@ class BatchLedger:
                    attempt=self.attempts[index])
 
     def finish(self, index: int, result=None, error: str | None = None, *,
-               attempts: int | None = None,
-               wall_seconds: float | None = None, timed_out: bool = False,
-               poisoned: bool = False, drained: bool = False) -> None:
+               timed_out: bool = False, poisoned: bool = False,
+               drained: bool = False) -> None:
         """Settle ``index``; a second outcome for it is ignored."""
         if self.outcomes[index] is not None:
             return
-        if attempts is None:
-            attempts = self.attempts[index]
-        if wall_seconds is None:
-            start = self._starts[index]
-            wall_seconds = 0.0 if start is None else time.perf_counter() - start
+        attempts = self.attempts[index]
+        start = self._starts[index]
+        wall_seconds = 0.0 if start is None else time.perf_counter() - start
         self.outcomes[index] = JobOutcome(
             index, self.items[index], result, error, attempts, wall_seconds,
             timed_out=timed_out, poisoned=poisoned, drained=drained)
@@ -121,19 +112,15 @@ class BatchLedger:
             if outcome is None:
                 self.finish(index, None, error, **flags)
 
-    def charge_death(self, index: int, cause: str, **info) -> bool:
-        """Charge a worker death to ``index``; True once it is poisoned.
-
-        ``info`` (the fleet's ``worker``/``host``) rides the ``poisoned``
-        event into the quarantine report.
-        """
+    def charge_death(self, index: int, cause: str) -> bool:
+        """Charge a worker death to ``index``; True once it is poisoned."""
         deaths = self.deaths[index] = self.deaths.get(index, 0) + 1
         if deaths < self._poison_threshold:
             return False
         log.error("job %d is poison (%d worker deaths); quarantining",
                   index, deaths)
         self._emit("poisoned", index=index, item=self.items[index],
-                   deaths=deaths, error=cause, **info)
+                   deaths=deaths, error=cause)
         self.finish(index, None,
                     f"poison job: worker died {deaths} time(s) running it "
                     f"(last: {cause}); quarantined", poisoned=True)
@@ -142,44 +129,6 @@ class BatchLedger:
     def survived(self, index: int) -> None:
         """The worker returned from ``index``: its death count restarts."""
         self.deaths.pop(index, None)
-
-
-class Supervised:
-    """Drain and telemetry plumbing shared by the batch backends.
-
-    ``on_event(event, info)`` (optional) receives the ledger's events and
-    the backend's own; :meth:`request_drain` is sticky, so a backend
-    told to shut down fails further dispatch fast until the process
-    exits.
-    """
-
-    #: Registry counter bumped once per drain.
-    drain_counter = "executor.drains"
-
-    def __init__(self, on_event=None):
-        self.on_event = on_event
-        self._drain = threading.Event()
-
-    @property
-    def draining(self) -> bool:
-        return self._drain.is_set()
-
-    def request_drain(self, reason: str = "drain requested") -> None:
-        """Stop dispatching; harvest in-flight work and return early."""
-        if self._drain.is_set():
-            return
-        log.warning("draining %s: %s", type(self).__name__, reason)
-        get_registry().counter(self.drain_counter).inc()
-        self._drain.set()
-        self._emit("drain_requested", reason=reason)
-        self._on_drain()
-
-    def _on_drain(self) -> None:
-        """Hook run once when a drain is first requested."""
-
-    def _emit(self, event: str, **info) -> None:
-        if self.on_event is not None:
-            self.on_event(event, info)
 
 
 class CircuitBreaker:

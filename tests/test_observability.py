@@ -497,9 +497,8 @@ def test_compare_snapshots_latest_discovers_newest_pr():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert newest.name in proc.stdout.splitlines()[0]
     assert "bench trajectory:" in proc.stdout
-    # the trend table walks the whole trajectory, oldest first, and
-    # carries the daemon latency (blank before PR 6) and fleet latency
-    # (blank before PR 7) columns.
+    # the trend table walks the whole trajectory, oldest first, and its
+    # last column is the daemon latency (blank before PR 6).
     lines = proc.stdout.splitlines()
     pr3 = next(i for i, line in enumerate(lines)
                if line.startswith("BENCH_PR3"))
@@ -510,9 +509,10 @@ def test_compare_snapshots_latest_discovers_newest_pr():
     pr7 = next(i for i, line in enumerate(lines)
                if line.startswith("BENCH_PR7"))
     assert pr3 < pr4 < pr6 < pr7
-    assert "serve_ms" in lines[pr3 - 2] and "fleet_ms" in lines[pr3 - 2]
+    assert lines[pr3 - 2].rstrip().endswith("serve_ms")
     assert lines[pr3].rstrip().endswith("-")
-    assert lines[pr6].rstrip().endswith("-")  # serve yes, fleet not yet
+    assert lines[pr4].rstrip().endswith("-")
+    assert not lines[pr6].rstrip().endswith("-")
     assert not lines[pr7].rstrip().endswith("-")
 
 

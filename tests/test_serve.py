@@ -8,6 +8,7 @@ no sleeps, no flakiness.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
@@ -463,35 +464,6 @@ def test_serve_flags_build_a_local_executor_config(monkeypatch, tmp_path):
     assert config.executor_config == ExecutorConfig(jobs=3, timeout=7.5)
 
 
-def test_serve_flags_build_a_distributed_config(monkeypatch, tmp_path):
-    from repro.distributed import DistributedConfig
-
-    config = _served_config(monkeypatch, tmp_path, "--backend",
-                            "distributed", "--jobs", "2")
-    assert config.executor_config == DistributedConfig(
-        spawn_workers=2, lease_seconds=15.0)
-    config = _served_config(
-        monkeypatch, tmp_path, "--backend", "distributed", "--jobs", "2",
-        "--job-timeout", "9", "--lease", "4", "--fleet-host", "local*2",
-        "--fleet-host", "ssh:node7*4")
-    assert config.executor_config == DistributedConfig(
-        spawn_workers=0, hosts=("local*2", "ssh:node7*4"), timeout=9.0,
-        lease_seconds=4.0)
-
-
-def test_entry_modules_do_not_load_the_fleet_package():
-    import subprocess
-    import sys
-
-    code = ("import sys, repro.cli, repro.serve.daemon, "
-            "repro.service.engine; "
-            "sys.exit('repro.distributed' in sys.modules)")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode \
-        == 0
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_pooled_daemon_counts_worker_milp_solves_and_closes_its_pool(
         daemon_factory, jobs):
@@ -533,3 +505,141 @@ def _alive(pid: int) -> bool:
     except ProcessLookupError:
         return False
     return True
+
+
+# -- ServeClient retries --------------------------------------------------------------
+class _Resp:
+    def __init__(self, doc, status=200):
+        self._doc = doc
+        self.status = status
+
+    def read(self):
+        return json.dumps(self._doc).encode()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_client_retries_connection_errors_then_succeeds():
+    client = ServeClient("http://daemon.test", retries=2, backoff=0.0)
+    calls = []
+
+    def fake_urlopen(req, timeout=None):
+        calls.append(req.full_url)
+        if len(calls) < 3:
+            raise urllib.error.URLError("connection refused")
+        return _Resp({"status": "ok"})
+
+    client._urlopen = fake_urlopen
+    code, doc = client.healthz()
+    assert (code, doc) == (200, {"status": "ok"})
+    assert len(calls) == 3
+    assert get_registry().counter("serve.client_retries").value == 2
+
+
+def test_client_gives_up_after_the_retry_budget():
+    client = ServeClient("http://daemon.test", retries=1, backoff=0.0)
+    calls = []
+
+    def fake_urlopen(req, timeout=None):
+        calls.append(1)
+        raise urllib.error.URLError("still down")
+
+    client._urlopen = fake_urlopen
+    with pytest.raises(ServiceError, match="after 2 attempt"):
+        client.status("someid")
+    assert len(calls) == 2
+
+
+def test_client_retries_503_but_respects_429():
+    client = ServeClient("http://daemon.test", retries=3, backoff=0.0)
+    script = [503, 200]
+
+    def fake_urlopen(req, timeout=None):
+        code = script.pop(0)
+        if code == 200:
+            return _Resp({"id": "x"})
+        raise urllib.error.HTTPError(
+            req.full_url, code, "draining", None,
+            io.BytesIO(b'{"error": "draining"}'))
+
+    client._urlopen = fake_urlopen
+    code, doc = client.submit({"spec": 1})
+    assert (code, doc["id"]) == (200, "x")
+
+    calls = []
+
+    def always_429(req, timeout=None):
+        calls.append(1)
+        raise urllib.error.HTTPError(
+            req.full_url, 429, "quota", None,
+            io.BytesIO(b'{"error": "tenant quota"}'))
+
+    client._urlopen = always_429
+    code, doc = client.submit({"spec": 1})
+    assert code == 429 and "quota" in doc["error"]
+    assert len(calls) == 1  # policy answers are never hammered
+
+
+def test_client_rejects_bad_retry_config():
+    with pytest.raises(ConfigError):
+        ServeClient("http://x", retries=-1)
+    with pytest.raises(ConfigError):
+        ServeClient("http://x", backoff=-0.1)
+
+
+def test_client_honors_server_retry_after_on_429():
+    """A 429 *with* Retry-After is the server naming its price: the
+    client pays it (once per retry budget) instead of treating the
+    rejection as final."""
+    client = ServeClient("http://daemon.test", retries=2, backoff=0.0)
+    script = [429, 200]
+    calls = []
+
+    def fake_urlopen(req, timeout=None):
+        calls.append(1)
+        code = script.pop(0)
+        if code == 200:
+            return _Resp({"id": "x"})
+        raise urllib.error.HTTPError(
+            req.full_url, code, "busy", {"Retry-After": "0"},
+            io.BytesIO(b'{"error": "admission"}'))
+
+    client._urlopen = fake_urlopen
+    code, doc = client.submit({"spec": 1})
+    assert (code, doc["id"]) == (200, "x")
+    assert len(calls) == 2
+    registry = get_registry()
+    assert registry.counter("serve.client_retry_after_honored").value == 1
+
+
+def test_client_ignores_unparseable_retry_after():
+    client = ServeClient("http://daemon.test", retries=3, backoff=0.0)
+    calls = []
+
+    def fake_urlopen(req, timeout=None):
+        calls.append(1)
+        raise urllib.error.HTTPError(
+            req.full_url, 429, "busy",
+            {"Retry-After": "Fri, 31 Dec 1999 23:59:59 GMT"},
+            io.BytesIO(b'{"error": "admission"}'))
+
+    client._urlopen = fake_urlopen
+    code, doc = client.submit({"spec": 1})
+    # HTTP-date form is ignored, so the 429 stays a final policy answer
+    assert code == 429 and len(calls) == 1
+
+
+def test_client_clamps_retry_after():
+    class _Exc:
+        def __init__(self, headers):
+            self.headers = headers
+
+    of = ServeClient._retry_after_of
+    assert of(_Exc({"Retry-After": "9999"}), 429) == 30.0
+    assert of(_Exc({"Retry-After": "5"}), 404) is None  # wrong status
+    assert of(_Exc(None), 429) is None  # no headers at all
+    assert of(_Exc({"Retry-After": "-5"}), 503) is None

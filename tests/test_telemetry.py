@@ -4,8 +4,7 @@ exposition, streaming spans, SLO alerts, and the ``repro top`` frames.
 Unit layers (recorder, sink, renderer/parser, evaluator) are driven
 with injected clocks and registries — no sleeps. The daemon integration
 tests run a real daemon on a background thread and scrape it over real
-HTTP; the distributed test additionally SIGKILLs a fleet worker and
-checks its published stats survive into the merged fleet view.
+HTTP.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import threading
 
 import pytest
 
-from repro.distributed import DistributedConfig
 from repro.errors import ConfigError, ServiceError
 from repro.observability import (
     MetricsRegistry,
@@ -259,22 +257,6 @@ def test_slo_p99_and_reject_rules_fire_with_stable_onset():
         == {"alice"}
 
 
-def test_slo_lease_death_rate_is_a_delta_rule():
-    reg = MetricsRegistry()
-    ev = SloEvaluator(reg, SloPolicy(lease_deaths_per_minute=5.0))
-    reg.counter("fleet.reclaims").inc(100)
-    # first tick only records the baseline — a huge absolute count that
-    # predates the evaluator must not fire
-    assert ev.evaluate([], now=100.0) == []
-    reg.counter("fleet.reclaims").inc(2)
-    alerts = ev.evaluate([], now=110.0)  # 2 deaths / 10s = 12/min
-    assert [a["rule"] for a in alerts] == ["lease_deaths"]
-    assert alerts[0]["tenant"] is None
-    assert alerts[0]["value"] == pytest.approx(12.0)
-    # quiet interval: alert clears
-    assert ev.evaluate([], now=120.0) == []
-
-
 # ===================== repro top ======================================================
 def test_sparkline_shapes():
     assert sparkline([]) == ""
@@ -293,13 +275,6 @@ def test_top_render_frame_is_pure():
         "alerts": [{"rule": "p99_latency", "tenant": "alice",
                     "detail": "e2e p99 3s > 1s", "since_unix": 0.0}],
         "telemetry": {"samples": 7},
-        "fleet": {"queued": 0, "claimed": 1, "workers_alive": 2,
-                  "worker_stats": {
-                      "w1": {"alive": True, "age_seconds": 0.5,
-                             "published": 4, "executed": 4,
-                             "jobs_per_second": 1.25},
-                      "w2": {"alive": False, "age_seconds": 30.0,
-                             "published": 2, "executed": 2}}},
     }
     metrics = {
         "serve.http_requests": {"type": "counter", "value": 9},
@@ -317,7 +292,6 @@ def test_top_render_frame_is_pure():
     assert "repro top — pid 42" in frame
     assert "alerts 1" in frame
     assert "alice" in frame and "tenant" in frame
-    assert "w1" in frame and "DEAD" in frame  # w2 rendered as dead
     assert "queue depth" in frame and "wait p95" in frame
     assert "! p99_latency tenant=alice" in frame
     assert all(len(line) <= 100 for line in frame.splitlines())
@@ -450,54 +424,3 @@ def test_daemon_config_validates_telemetry_fields(tmp_path):
         DaemonConfig(cache_dir=str(tmp_path), telemetry_interval=-1.0)
     with pytest.raises(ConfigError):
         DaemonConfig(cache_dir=str(tmp_path), slo_p99_seconds=0.0)
-
-
-# ===================== distributed fleet telemetry ====================================
-@pytest.mark.slow
-def test_fleet_worker_stats_survive_sigkill(daemon_factory):
-    daemon, client = daemon_factory(executor_config=DistributedConfig(
-        spawn_workers=2, timeout=60.0, lease_seconds=15.0))
-    ids = []
-    for spec in (job_spec(workload="ring:8"), job_spec(workload="ring:16")):
-        code, doc = client.submit(spec, tenant="fleet")
-        assert code == 202
-        ids.append(doc["id"])
-    for job_id in ids:
-        assert client.wait(job_id, timeout=60)["state"] == "done"
-
-    # Workers publish stats snapshots on registration; the daemon's
-    # fleet view merges them.
-    wait = threading.Event()
-    stats, totals = {}, {}
-    for _ in range(100):
-        code, health = client.healthz()
-        assert code == 200
-        stats = (health.get("fleet") or {}).get("worker_stats") or {}
-        totals = (health.get("fleet") or {}).get("fleet_totals") or {}
-        if stats and totals.get("fleet.worker_claims", 0) >= 2:
-            break
-        wait.wait(0.2)
-    assert stats, "no worker stats published"
-    assert totals["fleet.worker_claims"] >= 2
-    assert sum(doc.get("published") or 0 for doc in stats.values()) >= 2
-    for doc in stats.values():
-        assert {"alive", "age_seconds", "published", "executed",
-                "jobs_per_second"} <= doc.keys()
-
-    # SIGKILL one worker: its last snapshot must stay in the merged
-    # view and its counters must stay in the fleet totals.
-    handles = [h for h in daemon.engine.executor._handles if h.alive()]
-    assert handles, "no live fleet workers to kill"
-    handles[0].process.kill()
-    handles[0].process.wait(timeout=15)
-    code, health = client.healthz()
-    assert code == 200
-    fleet = health["fleet"]
-    assert set(stats) <= set(fleet["worker_stats"])
-    assert fleet["fleet_totals"]["fleet.worker_claims"] \
-        >= totals["fleet.worker_claims"]
-
-    # the per-worker throughput also rides into the Prometheus scrape
-    code, text = client.metrics_text("prometheus")
-    assert code == 200
-    parse_prometheus(text)
