@@ -47,7 +47,7 @@ def test_dor_link_loads_2000_flows(benchmark, flows444):
     assert loads.max() > 0
 
 
-def test_mar_link_loads_many_stitch_shape(benchmark):
+def test_mar_link_loads_many_half_to_half(benchmark):
     """One batched ``link_loads_many`` scatter of 16 rows of 512 flows,
     each from one 4x4x4x1 half of a 4x4x4x2 torus to the other."""
     topo = torus(4, 4, 4, 2)

@@ -11,7 +11,6 @@ ignore them since co-located traffic never enters the network.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import CommGraphError
 
@@ -95,6 +94,8 @@ class CommGraph:
     @classmethod
     def from_matrix(cls, matrix, grid_shape=None) -> "CommGraph":
         """Build from a dense or scipy-sparse volume matrix (row=src)."""
+        import scipy.sparse as sp
+
         if sp.issparse(matrix):
             coo = matrix.tocoo()
             n = coo.shape[0]
@@ -111,6 +112,8 @@ class CommGraph:
     # -- views ---------------------------------------------------------------
     def to_matrix(self, dense: bool = False):
         """Volume matrix as CSR (or dense when ``dense=True``)."""
+        import scipy.sparse as sp
+
         m = sp.csr_matrix(
             (self.vols, (self.srcs, self.dsts)),
             shape=(self.num_tasks, self.num_tasks),

@@ -18,7 +18,9 @@ The objective is the max channel load ``z`` with ``sum_i f_i(arc) <=
 mult(arc) * z`` per arc. The program is built directly as sparse arrays —
 columns ``z``, ``g``, ``f``, ``r``; row blocks C1, C2, C3, the per-arc load
 rows and the symmetry break — and solved by :func:`scipy.optimize.milp`
-(HiGHS).
+(HiGHS). scipy is imported by the first solve, not with this module:
+maps that never solve a Table II MILP or a routing LP do not pay its
+import at start-up.
 
 Table II's objective is the MCL under the placement's *best* minimal
 routing. RAHTM is scored under minimal adaptive routing (MAR), modelled
@@ -46,8 +48,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize as spo
-import scipy.sparse as sp
 
 from repro.commgraph.graph import CommGraph
 from repro.errors import InfeasibleError, SolverError
@@ -215,6 +215,8 @@ class _Rows:
 
     def matrix(self, num_cols: int):
         """``(A, lb, ub)`` with ``A`` in CSR; exact-zero coefficients dropped."""
+        import scipy.sparse as sp
+
         rows, cols, data = (np.concatenate(part) for part in zip(*self.entries))
         keep = data != 0.0
         a = sp.csr_matrix(
@@ -294,6 +296,8 @@ def solve_cluster_milp(
     hit = _memo_get(memo_key)
     if hit is not None:
         return hit
+    import scipy.optimize as spo
+
     arcs = CubeArcs.from_topology(cube)
     E, D = arcs.num_arcs, cube.ndim
 
@@ -498,6 +502,8 @@ def solve_routing_lp(
     m = len(srcs)
     if m == 0:
         return 0.0
+    import scipy.optimize as spo
+
     arcs = CubeArcs.from_topology(cube)
     V = cube.num_nodes
 

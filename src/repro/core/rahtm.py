@@ -34,6 +34,7 @@ from repro.core.clustering import (
 )
 from repro.core.merge import MergeConfig, hierarchical_merge
 from repro.core.pseudo_pin import pseudo_pin
+from repro.core.refine import refine_assignment
 from repro.errors import ConfigError
 from repro.mapping.mapping import Mapping
 from repro.observability.trace import span
@@ -225,8 +226,6 @@ class RAHTMMapper:
                             span("rahtm.refine",
                                  iterations=self.config.refine_iterations
                                  ) as refine_span:
-                        from repro.core.refine import refine_assignment
-
                         walk: dict = {}
                         assignment, refined_mcl = refine_assignment(
                             self._router(topo), node_graph, assignment,

@@ -21,12 +21,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # typing only: routing.base imports observability.metrics,
-    # so a runtime import here would close an import cycle.
+    # so a runtime import here would close an import cycle; scipy is
+    # imported by the functions that build matrices, not at start-up.
+    import scipy.sparse as sp
+
     from repro.commgraph.graph import CommGraph
     from repro.mapping.mapping import Mapping
     from repro.routing.base import Router
@@ -73,6 +75,8 @@ class FlowLinkAttribution:
 
     def load_matrix(self) -> sp.csr_matrix:
         """``(F x S)`` matrix of absolute per-flow loads (vols * fracs)."""
+        import scipy.sparse as sp
+
         return sp.diags(self.vols) @ self.fractions
 
     def usage_matrix(self) -> sp.csr_matrix:
@@ -111,6 +115,8 @@ def attribute_flows(
     are dropped (matching :meth:`Router.link_loads` semantics); the
     returned attribution's ``srcs/dsts/vols`` reflect the kept flows.
     """
+    import scipy.sparse as sp
+
     topo = router.topology
     srcs = np.asarray(srcs, dtype=np.int64).ravel()
     dsts = np.asarray(dsts, dtype=np.int64).ravel()

@@ -19,6 +19,7 @@ hits) is emitted through :mod:`repro.utils.logconf` under
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
@@ -112,8 +113,14 @@ class MappingEngine:
     ):
         self.store = None if cache_dir is None else ResultStore(cache_dir)
         self.runtime = runtime
-        self.executor = BatchExecutor(executor_config or ExecutorConfig(),
-                                      on_event=self._on_executor_event)
+        # A weak callback: an engine dropped without close() is freed at
+        # once, not by the garbage collector, and its executor with it.
+        engine = weakref.ref(self)
+        self.executor = BatchExecutor(
+            executor_config or ExecutorConfig(),
+            on_event=lambda event, info: engine()._on_executor_event(
+                event, info),
+        )
         self.stats = EngineStats()
 
     def close(self) -> None:

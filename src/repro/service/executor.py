@@ -56,6 +56,7 @@ from __future__ import annotations
 import signal
 import threading
 import time
+import weakref
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -236,6 +237,7 @@ class BatchExecutor:
         #: The process pool pooled batches share; built on first use and
         #: after a break.
         self._pool: ProcessPoolExecutor | None = None
+        self._pool_finalizer: weakref.finalize | None = None
 
     def _open_pool(self, pooled: bool):
         """The pool a batch runs in: the shared process pool, or the
@@ -244,11 +246,16 @@ class BatchExecutor:
             return _InlinePool()
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.config.jobs)
+            # An executor dropped without close() waits for its workers
+            # to exit then and there, not whenever the pool is collected.
+            self._pool_finalizer = weakref.finalize(self, self._pool.shutdown)
+            self._pool_finalizer.atexit = False
         return self._pool
 
     def _drop_pool(self, wait: bool) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
+            self._pool_finalizer.detach()
             pool.shutdown(wait=wait, cancel_futures=True)
 
     def close(self) -> None:

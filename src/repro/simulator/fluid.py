@@ -16,13 +16,17 @@ abstraction (see ``benchmarks/bench_ablations.py``).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import SimulationError
 from repro.observability.metrics import get_registry
 from repro.observability.trace import span
 from repro.routing.base import Router
+
+if TYPE_CHECKING:  # annotations only: attribute_flows builds the matrices
+    import scipy.sparse as sp
 
 __all__ = ["FluidPhaseSimulator", "max_min_fair_rates"]
 

@@ -11,6 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy 2 imports these submodules on first use: numpy.random on the first
+# ``np.random`` lookup, numpy.ma inside the first ``np.unique`` call. Load
+# them here, with the program, so that a map does not pay for the import.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 __all__ = ["as_rng", "spawn_rngs"]
 
 

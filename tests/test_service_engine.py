@@ -237,3 +237,14 @@ def test_pooled_jobs_fold_their_counters_into_this_registry():
         engine.close()
     assert milp_calls() == 3 * per_job
     assert get_registry().counter("milp.solves").value >= per_job
+
+
+def test_engine_dropped_without_close_joins_its_workers():
+    """The executor's event callback does not keep the engine alive, so
+    an engine dropped without close() is freed at once and its pool's
+    workers are joined before the next test forks its own."""
+    engine = MappingEngine(executor_config=ExecutorConfig(jobs=2))
+    assert all(o.ok for o in engine.run(_jobs(2)))
+    workers = list(engine.executor._pool._processes.values())
+    del engine
+    assert workers and not any(p.is_alive() for p in workers)

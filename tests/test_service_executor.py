@@ -244,6 +244,16 @@ def test_close_leaves_no_child_processes():
         exe.close()
 
 
+def test_dropped_executor_joins_its_workers():
+    """An executor nobody closed stops its pool when it is dropped, not
+    when the pool is garbage-collected."""
+    exe = BatchExecutor(ExecutorConfig(jobs=2))
+    exe.run(_double, [1, 2])
+    workers = list(exe._pool._processes.values())
+    del exe
+    assert workers and not any(p.is_alive() for p in workers)
+
+
 def test_drain_shuts_the_pool_down():
     exe = BatchExecutor(ExecutorConfig(jobs=2))
     exe.run(_double, [1])
