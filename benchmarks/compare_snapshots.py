@@ -16,10 +16,10 @@ baseline and exits non-zero when
   says *which link* the MCL moved to — drift is never unexplained;
 - on any benchmark row of the current snapshot, RAHTM's MCL is not
   strictly below every other mapper's (the paper's claim; a tie fails);
-- the snapshots' schema versions or scales differ;
-- the telemetry sampler's ``overhead_fraction`` is at or above 1% of a
-  worst-case 1 s tick — an absolute budget, not a ratio against the
-  baseline.
+- the snapshots' schema versions or scales differ.
+
+Older baselines may carry a ``telemetry`` block (the sampling overhead
+of a since-deleted time-series recorder); nothing reads it.
 
 The baseline argument may be a path or the literal ``latest``: the
 newest ``BENCH_PR<N>.json`` found at the repo root (falling back to
@@ -175,27 +175,6 @@ def compare(
             )
             continue
         check_timing(f"vectorized {key}", float(base), float(cur))
-
-    # Telemetry-plane micro-bench: the usual ratio gate when the baseline
-    # carries it (snapshots before PR 9 predate the telemetry plane), plus
-    # an *absolute* budget — the registry sampler runs inside the daemon's
-    # maintenance loop, so it must stay under 1% of a worst-case 1 s tick
-    # no matter what the baseline says.
-    for key, base in baseline.get("telemetry", {}).items():
-        cur = current.get("telemetry", {}).get(key)
-        if cur is None:
-            failures.append(
-                f"telemetry metric {key!r} missing from current snapshot"
-            )
-            continue
-        if key != "overhead_fraction":
-            check_timing(f"telemetry {key}", float(base), float(cur))
-    overhead = current.get("telemetry", {}).get("overhead_fraction")
-    if overhead is not None and float(overhead) >= 0.01:
-        failures.append(
-            f"telemetry overhead_fraction {float(overhead):.4f} >= 0.01: "
-            "registry sampling would eat >=1% of a 1s telemetry tick"
-        )
 
     for phase, base in baseline.get("phases", {}).items():
         cur = current.get("phases", {}).get(phase)

@@ -20,10 +20,7 @@ writes one JSON document::
                 "cache_hit_submit_seconds": ...},
       "vectorized": {"stencil_accumulate_seconds": ..., # hot-path kernels
                      "orientation_batch_seconds": ...,
-                     "merge_scoring_seconds": ...},
-      "telemetry": {"sample_seconds": ...,              # registry sampling
-                    "render_prometheus_seconds": ...,
-                    "overhead_fraction": ...}           # vs 1s tick budget
+                     "merge_scoring_seconds": ...}
     }
 
 Timings take the *minimum* over ``--repeat`` runs, the standard
@@ -261,53 +258,6 @@ def bench_vectorized(repeats: int) -> dict:
     }
 
 
-def bench_telemetry(repeats: int) -> dict:
-    """Telemetry-plane sampling overhead, min over repeats.
-
-    Populates a standalone registry at serve-daemon scale (50 counters,
-    10 histograms x 1,000 observations, a handful of gauges — more
-    instruments than a busy multi-tenant daemon actually carries) and
-    times one :meth:`TimeSeriesRecorder.sample` tick plus one Prometheus
-    exposition render. ``overhead_fraction`` is the sample cost against
-    a worst-case 1 s telemetry interval; the compare gate fails the
-    build if the sampler would eat >=1% of the daemon's time.
-    """
-    import time
-
-    from repro.observability.metrics import MetricsRegistry
-    from repro.observability.prometheus import render_prometheus
-    from repro.observability.timeseries import TimeSeriesRecorder
-
-    registry = MetricsRegistry()
-    for i in range(50):
-        registry.counter(f"serve.tenant.t{i % 10}.counter_{i}").inc(i * 7)
-    for i in range(5):
-        registry.gauge(f"serve.gauge_{i}").set(i * 1.5)
-    for i in range(10):
-        hist = registry.histogram(f"serve.tenant.t{i}.e2e_seconds")
-        for j in range(1_000):
-            hist.record((j % 97) / 13.0)
-
-    recorder = TimeSeriesRecorder(registry, capacity=720)
-    recorder.sample()  # warm: first tick has no rate deltas to compute
-
-    def best(fn) -> float:
-        times = []
-        for _ in range(max(repeats, 1)):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    sample = best(recorder.sample)
-    render = best(lambda: render_prometheus(registry.snapshot()))
-    return {
-        "sample_seconds": sample,
-        "render_prometheus_seconds": render,
-        "overhead_fraction": sample / 1.0,
-    }
-
-
 def merge_min(runs: list[dict]) -> dict:
     """Fold repeats: min for timings, first run's MCLs (deterministic)."""
     out = {
@@ -335,7 +285,7 @@ def merge_min(runs: list[dict]) -> dict:
 def take_snapshot(
     scale: str, repeats: int, pr: str | None = None,
     explain: dict | None = None, serve: bool = True,
-    vectorized: bool = True, telemetry: bool = True,
+    vectorized: bool = True,
 ) -> dict:
     from repro.core.milp import clear_milp_memo
 
@@ -361,8 +311,6 @@ def take_snapshot(
         snap["serve"] = bench_serve(repeats)
     if vectorized:
         snap["vectorized"] = bench_vectorized(repeats)
-    if telemetry:
-        snap["telemetry"] = bench_telemetry(repeats)
     if pr:
         snap["pr"] = str(pr)
     return snap
@@ -402,11 +350,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="skip the vectorized hot-path kernel micro-benches",
     )
-    parser.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="skip the telemetry sampling-overhead micro-bench",
-    )
     args = parser.parse_args(argv)
     explain: dict | None = {} if args.explain_out else None
     snap = take_snapshot(
@@ -416,7 +359,6 @@ def main(argv=None) -> int:
         explain=explain,
         serve=not args.no_serve,
         vectorized=not args.no_vectorized,
-        telemetry=not args.no_telemetry,
     )
     text = json.dumps(snap, indent=2, sort_keys=True) + "\n"
     if args.out == "-":

@@ -10,12 +10,7 @@ client lifecycle over actual HTTP:
    (``from_cache`` + ``wall_seconds == 0.0`` + no second execution);
 4. submit a spec whose mapper cannot be built (RAHTM with beam width 0)
    and assert a 400 that leaves ``/healthz``'s job counts unchanged;
-5. scrape ``/metrics?format=prometheus`` and run it through the strict
-   exposition parser — unparseable output fails the build;
-6. wait for a telemetry tick and assert the (absurdly tight) p99 SLO
-   configured on the daemon fires an alert into ``/healthz``;
-7. render one ``repro top --once`` frame against the live daemon;
-8. SIGTERM the daemon and assert a clean drain: exit code 0, ready
+5. SIGTERM the daemon and assert a clean drain: exit code 0, ready
    file removed, no pending.json (the queue was empty).
 
 Exits 0 on success, 1 with a diagnosis on any failure — no pytest
@@ -38,7 +33,6 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 sys.path.insert(0, SRC)
 
-from repro.observability import parse_prometheus  # noqa: E402
 from repro.serve import READY_NAME, ServeClient  # noqa: E402
 from repro.service import MappingJob  # noqa: E402
 from repro.service.jobs import (  # noqa: E402
@@ -47,16 +41,12 @@ from repro.service.jobs import (  # noqa: E402
     WorkloadSpec,
 )
 
-# telemetry_interval is cranked down so the SLO evaluator runs within
-# the smoke's patience; slo_p99 is absurdly tight so the one mapped job
-# is guaranteed to breach it.
 SERVER = """
 import sys
 from repro.serve import DaemonConfig, MappingDaemon
 
 sys.exit(MappingDaemon(DaemonConfig(
-    cache_dir=sys.argv[1], port=0, janitor_interval=0.0,
-    telemetry_interval=0.2, slo_p99_seconds=1e-6)).run())
+    cache_dir=sys.argv[1], port=0, janitor_interval=0.0)).run())
 """
 
 
@@ -140,49 +130,6 @@ def main() -> int:
             fail(f"refused spec left a job behind: {before.get('jobs')} -> "
                  f"{after.get('jobs')}")
         print(f"serve-smoke: unbuildable spec refused (400: {doc['error']})")
-
-        # -- Prometheus exposition must parse strictly -------------------------
-        code, text = client.metrics_text("prometheus")
-        if code != 200:
-            fail(f"/metrics?format=prometheus returned {code}")
-        try:
-            families = parse_prometheus(text)
-        except ValueError as exc:
-            fail(f"prometheus exposition unparseable: {exc}")
-        if "serve_tenant_completed" not in families:
-            fail(f"serve_tenant_completed family missing from scrape "
-                 f"({sorted(families)[:8]}...)")
-        print(f"serve-smoke: prometheus scrape parsed "
-              f"({len(families)} families)")
-
-        # -- telemetry tick fires the (absurd) p99 SLO into /healthz -----------
-        alerts = []
-        deadline = time.monotonic() + 15
-        while time.monotonic() < deadline:
-            code, health = client.healthz()
-            if code != 200:
-                fail(f"/healthz returned {code}")
-            alerts = health.get("alerts") or []
-            if alerts and health.get("telemetry", {}).get("samples", 0) > 0:
-                break
-            time.sleep(0.2)
-        rules = {(a.get("rule"), a.get("tenant")) for a in alerts}
-        if ("p99_latency", "smoke") not in rules:
-            fail(f"p99 SLO breach never fired into /healthz "
-                 f"(alerts: {alerts})")
-        print(f"serve-smoke: SLO alert firing "
-              f"({alerts[0]['rule']}: {alerts[0]['detail']})")
-
-        # -- repro top renders one full refresh --------------------------------
-        top = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "top", "--once",
-             "--url", url],
-            env=env, capture_output=True, text=True, timeout=60)
-        if top.returncode != 0:
-            fail(f"repro top --once exited {top.returncode}:\n{top.stderr}")
-        if "repro top" not in top.stdout or "smoke" not in top.stdout:
-            fail(f"repro top frame incomplete:\n{top.stdout}")
-        print("serve-smoke: repro top rendered one frame")
 
         # -- SIGTERM: clean drain ----------------------------------------------
         proc.send_signal(signal.SIGTERM)

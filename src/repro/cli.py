@@ -419,9 +419,6 @@ def cmd_serve(args) -> int:
         janitor_interval=args.janitor_interval,
         requeue_pending=not args.no_requeue,
         checkpoint_dir=args.checkpoint_dir,
-        telemetry_interval=args.telemetry_interval,
-        slo_p99_seconds=args.slo_p99,
-        slo_reject_rate=args.slo_reject_rate,
         span_log=args.span_log,
     )
     return MappingDaemon(config).run()
@@ -518,20 +515,6 @@ def cmd_cancel(args) -> int:
                          f"{doc.get('error', doc)}")
     _print_job_doc(doc)
     return 0
-
-
-def cmd_top(args) -> int:
-    """Live terminal dashboard over a running daemon."""
-    from repro.serve.top import run_top
-
-    client = _serve_client(args)
-    iterations = 1 if args.once else args.iterations
-    try:
-        return run_top(client, interval=args.interval,
-                       iterations=iterations,
-                       clear=not (args.once or args.no_clear))
-    except KeyboardInterrupt:
-        return 0
 
 
 def cmd_experiment(args) -> int:
@@ -731,16 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=("local",), default="local",
                    help="execution backend; the local process pool "
                         "(--jobs workers) is the only one")
-    p.add_argument("--telemetry-interval", type=float, default=5.0,
-                   help="seconds between telemetry samples (ring buffer "
-                        "+ <cache>/telemetry/metrics.jsonl; 0 disables "
-                        "live telemetry and SLO evaluation)")
-    p.add_argument("--slo-p99", type=float, default=None,
-                   help="per-tenant p99 end-to-end latency SLO in "
-                        "seconds; breaches fire an alert in /healthz")
-    p.add_argument("--slo-reject-rate", type=float, default=None,
-                   help="per-tenant reject-rate SLO as a fraction "
-                        "(e.g. 0.05 alerts past 5%% rejected)")
     p.add_argument("--span-log", action="store_true",
                    help="stream the daemon's spans to "
                         "<cache>/telemetry/spans.jsonl with bounded "
@@ -804,23 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("job_id", help="job id (= the spec's cache key)")
     client_opts(p)
     p.set_defaults(func=cmd_cancel)
-
-    p = sub.add_parser(
-        "top",
-        help="live dashboard over a running daemon (/healthz + /metrics): "
-             "tenants, sparklines, firing SLO alerts",
-    )
-    p.add_argument("--interval", type=float, default=2.0,
-                   help="seconds between refreshes")
-    p.add_argument("--iterations", type=int, default=None,
-                   help="stop after this many frames (default: until ^C)")
-    p.add_argument("--once", action="store_true",
-                   help="render one frame without clearing and exit "
-                        "(CI/smoke friendly)")
-    p.add_argument("--no-clear", action="store_true",
-                   help="append frames instead of clearing the screen")
-    client_opts(p)
-    p.set_defaults(func=cmd_top)
 
     p = sub.add_parser("experiment", help="regenerate a paper figure/table")
     p.add_argument("name", choices=EXPERIMENTS,

@@ -70,7 +70,7 @@ SCALES: dict[str, ExperimentScale] = {
         name="tiny", shape=(4, 4), concentration=4, problem_class="W",
         dim_orders=("ABT", "TAB", "BAT"),
         rahtm=RAHTMConfig(beam_width=8, max_orientations=8,
-                          milp_time_limit=10.0, order_mode="identity",
+                          order_mode="identity",
                           refine_iterations=1000, seed=0),
     ),
     # Default for the figure benches (256 tasks on a 4x4x4 torus). The
@@ -84,7 +84,6 @@ SCALES: dict[str, ExperimentScale] = {
         name="small", shape=(4, 4, 4), concentration=4, problem_class="C",
         dim_orders=("ABCT", "TABC", "ACBT"),
         rahtm=RAHTMConfig(beam_width=16, max_orientations=None,
-                          milp_time_limit=30.0, milp_rel_gap=0.02,
                           refine_iterations=2000, seed=0),
     ),
     # The headline run (1,024 tasks on a 4^4 torus, concentration 4).

@@ -11,12 +11,6 @@
 - :mod:`repro.observability.netview` — hotspot reports, load-balance
   statistics, saturation cross-checks and mapping diffs built on the
   attribution, exported as schema-versioned JSON artifacts.
-- :mod:`repro.observability.timeseries` — bounded ring-buffer sampling
-  of the registry (counter rates, histogram quantiles) with JSONL
-  persistence + rotation; the serve daemon's live telemetry source.
-- :mod:`repro.observability.prometheus` — text exposition rendering for
-  ``GET /metrics?format=prometheus`` and the strict parser the CI smoke
-  uses to prove the output is scrapable.
 
 See ``docs/observability.md`` for the span taxonomy and metric names.
 """
@@ -32,17 +26,6 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    quantile_from_cumulative,
-)
-from repro.observability.prometheus import (
-    PROMETHEUS_CONTENT_TYPE,
-    parse_prometheus,
-    render_prometheus,
-)
-from repro.observability.timeseries import (
-    TELEMETRY_SCHEMA_VERSION,
-    TelemetrySink,
-    TimeSeriesRecorder,
 )
 from repro.observability.netview import (
     NETVIEW_SCHEMA_VERSION,
@@ -67,8 +50,6 @@ from repro.observability.trace import (
 
 __all__ = [
     "NETVIEW_SCHEMA_VERSION",
-    "PROMETHEUS_CONTENT_TYPE",
-    "TELEMETRY_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
     "Counter",
     "FlowLinkAttribution",
@@ -78,8 +59,6 @@ __all__ = [
     "MetricsRegistry",
     "NetView",
     "Span",
-    "TelemetrySink",
-    "TimeSeriesRecorder",
     "Tracer",
     "activate",
     "active_tracer",
@@ -93,8 +72,5 @@ __all__ = [
     "gini",
     "load_stats",
     "netview_summary",
-    "parse_prometheus",
-    "quantile_from_cumulative",
-    "render_prometheus",
     "span",
 ]

@@ -24,7 +24,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "quantile_from_cumulative",
 ]
 
 
@@ -125,19 +124,6 @@ class Histogram:
         buckets = {f"2^{e}": self.buckets[e] for e in sorted(self.buckets)}
         if self.zero:
             buckets = {"zero": self.zero, **buckets}
-        # Cumulative ``[upper_bound, count_at_or_below]`` pairs, ending
-        # with ``["+Inf", count]`` — the Prometheus bucket shape, and
-        # enough to recompute quantiles from a serialized snapshot
-        # (:func:`quantile_from_cumulative`) without the instrument.
-        cumulative: list[list] = []
-        running = 0
-        if self.zero:
-            running = self.zero
-            cumulative.append([0.0, running])
-        for e in sorted(self.buckets):
-            running += self.buckets[e]
-            cumulative.append([2.0 ** (e + 1), running])
-        cumulative.append(["+Inf", self.count])
         return {
             "type": "histogram",
             "count": self.count,
@@ -145,7 +131,6 @@ class Histogram:
             "min": self.vmin if self.count else None,
             "max": self.vmax if self.count else None,
             "buckets": buckets,
-            "cumulative": cumulative,
         }
 
 
@@ -218,38 +203,6 @@ class MetricsRegistry:
                 value = f"{snap['value']:.6g}"
             lines.append(f"{name:<44} {snap['type']:<9} {value}")
         return "\n".join(lines)
-
-
-def quantile_from_cumulative(cumulative, q: float) -> float | None:
-    """Approximate the ``q``-quantile from a snapshot's ``cumulative`` pairs.
-
-    Works on the serialized form of a histogram — what telemetry rows,
-    ``/metrics`` JSON and worker stats files carry — so consumers that
-    never see the live :class:`Histogram` (the time-series recorder,
-    ``repro top``) can still report honest p50/p95/p99s. Matches
-    :meth:`Histogram.quantile`: the geometric midpoint of the log2
-    bucket the quantile sample falls in (``upper_bound * 0.75``).
-    Returns ``None`` when the histogram is empty.
-    """
-    if not cumulative:
-        return None
-    try:
-        total = int(cumulative[-1][1])
-    except (TypeError, ValueError, IndexError):
-        return None
-    if total <= 0:
-        return None
-    rank = min(max(float(q), 0.0), 1.0) * (total - 1)
-    prev = 0.0
-    for le, cum in cumulative:
-        if rank < cum:
-            if le == "+Inf":
-                return prev
-            le = float(le)
-            return 0.0 if le <= 0.0 else le * 0.75
-        if le != "+Inf":
-            prev = float(le)
-    return prev
 
 
 _REGISTRY = MetricsRegistry()

@@ -9,14 +9,9 @@ Layers, bottom up:
 - :mod:`repro.serve.daemon` — the asyncio daemon itself: scheduler over
   the supervised engine, graceful SIGTERM drain to ``pending.json``,
   startup auto-requeue, periodic doctor janitor;
-- :mod:`repro.serve.slo` — per-tenant SLO rules (p99 latency, reject
-  rate) evaluated on the telemetry cadence;
-- :mod:`repro.serve.http` — stdlib HTTP/1.1 JSON front-end (plus the
-  Prometheus plain-text exposition on ``/metrics?format=prometheus``);
+- :mod:`repro.serve.http` — stdlib HTTP/1.1 JSON front-end;
 - :mod:`repro.serve.client` — :class:`ServeClient` used by the
-  ``repro submit/status/result/cancel`` subcommands;
-- :mod:`repro.serve.top` — the ``repro top`` live dashboard over
-  ``/healthz`` + ``/metrics``.
+  ``repro submit/status/result/cancel`` subcommands.
 """
 
 from repro.serve.admission import AdmissionController, AdmissionDecision
@@ -29,7 +24,6 @@ from repro.serve.daemon import (
     MappingDaemon,
 )
 from repro.serve.queueing import FairQueue, QuotaExceeded, TenantPolicy
-from repro.serve.slo import SloEvaluator, SloPolicy
 
 __all__ = [
     "AdmissionController",
@@ -42,8 +36,6 @@ __all__ = [
     "QuotaExceeded",
     "READY_NAME",
     "ServeClient",
-    "SloEvaluator",
-    "SloPolicy",
     "TenantPolicy",
     "discover_url",
 ]

@@ -32,7 +32,6 @@ import json
 import os
 import time
 import urllib.error
-import urllib.parse
 import urllib.request
 from pathlib import Path
 
@@ -205,25 +204,6 @@ class ServeClient:
 
     def metrics(self) -> tuple[int, dict]:
         return self._request("GET", "/metrics")
-
-    def metrics_text(self, fmt: str = "prometheus") -> tuple[int, str]:
-        """Raw text scrape of ``/metrics?format=<fmt>`` (no JSON parse).
-
-        The Prometheus exposition must come back verbatim: a scraper
-        (or :func:`repro.observability.parse_prometheus`) validates the
-        text itself, so this method bypasses the JSON decode path.
-        """
-        req = urllib.request.Request(
-            f"{self.url}/metrics?format={urllib.parse.quote(fmt)}",
-            headers={"Accept": "text/plain"}, method="GET")
-        try:
-            with self._urlopen(req, timeout=self.timeout) as resp:
-                return resp.status, resp.read().decode(errors="replace")
-        except urllib.error.HTTPError as exc:
-            return exc.code, exc.read().decode(errors="replace")
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                f"cannot reach daemon at {self.url}: {exc.reason}") from exc
 
     def wait(self, job_id: str, timeout: float | None = None,
              poll: float = 0.2) -> dict:

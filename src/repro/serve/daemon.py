@@ -47,16 +47,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError, ServiceError
 from repro.observability.metrics import get_registry
-from repro.observability.prometheus import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_prometheus,
-)
-from repro.observability.timeseries import TelemetrySink, TimeSeriesRecorder
 from repro.observability.trace import Tracer, activate, active_tracer, span
 from repro.resilience import faultinject
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.queueing import FairQueue, QuotaExceeded, TenantPolicy
-from repro.serve.slo import SloEvaluator, SloPolicy
 from repro.service.doctor import diagnose
 from repro.service.engine import MappingEngine
 from repro.service.executor import ExecutorConfig
@@ -86,7 +80,7 @@ READY_NAME = "serve.json"
 #: Tenant used when a submission names none.
 DEFAULT_TENANT = "default"
 
-#: Directory under the cache root holding telemetry JSONL + span logs.
+#: Directory under the cache root holding the span log.
 TELEMETRY_DIR = "telemetry"
 
 #: Characters allowed in the tenant segment of a metric name.
@@ -124,12 +118,6 @@ class DaemonConfig:
     janitor_interval: float = 300.0
     requeue_pending: bool = True
     checkpoint_dir: str | None = None
-    #: Seconds between telemetry samples (ring buffer + JSONL under
-    #: ``<cache>/telemetry/``); 0 disables live telemetry and SLOs.
-    telemetry_interval: float = 5.0
-    #: SLO thresholds; None disables the corresponding alert rule.
-    slo_p99_seconds: float | None = None
-    slo_reject_rate: float | None = None
     #: Stream the daemon's own spans to ``<cache>/telemetry/spans.jsonl``
     #: with bounded in-memory retention (off by default: the tracer
     #: global is process-wide and embedding hosts may own it).
@@ -144,12 +132,6 @@ class DaemonConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.janitor_interval < 0:
             raise ConfigError("janitor_interval must be >= 0 (0 disables)")
-        if self.telemetry_interval < 0:
-            raise ConfigError("telemetry_interval must be >= 0 (0 disables)")
-        for name in ("slo_p99_seconds", "slo_reject_rate"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be > 0 (None disables)")
 
 
 @dataclass
@@ -255,29 +237,13 @@ class MappingDaemon:
         self._wake: asyncio.Event | None = None
         self._stopping: asyncio.Event | None = None
         self._registry = get_registry()
-        # -- live telemetry plane ---------------------------------------
-        self.telemetry = TimeSeriesRecorder(self._registry)
-        self._telemetry_sink = TelemetrySink(
-            self.engine.store.root / TELEMETRY_DIR)
-        self.slo = SloEvaluator(self._registry, SloPolicy(
-            p99_latency_seconds=config.slo_p99_seconds,
-            reject_rate=config.slo_reject_rate,
-        ))
-        #: Alerts firing as of the last telemetry tick (healthz surface).
-        self.alerts: list[dict] = []
-        self._alert_keys: set[tuple] = set()
-        self._tenants: set[str] = set()
         self._tracer: Tracer | None = None
 
     # ================= per-tenant instruments =====================================
     @staticmethod
-    def _tenant_label(tenant: str) -> str:
-        """Tenant name -> metric-name-safe segment."""
-        return _TENANT_UNSAFE.sub("_", tenant) or "_"
-
-    def _tenant_metric(self, tenant: str, suffix: str) -> str:
-        label = self._tenant_label(tenant)
-        self._tenants.add(label)
+    def _tenant_metric(tenant: str, suffix: str) -> str:
+        """Per-tenant instrument name; the tenant made metric-name-safe."""
+        label = _TENANT_UNSAFE.sub("_", tenant) or "_"
         return f"serve.tenant.{label}.{suffix}"
 
     # ================= state-machine API (HTTP-independent) =======================
@@ -477,30 +443,12 @@ class MappingDaemon:
                              "p95": wait.quantile(0.95)},
             "engine": self.engine.stats.as_dict(),
             "store": self.engine.store.stats.as_dict(),
-            "alerts": list(self.alerts),
-            "telemetry": {
-                "interval_seconds": self.config.telemetry_interval,
-                "samples": len(self.telemetry),
-                "capacity": self.telemetry.capacity,
-                "last_sample_unix": (self.telemetry.latest()
-                                     or {}).get("time_unix"),
-            },
         }
         return 200, doc
 
-    def metrics(self, fmt: str | None = None) -> tuple[int, object]:
-        """Registry snapshot: JSON by default, text exposition on
-        ``fmt="prometheus"`` (the ``?format=`` query parameter)."""
-        snapshot = self._registry.snapshot()
-        if fmt in (None, "", "json"):
-            return 200, snapshot
-        if fmt == "prometheus":
-            from repro.serve.http import PlainText
-
-            return 200, PlainText(render_prometheus(snapshot),
-                                  PROMETHEUS_CONTENT_TYPE)
-        return 400, {"error": f"unknown metrics format {fmt!r}; "
-                              "use 'json' or 'prometheus'"}
+    def metrics(self) -> tuple[int, dict]:
+        """The process registry's snapshot."""
+        return 200, self._registry.snapshot()
 
     # ================= scheduler ===================================================
     def _next_key(self) -> str | None:
@@ -626,51 +574,14 @@ class MappingDaemon:
             log.warning("janitor repaired %d finding(s): %s", len(problems),
                         "; ".join(f"{f.kind}:{f.path}" for f in problems))
 
-    def _sample_telemetry(self) -> None:
-        """One telemetry tick: sample the registry, persist, evaluate SLOs."""
-        t0 = time.perf_counter()
-        row = self.telemetry.sample()
-        try:
-            self._telemetry_sink.append(row)
-        except OSError as exc:
-            self._registry.counter("telemetry.persist_errors").inc()
-            log.warning("telemetry persist failed: %s", exc)
-        self.alerts = self.slo.evaluate(sorted(self._tenants))
-        keys = {(a["rule"], a["tenant"]) for a in self.alerts}
-        if keys != self._alert_keys:
-            # Log transitions only; a steadily-firing alert lives in
-            # /healthz, not in an ever-growing log.
-            if self.alerts:
-                log.warning("SLO alerts firing: %s",
-                            "; ".join(a["detail"] for a in self.alerts))
-            else:
-                log.warning("all SLO alerts resolved")
-            self._alert_keys = keys
-        self._registry.gauge("telemetry.alerts_firing").set(len(self.alerts))
-        self._registry.counter("telemetry.samples").inc()
-        self._registry.histogram("telemetry.sample_seconds").record(
-            time.perf_counter() - t0)
-
     async def _janitor(self) -> None:
-        """Maintenance loop: telemetry ticks + doctor sweeps.
-
-        Runs on the shorter of the two enabled intervals; the doctor
-        fires only once its own interval has elapsed, so a 5 s telemetry
-        cadence does not turn into a 5 s fsck cadence.
-        """
-        telemetry = self.config.telemetry_interval
-        janitor = self.config.janitor_interval
-        tick = min(i for i in (telemetry, janitor) if i > 0)
-        last_janitor = time.monotonic()
+        """Maintenance loop: a doctor sweep every ``janitor_interval``."""
         while not self.draining:
             with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(self._stopping.wait(), timeout=tick)
+                await asyncio.wait_for(self._stopping.wait(),
+                                       timeout=self.config.janitor_interval)
                 return
-            if telemetry > 0:
-                await asyncio.to_thread(self._sample_telemetry)
-            if janitor > 0 and time.monotonic() - last_janitor >= janitor:
-                await asyncio.to_thread(self._run_janitor)
-                last_janitor = time.monotonic()
+            await asyncio.to_thread(self._run_janitor)
 
     # ================= drain / resume ==============================================
     def _requeue_pending(self) -> None:
@@ -822,8 +733,7 @@ class MappingDaemon:
         })
         scheduler = asyncio.create_task(self._scheduler())
         janitor = (asyncio.create_task(self._janitor())
-                   if (self.config.janitor_interval > 0
-                       or self.config.telemetry_interval > 0) else None)
+                   if self.config.janitor_interval > 0 else None)
         log.warning("repro serve listening on %s (cache %s, %r)",
                     self.url, self.config.cache_dir,
                     self.config.executor_config)
@@ -841,10 +751,6 @@ class MappingDaemon:
                 with contextlib.suppress(asyncio.CancelledError):
                     await janitor
             self._persist_pending_state()
-            if self.config.telemetry_interval > 0 and len(self.telemetry):
-                # Final sample so the persisted series covers the drain.
-                with contextlib.suppress(Exception):
-                    self._sample_telemetry()
             span_scope.close()
             with contextlib.suppress(FileNotFoundError, OSError):
                 ready_path.unlink()

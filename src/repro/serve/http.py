@@ -14,28 +14,23 @@ GET    ``/jobs/{id}/result``      stored result payload (done jobs only)
 DELETE ``/jobs/{id}``             cancel (queued jobs only)
 GET    ``/healthz``               liveness + queue/admission/latency view
 GET    ``/metrics``               :class:`MetricsRegistry` snapshot
-                                  (``?format=prometheus`` for text
-                                  exposition)
 ====== ========================== ==========================================
 
-Responses are JSON unless a handler returns a :class:`PlainText`
-payload (the Prometheus exposition), which is written verbatim with its
-own Content-Type. Every request runs inside an observability span and
-bumps ``serve.http_requests``; malformed requests get a 400 and never
-reach the daemon's state machine.
+Every request runs inside an observability span and bumps
+``serve.http_requests``; malformed requests get a 400 and never reach
+the daemon's state machine.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import urllib.parse
 
 from repro.observability.metrics import get_registry
 from repro.observability.trace import span
 from repro.utils.logconf import get_logger
 
-__all__ = ["HttpApi", "PlainText"]
+__all__ = ["HttpApi"]
 
 log = get_logger("serve.http")
 
@@ -67,22 +62,6 @@ class _BadRequest(Exception):
         self.status = status
 
 
-class PlainText:
-    """A non-JSON response body with its own Content-Type.
-
-    Handlers return ``(status, PlainText(...))`` instead of a dict when
-    the payload is already serialized text — the Prometheus exposition
-    must not be JSON-wrapped or scrapers reject it.
-    """
-
-    __slots__ = ("text", "content_type")
-
-    def __init__(self, text: str,
-                 content_type: str = "text/plain; charset=utf-8"):
-        self.text = text
-        self.content_type = content_type
-
-
 class HttpApi:
     """Bridges raw connections onto the daemon's synchronous state machine."""
 
@@ -108,24 +87,17 @@ class HttpApi:
         except Exception as exc:  # pragma: no cover - defensive
             log.error("unhandled error serving %s %s: %s", method, path, exc)
             status, doc = 500, {"error": f"internal error: {exc}"}
-        if isinstance(doc, PlainText):
-            body_bytes = doc.text.encode()
-            content_type = doc.content_type
-            extra = ""
-        else:
-            body_bytes = (json.dumps(doc, sort_keys=True) + "\n").encode()
-            content_type = "application/json"
-            # A body-level retry hint doubles as the standard header so
-            # clients that never parse the body (and ServeClient, which
-            # honors the header on 429/503) still see it.
-            extra = ""
-            retry_after = (doc.get("retry_after_seconds")
-                           if isinstance(doc, dict) else None)
-            if isinstance(retry_after, (int, float)) and retry_after > 0:
-                extra = f"Retry-After: {max(1, int(round(retry_after)))}\r\n"
+        body_bytes = (json.dumps(doc, sort_keys=True) + "\n").encode()
+        # A body-level retry hint doubles as the standard header so
+        # clients that never parse the body (and ServeClient, which
+        # honors the header on 429/503) still see it.
+        extra = ""
+        retry_after = doc.get("retry_after_seconds")
+        if isinstance(retry_after, (int, float)) and retry_after > 0:
+            extra = f"Retry-After: {max(1, int(round(retry_after)))}\r\n"
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
+            f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body_bytes)}\r\n"
             f"{extra}"
             f"Connection: close\r\n"
@@ -173,16 +145,12 @@ class HttpApi:
                  body: bytes) -> tuple[int, dict]:
         """Route one parsed request; returns ``(status, json_doc)``."""
         self._requests.inc()
-        path, _, query = path.partition("?")
-        path = path.rstrip("/") or "/"
+        path = path.partition("?")[0].rstrip("/") or "/"
         with span("serve.http", method=method, path=path):
             if path == "/healthz":
                 return self._get_only(method, self.daemon.healthz)
             if path == "/metrics":
-                params = urllib.parse.parse_qs(query)
-                fmt = params.get("format", [None])[0]
-                return self._get_only(
-                    method, lambda: self.daemon.metrics(fmt))
+                return self._get_only(method, self.daemon.metrics)
             if path == "/jobs":
                 if method != "POST":
                     return 405, {"error": "use POST /jobs to submit"}

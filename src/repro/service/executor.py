@@ -191,6 +191,20 @@ def _invoke_pooled(fn, item, timeout):
     return result, deltas()
 
 
+def _init_worker() -> None:
+    """Pool-worker initializer: undo the signal handlers the fork copied.
+
+    Workers are forked inside :meth:`BatchExecutor._drain_signals` (or
+    under a daemon's event-loop handlers), so without this a worker's
+    SIGTERM would only set its own copy of the drain flag, and the
+    ``Process.terminate()`` that stops a broken pool's survivors would
+    not stop a busy one. SIGINT is ignored: a terminal ^C reaches the
+    whole process group, and only the parent's drain should act on it.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -245,7 +259,8 @@ class BatchExecutor:
         if not pooled:
             return _InlinePool()
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.config.jobs)
+            self._pool = ProcessPoolExecutor(max_workers=self.config.jobs,
+                                             initializer=_init_worker)
             # An executor dropped without close() waits for its workers
             # to exit then and there, not whenever the pool is collected.
             self._pool_finalizer = weakref.finalize(self, self._pool.shutdown)

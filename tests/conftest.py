@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.commgraph import CommGraph
 from repro.core.milp import clear_milp_memo
 from repro.observability import clear_active_tracer, get_registry
 from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
+from repro.serve import DaemonConfig, MappingDaemon, ServeClient
 from repro.topology import mesh, torus
 
 
@@ -67,3 +70,25 @@ def ring16():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def daemon_factory(tmp_path):
+    """Start daemons on background threads; always stopped on teardown."""
+    running = []
+
+    def start(**overrides):
+        overrides.setdefault("cache_dir", str(tmp_path / "cache"))
+        overrides.setdefault("janitor_interval", 0.0)
+        daemon = MappingDaemon(DaemonConfig(**overrides))
+        thread = threading.Thread(target=daemon.run, daemon=True)
+        thread.start()
+        assert daemon.ready.wait(15), "daemon did not become ready"
+        running.append((daemon, thread))
+        return daemon, ServeClient(daemon.url, timeout=15)
+
+    yield start
+    for daemon, thread in running:
+        daemon.stop("test teardown")
+        thread.join(15)
+        assert not thread.is_alive()

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -535,3 +536,60 @@ def test_committed_pr4_baseline_is_valid():
     for row in baseline["cells"].values():
         for cell in row.values():
             assert cell["hotspot"]["load"] <= cell["mcl"] + 1e-9
+
+
+# -- streaming span sink --------------------------------------------------------------
+def test_tracer_streams_roots_and_bounds_retention(tmp_path):
+    sink = tmp_path / "spans.jsonl"
+    tracer = Tracer(run_id="r1", sink=sink, max_roots=2)
+    for i in range(5):
+        with tracer.span(f"root-{i}"):
+            with tracer.span("child"):
+                pass
+    # every completed root streamed out, memory capped at max_roots
+    assert len(tracer.roots) == 2
+    assert [s.name for s in tracer.roots] == ["root-3", "root-4"]
+    rows = [json.loads(line) for line in sink.read_text().splitlines()]
+    assert rows[0] == {"trace_schema": rows[0]["trace_schema"],
+                       "run_id": "r1", "streaming": True}
+    spans = rows[1:]
+    assert [r["id"] for r in spans] == list(range(1, 11))
+    assert [r["name"] for r in spans if r["parent"] is None] \
+        == [f"root-{i}" for i in range(5)]
+    with pytest.raises(ValueError):
+        Tracer(max_roots=0)
+
+
+def test_tracer_sink_unwritable_is_swallowed(tmp_path):
+    # The sink is diagnostics: a bad path must not break the traced run.
+    tracer = Tracer(sink=tmp_path / "missing" / "x" / "spans.jsonl")
+    with tracer.span("ok"):
+        pass
+    assert [s.name for s in tracer.roots] == ["ok"]
+
+
+def job_spec(workload="ring:4", shape=(2, 2), mapper="dimorder",
+             seed=0, **params):
+    return MappingJob(
+        topology=TopologySpec(shape),
+        workload=WorkloadSpec(workload, seed=seed),
+        mapper=MapperConfig.make(mapper, **params),
+    ).payload()
+
+
+def test_daemon_span_log_streams_spans(daemon_factory, tmp_path):
+    cache = tmp_path / "spancache"
+    daemon, client = daemon_factory(cache_dir=str(cache), span_log=True)
+    code, doc = client.submit(job_spec(workload="transpose:4"))
+    assert code == 202
+    client.wait(doc["id"], timeout=30)
+    daemon.stop("done")
+    sink = cache / "telemetry" / "spans.jsonl"
+    for _ in range(50):
+        if sink.exists():
+            break
+        threading.Event().wait(0.1)
+    rows = [json.loads(line) for line in sink.read_text().splitlines()]
+    assert rows[0]["streaming"] is True
+    assert rows[0]["run_id"].startswith("serve-")
+    assert len(rows) > 1

@@ -26,7 +26,6 @@ from repro.serve import (
     AdmissionController,
     DaemonConfig,
     FairQueue,
-    MappingDaemon,
     QuotaExceeded,
     ServeClient,
     TenantPolicy,
@@ -194,28 +193,6 @@ def test_mapping_job_payload_rejects_digest_and_garbage():
 
 
 # ===================== the daemon over real HTTP ======================================
-@pytest.fixture
-def daemon_factory(tmp_path):
-    """Start daemons on background threads; always stopped on teardown."""
-    running = []
-
-    def start(**overrides):
-        overrides.setdefault("cache_dir", str(tmp_path / "cache"))
-        overrides.setdefault("janitor_interval", 0.0)
-        daemon = MappingDaemon(DaemonConfig(**overrides))
-        thread = threading.Thread(target=daemon.run, daemon=True)
-        thread.start()
-        assert daemon.ready.wait(15), "daemon did not become ready"
-        running.append((daemon, thread))
-        return daemon, ServeClient(daemon.url, timeout=15)
-
-    yield start
-    for daemon, thread in running:
-        daemon.stop("test teardown")
-        thread.join(15)
-        assert not thread.is_alive()
-
-
 def test_submit_executes_and_serves_result(daemon_factory):
     _, client = daemon_factory()
     code, doc = client.submit(job_spec(), tenant="alice")

@@ -6,6 +6,7 @@ them by reference.
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
 from pathlib import Path
@@ -295,3 +296,47 @@ def test_failed_pooled_jobs_ship_their_counter_deltas():
     assert failed.attempts == 2 and "after counting" in failed.error
     assert timed_out.timed_out
     assert registry.counter("test.worker_side").value == 9
+
+
+# -- signal dispositions of pool workers ----------------------------------------------
+def _dispositions(_):
+    return [str(signal.getsignal(sig)) for sig in (signal.SIGTERM,
+                                                    signal.SIGINT)]
+
+
+def test_pool_workers_do_not_inherit_the_drain_handler():
+    """Workers are forked while the batch's drain handler is installed;
+    they must take SIGTERM at its default and ignore SIGINT."""
+    exe = BatchExecutor(ExecutorConfig(jobs=2))
+    try:
+        outcome = exe.run(_dispositions, [0])[0]
+    finally:
+        exe.close()
+    assert outcome.ok, outcome.error
+    assert outcome.result == [str(signal.SIG_DFL), str(signal.SIG_IGN)]
+
+
+def _pid_then(arg):
+    """arg = (pid_dir, seconds, exit_hard): record the pid, sleep, then
+    either kill the worker or return."""
+    pid_dir, seconds, exit_hard = arg
+    (Path(pid_dir) / str(os.getpid())).touch()
+    time.sleep(seconds)
+    if exit_hard:
+        os._exit(17)
+    return "done"
+
+
+def test_broken_pool_survivor_stops_on_terminate(tmp_path):
+    """A worker death breaks the pool; the pool terminates its busy
+    survivor, which must die then rather than finish its 3 s job."""
+    exe = BatchExecutor(ExecutorConfig(jobs=2, poison_threshold=1))
+    try:
+        died, slept = exe.run(_pid_then, [(str(tmp_path), 0.3, True),
+                                          (str(tmp_path), 3.0, False)])
+    finally:
+        exe.close()
+    assert died.poisoned and slept.poisoned
+    pids = [int(p.name) for p in tmp_path.iterdir()]
+    assert len(pids) == 2
+    assert _all_exit(pids, seconds=1.0)

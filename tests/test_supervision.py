@@ -200,7 +200,7 @@ def test_submit_to_an_already_broken_pool_charges_no_death(monkeypatch):
     pools = []
 
     class FlakyPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             self.first = not pools
             self.submits = 0
             pools.append(self)
