@@ -50,9 +50,9 @@ degrades or fails.
 
 Daemon mode (``repro.serve``): ``repro serve --cache-dir DIR`` runs a
 persistent daemon exposing the engine over an HTTP JSON API — idempotent
-submits keyed by the spec's cache key, weighted-fair tenant queues,
-deadline-budget admission control, graceful SIGTERM drain with automatic
-requeue on restart, and a periodic doctor janitor. ``repro
+submits keyed by the spec's cache key, fair tenant queues with quotas,
+graceful SIGTERM drain with automatic requeue on restart, and a periodic
+doctor janitor. ``repro
 submit/status/result/cancel`` are the matching client commands; they find
 the daemon via ``--url``, ``$REPRO_SERVE_URL``, or the ``serve.json``
 ready file in the cache directory; transient transport failures and 503s
@@ -393,17 +393,6 @@ def cmd_serve(args) -> int:
             "repro serve needs --cache-dir (or $REPRO_CACHE_DIR): the "
             "store is where results, drained queues and the ready file "
             "live")
-    tenant_weights = {}
-    for spec in args.tenant_weight or []:
-        name, _, weight = spec.partition("=")
-        try:
-            tenant_weights[name] = float(weight)
-        except ValueError:
-            raise ConfigError(
-                f"bad --tenant-weight {spec!r}; expected NAME=WEIGHT")
-        if not name:
-            raise ConfigError(
-                f"bad --tenant-weight {spec!r}; expected NAME=WEIGHT")
     config = DaemonConfig(
         cache_dir=cache_dir,
         host=args.host,
@@ -411,13 +400,8 @@ def cmd_serve(args) -> int:
         executor_config=ExecutorConfig(jobs=args.jobs,
                                        timeout=args.job_timeout),
         batch_size=args.batch_size,
-        capacity_seconds=args.capacity,
-        default_cost_seconds=args.default_cost,
-        min_grant_seconds=args.min_grant,
         tenant_quota=args.tenant_quota,
-        tenant_weights=tenant_weights,
         janitor_interval=args.janitor_interval,
-        requeue_pending=not args.no_requeue,
         checkpoint_dir=args.checkpoint_dir,
         span_log=args.span_log,
     )
@@ -434,12 +418,8 @@ def _serve_client(args):
 
 
 def _print_job_doc(doc: dict) -> None:
-    admission = doc.get("admission") or {}
     line = (f"job {doc.get('id', '?')[:12]}… state={doc.get('state')} "
             f"tenant={doc.get('tenant')}")
-    if admission.get("action") and admission["action"] != "admit":
-        line += (f" admission={admission['action']} "
-                 f"granted={admission.get('granted_seconds')}s")
     if doc.get("from_cache"):
         line += " from_cache=True"
     if doc.get("wall_seconds") is not None:
@@ -690,25 +670,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max jobs per engine batch")
     p.add_argument("--job-timeout", type=float, default=None,
                    help="per-attempt wall-clock budget in seconds")
-    p.add_argument("--capacity", type=float, default=None,
-                   help="admission capacity in deadline-seconds "
-                        "(default: unlimited — no admission control)")
-    p.add_argument("--default-cost", type=float, default=10.0,
-                   help="deadline-seconds reserved for jobs that declare "
-                        "no deadline")
-    p.add_argument("--min-grant", type=float, default=0.5,
-                   help="smallest degraded deadline worth granting before "
-                        "rejecting outright")
     p.add_argument("--tenant-quota", type=int, default=64,
                    help="max queued jobs per tenant")
-    p.add_argument("--tenant-weight", action="append", metavar="NAME=W",
-                   help="fair-share weight for a tenant (repeatable)")
     p.add_argument("--janitor-interval", type=float, default=300.0,
                    help="seconds between doctor repair sweeps "
                         "(0 disables the janitor)")
-    p.add_argument("--no-requeue", action="store_true",
-                   help="do not auto-requeue a drained pending.json on "
-                        "startup")
     p.add_argument("--checkpoint-dir", default=None,
                    help="phase-checkpoint store for resumable mappers")
     p.add_argument("--backend", choices=("local",), default="local",
@@ -749,7 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenant", default=None,
                    help="fair-share tenant to bill this job to")
     p.add_argument("--deadline", type=float, default=None,
-                   help="requested deadline-seconds (admission currency)")
+                   help="deadline-seconds the job maps under (it degrades "
+                        "rather than overrun)")
     p.add_argument("--wait", action="store_true",
                    help="poll until the job reaches a terminal state")
     p.add_argument("--wait-timeout", type=float, default=None,

@@ -66,9 +66,9 @@ class MergeConfig:
         group; sampling keeps the identity).
     order_mode:
         How pairwise MCLs for the order heuristic are computed:
-        ``"identity"`` (cheapest), ``"sampled"`` (min over the identity
-        pair and :data:`ORDER_SAMPLES` random orientation pairs),
-        ``"exhaustive"``.
+        ``"identity"`` (cheapest) or ``"sampled"`` (min over the
+        identity pair and :data:`ORDER_SAMPLES` random orientation
+        pairs).
     reposition:
         Also search which congruent slot each block occupies (the paper's
         repositioning freedom). Grows the branching factor by the number
@@ -86,7 +86,7 @@ class MergeConfig:
     def __post_init__(self):
         if self.beam_width < 1:
             raise ConfigError(f"beam_width must be >= 1, got {self.beam_width}")
-        if self.order_mode not in ("identity", "sampled", "exhaustive"):
+        if self.order_mode not in ("identity", "sampled"):
             raise ConfigError(f"invalid order_mode {self.order_mode!r}")
 
 
@@ -268,15 +268,6 @@ class _MergeEngine:
                     s2 = self.allowed_slots(b2)[0]
                 if cfg.order_mode == "identity":
                     score = self.pair_mcl(b1, s1, 0, b2, s2, 0)
-                elif cfg.order_mode == "exhaustive":
-                    pairs = [
-                        (o1, o2)
-                        for o1 in range(len(self.orients[b1]))
-                        for o2 in range(len(self.orients[b2]))
-                    ]
-                    score = float(
-                        self.pair_mcl_batch(b1, s1, b2, s2, pairs).min()
-                    )
                 else:  # sampled
                     cands = {(0, 0)}
                     for _ in range(ORDER_SAMPLES):

@@ -104,9 +104,9 @@ class RAHTMConfig:
                 f"max_orientations must be >= 1 or None, "
                 f"got {self.max_orientations}"
             )
-        if self.order_mode not in ("identity", "sampled", "exhaustive"):
+        if self.order_mode not in ("identity", "sampled"):
             raise ConfigError(
-                f"order_mode must be 'identity', 'sampled' or 'exhaustive', "
+                f"order_mode must be 'identity' or 'sampled', "
                 f"got {self.order_mode!r}"
             )
         if self.milp_time_limit is not None and self.milp_time_limit <= 0:

@@ -16,7 +16,7 @@ store-corrupt         ``ResultStore.put``                             writes a c
 store-enospc          ``ResultStore.put`` mid-write                   raises ``OSError(ENOSPC)``
 checkpoint-torn-write ``MapperCheckpoint.save``                       writes a torn (truncated)
                                                                       checkpoint file
-serve-enqueue         ``MappingDaemon.submit`` after admission        raises
+serve-enqueue         ``MappingDaemon.submit`` before enqueue         raises
                                                                       ``FaultInjectionError``
 ===================== ============================================== =========================
 

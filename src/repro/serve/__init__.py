@@ -2,10 +2,8 @@
 
 Layers, bottom up:
 
-- :mod:`repro.serve.queueing` — weighted-fair tenant queues (stride
-  scheduling + aging; per-tenant quotas);
-- :mod:`repro.serve.admission` — deadline-seconds admission control
-  (admit / degrade-to-tighter-deadline / reject);
+- :mod:`repro.serve.queueing` — fair tenant queues (stride scheduling
+  + aging; per-tenant quotas);
 - :mod:`repro.serve.daemon` — the asyncio daemon itself: scheduler over
   the supervised engine, graceful SIGTERM drain to ``pending.json``,
   startup auto-requeue, periodic doctor janitor;
@@ -14,7 +12,6 @@ Layers, bottom up:
   ``repro submit/status/result/cancel`` subcommands.
 """
 
-from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.client import ServeClient, discover_url
 from repro.serve.daemon import (
     DEFAULT_TENANT,
@@ -23,11 +20,9 @@ from repro.serve.daemon import (
     JobRecord,
     MappingDaemon,
 )
-from repro.serve.queueing import FairQueue, QuotaExceeded, TenantPolicy
+from repro.serve.queueing import FairQueue, QuotaExceeded
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
     "DEFAULT_TENANT",
     "DaemonConfig",
     "FairQueue",
@@ -36,6 +31,5 @@ __all__ = [
     "QuotaExceeded",
     "READY_NAME",
     "ServeClient",
-    "TenantPolicy",
     "discover_url",
 ]

@@ -9,7 +9,7 @@ order of explicitness:
    directory (written on startup, removed on clean exit).
 
 Every method returns ``(http_status, parsed_json)``; HTTP error codes
-are data (the daemon encodes admission rejections as 429, state
+are data (the daemon encodes tenant-quota rejections as 429, state
 conflicts as 409), while transport failures — daemon not running,
 connection refused — raise :class:`~repro.errors.ServiceError`.
 
@@ -18,7 +18,7 @@ connection-level errors (``URLError`` — the daemon restarting, a
 dropped socket) and 503 responses (the daemon draining). This is safe
 for every endpoint because the API is idempotent by construction — the
 job id *is* the spec's cache key, so a resubmitted spec joins the
-existing job rather than executing twice. 429s (admission/quota
+existing job rather than executing twice. 429s (tenant-quota
 rejections) are deliberate policy answers and are never retried on the
 client's own initiative — but when a 429/503 carries a ``Retry-After``
 header, the *server* has invited the retry, and the client honors the
@@ -47,7 +47,7 @@ ENV_URL = "REPRO_SERVE_URL"
 _TERMINAL = frozenset({"done", "failed", "cancelled", "drained"})
 
 #: HTTP statuses worth retrying: the daemon said "not right now", not
-#: "no". 429 is absent on purpose — admission control rejections are
+#: "no". 429 is absent on purpose — tenant-quota rejections are
 #: policy, and hammering them would fight the backpressure mechanism.
 #: (A 429 *with* a Retry-After header is different: the server named
 #: its price, so the client may pay it — see ``_retry_after_of``.)
@@ -133,7 +133,7 @@ class ServeClient:
                 retry_after = self._retry_after_of(exc, code)
                 if retry_after is not None and attempt <= self.retries:
                     # The server named a delay: honor it in place of our
-                    # own jittered guess (admission rejections become
+                    # own jittered guess (quota rejections become
                     # retryable only through this invitation).
                     get_registry().counter(
                         "serve.client_retry_after_honored").inc()

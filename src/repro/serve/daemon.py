@@ -6,12 +6,10 @@ long-lived process:
 - an asyncio event loop owns the HTTP front-end
   (:mod:`repro.serve.http`), a **scheduler** task and a periodic
   **janitor** task;
-- submissions pass **admission control**
-  (:class:`~repro.serve.admission.AdmissionController` — deadline
-  seconds as currency, reject-or-degrade past capacity) and a
-  **weighted-fair tenant queue**
+- submissions enter a **fair tenant queue**
   (:class:`~repro.serve.queueing.FairQueue` — per-tenant quotas,
-  starvation-free aging);
+  starvation-free aging); a submission's ``deadline_seconds`` becomes
+  its job's degrade-on-deadline budget as it is;
 - the scheduler feeds batches to the existing supervised
   :class:`~repro.service.engine.MappingEngine` in a worker thread, so
   the circuit breaker, poison-job quarantine and content-addressed
@@ -49,8 +47,7 @@ from repro.errors import ConfigError, ServiceError
 from repro.observability.metrics import get_registry
 from repro.observability.trace import Tracer, activate, active_tracer, span
 from repro.resilience import faultinject
-from repro.serve.admission import AdmissionController, AdmissionDecision
-from repro.serve.queueing import FairQueue, QuotaExceeded, TenantPolicy
+from repro.serve.queueing import FairQueue, QuotaExceeded
 from repro.service.doctor import diagnose
 from repro.service.engine import MappingEngine
 from repro.service.executor import ExecutorConfig
@@ -83,6 +80,10 @@ DEFAULT_TENANT = "default"
 #: Directory under the cache root holding the span log.
 TELEMETRY_DIR = "telemetry"
 
+#: Seconds a client refused at its tenant quota should wait before
+#: resubmitting.
+RETRY_AFTER_SECONDS = 10.0
+
 #: Characters allowed in the tenant segment of a metric name.
 _TENANT_UNSAFE = re.compile(r"[^0-9A-Za-z_\-]")
 
@@ -99,10 +100,8 @@ DRAINED = "drained"
 class DaemonConfig:
     """Everything ``repro serve`` can tune.
 
-    ``capacity_seconds=None`` disables admission control; otherwise it
-    is the aggregate deadline demand (queued + running) the daemon will
-    hold before degrading or rejecting submissions. ``executor_config``
-    is the engine's :class:`~repro.service.executor.ExecutorConfig`.
+    ``executor_config`` is the engine's
+    :class:`~repro.service.executor.ExecutorConfig`.
     """
 
     cache_dir: str
@@ -110,13 +109,8 @@ class DaemonConfig:
     port: int = 0
     executor_config: ExecutorConfig = field(default_factory=ExecutorConfig)
     batch_size: int = 4
-    capacity_seconds: float | None = None
-    default_cost_seconds: float = 10.0
-    min_grant_seconds: float = 0.5
     tenant_quota: int = 64
-    tenant_weights: dict = field(default_factory=dict)
     janitor_interval: float = 300.0
-    requeue_pending: bool = True
     checkpoint_dir: str | None = None
     #: Stream the daemon's own spans to ``<cache>/telemetry/spans.jsonl``
     #: with bounded in-memory retention (off by default: the tracer
@@ -142,7 +136,6 @@ class JobRecord:
     job: MappingJob
     tenant: str
     state: str
-    admission: AdmissionDecision
     requested_deadline: float | None = None
     submitted_unix: float = 0.0
     started_unix: float | None = None
@@ -164,7 +157,6 @@ class JobRecord:
             "describe": self.job.describe(),
             "tenant": self.tenant,
             "state": self.state,
-            "admission": self.admission.to_dict(),
             "requested_deadline_seconds": self.requested_deadline,
             "submitted_unix": self.submitted_unix,
             "started_unix": self.started_unix,
@@ -217,15 +209,7 @@ class MappingDaemon:
         self.config = config
         self.engine = MappingEngine(cache_dir=config.cache_dir,
                                     executor_config=config.executor_config)
-        self.queue = FairQueue(
-            default_policy=TenantPolicy(quota=config.tenant_quota))
-        for name, weight in sorted(config.tenant_weights.items()):
-            self.queue.configure_tenant(name, weight=float(weight))
-        self.admission = AdmissionController(
-            capacity_seconds=config.capacity_seconds,
-            default_cost_seconds=config.default_cost_seconds,
-            min_grant_seconds=config.min_grant_seconds,
-        )
+        self.queue = FairQueue(quota=config.tenant_quota)
         self.records: dict[str, JobRecord] = {}
         self.draining = False
         self.url: str | None = None
@@ -274,11 +258,6 @@ class MappingDaemon:
                     return 400, {"error": "deadline_seconds must be > 0"}
             return self._register(job, tenant, deadline)
 
-    def _retry_after(self) -> float:
-        """Seconds a rejected client should wait before resubmitting:
-        one default-cost job's worth of drain, clamped to [1, 30]."""
-        return max(1.0, min(self.config.default_cost_seconds, 30.0))
-
     def _register(self, job: MappingJob, tenant: str,
                   deadline: float | None, force: bool = False,
                   requeued: bool = False) -> tuple[int, dict]:
@@ -306,8 +285,6 @@ class MappingDaemon:
                 now = time.time()
                 record = JobRecord(
                     key=key, job=job, tenant=tenant, state=DONE,
-                    admission=AdmissionDecision("admit", 0.0, None,
-                                                reason="cache hit"),
                     requested_deadline=deadline, submitted_unix=now,
                     started_unix=now, finished_unix=now,
                     wait_seconds=0.0, wall_seconds=0.0, from_cache=True,
@@ -330,40 +307,30 @@ class MappingDaemon:
             except (ConfigError, TypeError) as exc:
                 self._registry.counter("serve.bad_requests").inc()
                 return 400, {"error": f"unbuildable mapper: {exc}"}
-            decision = self.admission.admit(deadline, force=force)
-            if not decision.admitted:
-                self._registry.counter(
-                    self._tenant_metric(tenant, "rejected")).inc()
-                # Retry-After rides both the body and (via HttpApi) the
-                # header: once a default-cost job's worth of capacity
-                # has drained, a resubmit has a real chance.
-                return 429, {"error": decision.reason,
-                             "admission": decision.to_dict(),
-                             "retry_after_seconds": self._retry_after()}
             try:
                 faultinject.inject("serve-enqueue")
                 self.queue.push(tenant, key, force=force)
             except QuotaExceeded as exc:
-                self.admission.release(decision)
                 self._registry.counter("serve.quota_rejected").inc()
                 self._registry.counter(
                     self._tenant_metric(tenant, "rejected")).inc()
+                # Retry-After rides both the body and (via HttpApi) the
+                # header.
                 return 429, {"error": str(exc),
-                             "retry_after_seconds": self._retry_after()}
+                             "retry_after_seconds": RETRY_AFTER_SECONDS}
             except Exception as exc:
-                self.admission.release(decision)
                 log.error("enqueue failed for %s: %s", key[:12], exc)
                 return 500, {"error": f"enqueue failed: {exc}"}
             record = JobRecord(
                 key=key, job=job, tenant=tenant, state=QUEUED,
-                admission=decision, requested_deadline=deadline,
+                requested_deadline=deadline,
                 submitted_unix=time.time(), requeued=requeued,
             )
             self.records[key] = record
             self._registry.gauge("serve.queue_depth").set(self.queue.depth())
         self._wake_scheduler()
-        log.info("accepted [%s] %s tenant=%s admission=%s",
-                 key[:12], job.describe(), tenant, record.admission.action)
+        log.info("accepted [%s] %s tenant=%s deadline=%s",
+                 key[:12], job.describe(), tenant, deadline)
         return 202, record.to_dict()
 
     @staticmethod
@@ -421,7 +388,6 @@ class MappingDaemon:
             record.state = CANCELLED
             record.finished_unix = time.time()
             record.error = "cancelled by client"
-            self.admission.release(record.admission)
             self._registry.counter("serve.cancelled").inc()
             self._registry.gauge("serve.queue_depth").set(self.queue.depth())
             return 200, record.to_dict()
@@ -438,7 +404,6 @@ class MappingDaemon:
             "uptime_seconds": time.time() - self.started_unix,
             "jobs": by_state,
             "queue": self.queue.snapshot(),
-            "admission": self.admission.snapshot(),
             "wait_seconds": {"p50": wait.quantile(0.5),
                              "p95": wait.quantile(0.95)},
             "engine": self.engine.stats.as_dict(),
@@ -461,7 +426,7 @@ class MappingDaemon:
         """Claim up to ``batch_size`` queued jobs sharing one runtime.
 
         Jobs in one engine batch share a :class:`JobRuntime`, so a job
-        whose granted deadline differs from the batch head's is carried
+        whose requested deadline differs from the batch head's is carried
         over as the head of the next batch — order is preserved, and no
         job ever runs under another job's budget.
         """
@@ -474,8 +439,8 @@ class MappingDaemon:
                 record = self.records.get(key)
                 if record is None or record.state != QUEUED:
                     continue  # cancelled while queued
-                if (batch and record.admission.granted_seconds
-                        != batch[0].admission.granted_seconds):
+                if (batch and record.requested_deadline
+                        != batch[0].requested_deadline):
                     self._carry = key
                     break
                 now = time.time()
@@ -491,10 +456,10 @@ class MappingDaemon:
             self._registry.gauge("serve.queue_depth").set(self.queue.depth())
             return batch
 
-    def _runtime_for(self, granted: float | None) -> JobRuntime | None:
+    def _runtime_for(self, deadline: float | None) -> JobRuntime | None:
         kwargs: dict = {}
-        if granted is not None:
-            kwargs.update(deadline_seconds=granted, on_deadline="degrade")
+        if deadline is not None:
+            kwargs.update(deadline_seconds=deadline, on_deadline="degrade")
         if self.config.checkpoint_dir is not None:
             kwargs.update(checkpoint_dir=self.config.checkpoint_dir,
                           resume=True)
@@ -502,8 +467,7 @@ class MappingDaemon:
 
     def _run_batch(self, batch: list[JobRecord]) -> None:
         """Worker-thread body: one engine batch plus bookkeeping."""
-        self.engine.runtime = self._runtime_for(
-            batch[0].admission.granted_seconds)
+        self.engine.runtime = self._runtime_for(batch[0].requested_deadline)
         with span("serve.batch", jobs=len(batch)):
             outcomes = self.engine.run([r.job for r in batch])
         now = time.time()
@@ -537,7 +501,6 @@ class MappingDaemon:
                     self._registry.counter("serve.failed").inc()
                     self._registry.counter(
                         self._tenant_metric(record.tenant, "failed")).inc()
-                self.admission.release(record.admission)
                 self.queue.charge(record.tenant, outcome.wall_seconds)
                 log.info("finished [%s] %s state=%s wall=%.3fs",
                          record.key[:12], record.job.describe(),
@@ -584,16 +547,11 @@ class MappingDaemon:
             await asyncio.to_thread(self._run_janitor)
 
     # ================= drain / resume ==============================================
-    def _requeue_pending(self) -> None:
-        """Re-admit the drained jobs a previous daemon left behind."""
+    def _requeue_drained(self) -> None:
+        """Requeue the drained jobs a previous daemon left behind."""
         store = self.engine.store
         doc = store.read_pending()
         if doc is None:
-            return
-        if not self.config.requeue_pending:
-            log.warning("%d pending job(s) in %s left untouched "
-                        "(requeue disabled)", len(doc.get("jobs", [])),
-                        store.pending_path)
             return
         requeued = 0
         for entry in doc.get("jobs", []):
@@ -608,8 +566,8 @@ class MappingDaemon:
                 log.warning("cannot requeue pending job %s: %s",
                             entry.get("key"), exc)
                 continue
-            # Already admitted before the restart: requeue must never
-            # bounce on capacity or quota.
+            # Already accepted before the restart: requeue must never
+            # bounce on the tenant quota.
             code, _ = self._register(
                 job, str(entry.get("tenant") or DEFAULT_TENANT),
                 entry.get("deadline_seconds"), force=True, requeued=True,
@@ -715,7 +673,7 @@ class MappingDaemon:
                 # Not on the main thread (tests) or unsupported platform;
                 # stop() remains available.
                 pass
-        self._requeue_pending()
+        self._requeue_drained()
         api = HttpApi(self)
         server = await asyncio.start_server(
             api.handle, host=self.config.host, port=self.config.port)

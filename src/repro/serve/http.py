@@ -12,7 +12,7 @@ POST   ``/jobs``                  submit (idempotent; job id = cache key)
 GET    ``/jobs/{id}``             status document
 GET    ``/jobs/{id}/result``      stored result payload (done jobs only)
 DELETE ``/jobs/{id}``             cancel (queued jobs only)
-GET    ``/healthz``               liveness + queue/admission/latency view
+GET    ``/healthz``               liveness + queue/latency view
 GET    ``/metrics``               :class:`MetricsRegistry` snapshot
 ====== ========================== ==========================================
 

@@ -1,4 +1,4 @@
-"""Weighted-fair tenant queues for the mapping daemon.
+"""Fair tenant queues for the mapping daemon.
 
 The daemon serves many tenants from one machine; a queue that is just
 FIFO lets one bulk submitter starve everyone else, and a queue that is
@@ -9,15 +9,14 @@ tenants, with two production amendments:
 - **quotas** — each tenant may hold at most ``quota`` queued jobs;
   submissions past that are refused (:class:`QuotaExceeded`) so a
   runaway client cannot consume unbounded daemon memory;
-- **aging** — a tenant's selection score is its accumulated virtual
-  service *minus* ``aging_rate`` times the wait of its oldest queued
-  job. The wait term grows without bound, so every queued job is
-  eventually selected no matter how much service its tenant has already
-  consumed: starvation-free by construction.
+- **aging** — a tenant's selection score is its accumulated service
+  *minus* ``aging_rate`` times the wait of its oldest queued job. The
+  wait term grows without bound, so every queued job is eventually
+  selected no matter how much service its tenant has already consumed:
+  starvation-free by construction.
 
-Virtual service is charged in *seconds of compute per unit weight*
-(:meth:`FairQueue.charge`), so a tenant with weight 2 receives twice
-the long-run compute share of a weight-1 tenant. Selection is fully
+Service is charged in job wall-seconds (:meth:`FairQueue.charge`), so
+tenants receive equal long-run compute shares. Selection is fully
 deterministic: ties break on tenant name, then submission order.
 """
 
@@ -30,65 +29,41 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError, ServiceError
 
-__all__ = ["QuotaExceeded", "TenantPolicy", "FairQueue"]
+__all__ = ["QuotaExceeded", "FairQueue"]
 
 
 class QuotaExceeded(ServiceError):
     """A tenant tried to queue more jobs than its quota allows."""
 
 
-@dataclass(frozen=True)
-class TenantPolicy:
-    """Per-tenant scheduling knobs."""
-
-    weight: float = 1.0
-    quota: int = 64
-
-    def __post_init__(self):
-        if self.weight <= 0:
-            raise ConfigError("tenant weight must be > 0")
-        if self.quota < 1:
-            raise ConfigError("tenant quota must be >= 1")
-
-
 @dataclass
 class _TenantState:
-    policy: TenantPolicy
     queued: deque = field(default_factory=deque)
-    #: Accumulated service in weight-normalized seconds.
+    #: Accumulated service in job wall-seconds.
     virtual_service: float = 0.0
 
 
 class FairQueue:
-    """Starvation-free weighted-fair queue over named tenants.
+    """Starvation-free fair queue over named tenants.
 
     Items are opaque; the queue only needs each pushed entry's tenant
-    name and an ``enqueued_at`` timestamp it records itself. All methods
-    are thread-safe: the HTTP front-end pushes from the event loop while
+    name and an ``enqueued_at`` timestamp it records itself. Each tenant
+    may hold at most ``quota`` queued items. All methods are
+    thread-safe: the HTTP front-end pushes from the event loop while
     the scheduler thread pops.
     """
 
-    def __init__(self, default_policy: TenantPolicy | None = None,
-                 aging_rate: float = 0.05, clock=time.monotonic):
+    def __init__(self, quota: int = 64, aging_rate: float = 0.05,
+                 clock=time.monotonic):
+        if quota < 1:
+            raise ConfigError("tenant quota must be >= 1")
         if aging_rate < 0:
             raise ConfigError("aging_rate must be >= 0")
-        self.default_policy = default_policy or TenantPolicy()
+        self.quota = quota
         self.aging_rate = aging_rate
         self._clock = clock
         self._tenants: dict[str, _TenantState] = {}
         self._lock = threading.Lock()
-
-    def configure_tenant(self, name: str, weight: float | None = None,
-                         quota: int | None = None) -> TenantPolicy:
-        """Pin an explicit policy for ``name`` (before or after traffic)."""
-        policy = TenantPolicy(
-            weight=self.default_policy.weight if weight is None else weight,
-            quota=self.default_policy.quota if quota is None else quota,
-        )
-        with self._lock:
-            state = self._state(name)
-            state.policy = policy
-        return policy
 
     def _state(self, name: str) -> _TenantState:
         state = self._tenants.get(name)
@@ -99,8 +74,7 @@ class FairQueue:
             # scheduling join rule).
             floor = max((t.virtual_service for t in self._tenants.values()),
                         default=0.0)
-            state = _TenantState(policy=self.default_policy,
-                                 virtual_service=floor)
+            state = _TenantState(virtual_service=floor)
             self._tenants[name] = state
         return state
 
@@ -109,15 +83,15 @@ class FairQueue:
         """Queue ``item`` for ``tenant``; :class:`QuotaExceeded` past quota.
 
         ``force`` bypasses the quota — used when requeueing drained jobs
-        at daemon startup, which were admitted once already and must not
+        at daemon startup, which were accepted once already and must not
         bounce.
         """
         with self._lock:
             state = self._state(tenant)
-            if not force and len(state.queued) >= state.policy.quota:
+            if not force and len(state.queued) >= self.quota:
                 raise QuotaExceeded(
                     f"tenant {tenant!r} already has {len(state.queued)} "
-                    f"queued job(s) (quota {state.policy.quota})"
+                    f"queued job(s) (quota {self.quota})"
                 )
             state.queued.append((self._clock(), item))
 
@@ -128,7 +102,7 @@ class FairQueue:
                 - self.aging_rate * head_wait)
 
     def pop(self):
-        """The next item under weighted-fair + aging order, or ``None``."""
+        """The next item under fair + aging order, or ``None``."""
         with self._lock:
             now = self._clock()
             best_name = None
@@ -148,7 +122,7 @@ class FairQueue:
         """Account ``cost_seconds`` of served compute against ``tenant``."""
         with self._lock:
             state = self._state(tenant)
-            state.virtual_service += max(cost_seconds, 0.0) / state.policy.weight
+            state.virtual_service += max(cost_seconds, 0.0)
 
     # -- maintenance ----------------------------------------------------------------
     def remove(self, predicate) -> list:
@@ -186,8 +160,7 @@ class FairQueue:
             return {
                 name: {
                     "queued": len(state.queued),
-                    "weight": state.policy.weight,
-                    "quota": state.policy.quota,
+                    "quota": self.quota,
                     "virtual_service": state.virtual_service,
                 }
                 for name, state in sorted(self._tenants.items())

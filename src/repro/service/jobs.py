@@ -84,7 +84,10 @@ SCHEMA_VERSION = 6
 #: ``repro submit`` (which has none of those flags) takes them as they are.
 MAPPER_SPEC_DEFAULTS = {
     "beam_width": 16,
-    "max_orientations": 24,
+    # The full hyperoctahedral group of a 2x2x2 block: a smaller cap lets
+    # the answer on such shapes depend on which tied phase-2 optimum the
+    # orientation sample reaches first.
+    "max_orientations": 48,
     "milp_time_limit": 60.0,
     "milp_gap": 0.02,
     "reposition": False,

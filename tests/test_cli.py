@@ -81,6 +81,16 @@ def test_cli_map_rahtm_small(capsys):
     assert "RAHTM" in capsys.readouterr().out
 
 
+def test_cli_map_default_searches_every_cube_orientation(capsys):
+    """The default orientation cap covers all 48 orientations of a 2x2x2
+    block, so the answer on 4x4x4 does not hang on which tied phase-2
+    optimum a 24-orientation sample happens to reach."""
+    rc = main(["map", "--topology", "4x4x4", "--workload", "bt:256:C",
+               "--no-cache"])
+    assert rc == 0
+    assert "MCL=1.28e+06 " in capsys.readouterr().out
+
+
 def test_cli_compare(capsys):
     rc = main([
         "compare", "--topology", "4x4", "--workload", "ring:16",

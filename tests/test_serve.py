@@ -1,9 +1,9 @@
-"""The mapping daemon: queueing, admission, and the HTTP state machine.
+"""The mapping daemon: queueing, deadlines, and the HTTP state machine.
 
 The scheduler/HTTP plumbing is exercised against a real daemon running
 on a background thread (port 0, real sockets, real ``ServeClient``);
-queue and admission arithmetic is tested directly with injected clocks —
-no sleeps, no flakiness.
+queue arithmetic and batch formation are tested directly, with injected
+clocks where time matters — no sleeps, no flakiness.
 """
 
 from __future__ import annotations
@@ -23,14 +23,14 @@ from repro.errors import ConfigError, ServiceError
 from repro.experiments.config import get_scale
 from repro.observability import get_registry
 from repro.serve import (
-    AdmissionController,
     DaemonConfig,
     FairQueue,
+    MappingDaemon,
     QuotaExceeded,
     ServeClient,
-    TenantPolicy,
     discover_url,
 )
+from repro.serve.daemon import RETRY_AFTER_SECONDS
 from repro.service import ExecutorConfig, MappingJob, mapping_job_from_payload
 from repro.service.jobs import MapperConfig, TopologySpec, WorkloadSpec
 
@@ -51,25 +51,6 @@ class FakeClock:
 
     def __call__(self):
         return self.now
-
-
-def test_fair_queue_weighted_share():
-    """Weight 2 gets served twice as often once service is charged."""
-    clock = FakeClock()
-    q = FairQueue(aging_rate=0.0, clock=clock)
-    q.configure_tenant("heavy", weight=2.0)
-    q.configure_tenant("light", weight=1.0)
-    for i in range(12):
-        q.push("heavy", f"h{i}")
-        q.push("light", f"l{i}")
-    served = {"heavy": 0, "light": 0}
-    for _ in range(9):
-        item = q.pop()
-        tenant = "heavy" if item.startswith("h") else "light"
-        served[tenant] += 1
-        q.charge(tenant, 1.0)
-    assert served["heavy"] == 6
-    assert served["light"] == 3
 
 
 def test_fair_queue_aging_prevents_starvation():
@@ -109,7 +90,7 @@ def test_fair_queue_new_tenant_joins_at_peer_service():
 
 
 def test_fair_queue_quota_and_force():
-    q = FairQueue(default_policy=TenantPolicy(quota=2))
+    q = FairQueue(quota=2)
     q.push("t", "a")
     q.push("t", "b")
     with pytest.raises(QuotaExceeded):
@@ -131,47 +112,9 @@ def test_fair_queue_remove_and_drain():
 
 def test_tenant_policy_validation():
     with pytest.raises(ConfigError):
-        TenantPolicy(weight=0.0)
+        FairQueue(quota=0)
     with pytest.raises(ConfigError):
-        TenantPolicy(quota=0)
-
-
-# ===================== AdmissionController ============================================
-def test_admission_admit_degrade_reject_ladder():
-    ctl = AdmissionController(capacity_seconds=10.0, min_grant_seconds=0.5)
-    first = ctl.admit(4.0)
-    second = ctl.admit(4.0)
-    assert (first.action, second.action) == ("admit", "admit")
-    assert first.granted_seconds == 4.0
-    # 2s of capacity left: a 4s ask degrades to a 2s grant...
-    third = ctl.admit(4.0)
-    assert third.action == "degrade"
-    assert third.granted_seconds == pytest.approx(2.0)
-    # ...and with the ledger dry, the next ask is rejected.
-    fourth = ctl.admit(4.0)
-    assert fourth.action == "reject"
-    assert not fourth.admitted
-    # Completion returns capacity; admission works again.
-    ctl.release(first)
-    assert ctl.admit(4.0).action == "admit"
-
-
-def test_admission_default_cost_and_force():
-    ctl = AdmissionController(capacity_seconds=5.0, default_cost_seconds=3.0)
-    none_requested = ctl.admit(None)
-    assert none_requested.action == "admit"
-    assert none_requested.cost_seconds == 3.0
-    assert none_requested.granted_seconds is None  # no imposed deadline
-    forced = ctl.admit(100.0, force=True)
-    assert forced.action == "admit"
-    assert ctl.remaining() < 0  # force may overcommit, never bounce
-
-
-def test_admission_disabled_admits_everything():
-    ctl = AdmissionController(capacity_seconds=None)
-    for _ in range(100):
-        assert ctl.admit(1e6).admitted
-    assert ctl.remaining() == float("inf")
+        FairQueue(aging_rate=-0.1)
 
 
 # ===================== job payload round-trip =========================================
@@ -257,22 +200,80 @@ def test_stored_result_completes_at_submit_time(daemon_factory, tmp_path):
     assert payload["report"]["mcl"] == hit["mcl"]
 
 
-def test_admission_rejects_over_capacity_submits(daemon_factory):
-    # retries=0: a 429 now carries Retry-After (a server-invited retry a
-    # default client would honor); this test asserts the one-shot answer.
-    daemon, _ = daemon_factory(capacity_seconds=4.0, min_grant_seconds=1.0,
-                               batch_size=1)
-    client = ServeClient(daemon.url, timeout=15, retries=0)
-    specs = [job_spec(workload=f"ring:{n}") for n in (4, 6, 8, 10)]
-    results = [client.submit(s, deadline_seconds=3.0) for s in specs]
-    actions = [d["admission"]["action"] if c in (200, 202) else "reject"
-               for c, d in results]
-    assert actions[0] == "admit"
-    assert "reject" in actions
-    rejected = [d for c, d in results if c == 429]
-    assert rejected and "capacity" in rejected[0]["error"]
-    # the rejection names its price: when to come back
-    assert rejected[0]["retry_after_seconds"] >= 1.0
+def test_submitted_deadline_is_the_jobs_budget(daemon_factory):
+    """``deadline_seconds`` reaches the mapper as it is, under the
+    degrade policy."""
+    _, client = daemon_factory()
+    spec = job_spec("ring:16", (4, 4), "rahtm", beam_width=4,
+                    max_orientations=4)
+    code, doc = client.submit(spec, deadline_seconds=45.0)
+    assert code == 202
+    assert doc["requested_deadline_seconds"] == 45.0
+    assert "admission" not in doc
+    assert client.wait(doc["id"], timeout=60)["state"] == "done"
+    code, payload = client.result(doc["id"])
+    assert code == 200
+    budget = payload["resilience"]["budget"]
+    assert budget["wall_seconds"] == 45.0
+    assert budget["on_exhausted"] == "degrade"
+
+
+def test_jobs_with_different_deadlines_never_share_a_batch(tmp_path):
+    """A job whose deadline differs from the batch head's is carried to
+    the next batch as its head, so queue order is kept."""
+    daemon = MappingDaemon(DaemonConfig(cache_dir=str(tmp_path / "cache"),
+                                        batch_size=4, janitor_interval=0.0))
+    try:
+        deadlines = [5.0, 5.0, 9.0, 5.0, None, None]
+        keys = []
+        for n, deadline in zip((4, 8, 12, 16, 20, 24), deadlines):
+            doc = {"spec": job_spec(workload=f"ring:{n}")}
+            if deadline is not None:
+                doc["deadline_seconds"] = deadline
+            code, body = daemon.submit(doc)
+            assert code == 202
+            keys.append(body["id"])
+        batches = []
+        while batch := daemon._take_batch():
+            batches.append(batch)
+        assert [[r.key for r in b] for b in batches] == \
+            [keys[0:2], keys[2:3], keys[3:4], keys[4:6]]
+        for batch in batches:
+            assert len({r.requested_deadline for r in batch}) == 1
+        runtime = daemon._runtime_for(batches[1][0].requested_deadline)
+        assert (runtime.deadline_seconds, runtime.on_deadline) == \
+            (9.0, "degrade")
+        assert daemon._runtime_for(None) is None
+    finally:
+        daemon.engine.close()
+
+
+def test_requeued_pending_jobs_bypass_a_full_tenant_quota(daemon_factory,
+                                                         tmp_path):
+    """Drained jobs were accepted once already: the startup requeue
+    queues all of them even past the tenant's quota."""
+    from repro.service.store import ResultStore
+
+    cache = tmp_path / "drained"
+    jobs = [mapping_job_from_payload(job_spec(workload=f"ring:{n}"))
+            for n in (4, 8, 12)]
+    ResultStore(cache).write_pending([
+        {"index": i, "key": job.cache_key(), "describe": job.describe(),
+         "spec": job.payload(), "tenant": "bob", "deadline_seconds": None}
+        for i, job in enumerate(jobs)
+    ])
+    quota_rejected = get_registry().counter("serve.quota_rejected")
+    before = quota_rejected.value
+    daemon, client = daemon_factory(cache_dir=str(cache), tenant_quota=1,
+                                    batch_size=1)
+    keys = [job.cache_key() for job in jobs]
+    assert sorted(daemon.records) == sorted(keys)
+    for key in keys:
+        final = client.wait(key, timeout=60)
+        assert final["state"] == "done"
+        assert final["requeued"] is True and final["tenant"] == "bob"
+    assert quota_rejected.value == before
+    assert not (cache / "pending.json").exists()
 
 
 def test_cancel_queued_job_and_conflicts(daemon_factory):
@@ -313,7 +314,7 @@ def test_quota_bounds_queued_jobs_per_tenant(daemon_factory):
     code, doc = client.submit(q2, tenant="bob")
     assert code == 429
     assert "quota" in doc["error"]
-    assert doc["retry_after_seconds"] >= 1.0
+    assert doc["retry_after_seconds"] == RETRY_AFTER_SECONDS == 10.0
     # Another tenant is unaffected.
     assert client.submit(q2, tenant="carol")[0] == 202
 
@@ -335,7 +336,7 @@ def test_rejections_carry_a_retry_after_header(daemon_factory):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(req, timeout=15)
     assert excinfo.value.code == 429
-    assert int(excinfo.value.headers["Retry-After"]) >= 1
+    assert excinfo.value.headers["Retry-After"] == "10"
 
 
 def test_http_api_errors(daemon_factory):
@@ -383,7 +384,7 @@ def test_healthz_and_metrics_reflect_traffic(daemon_factory):
     assert health["status"] == "ok"
     assert health["jobs"]["done"] == 1
     assert health["wait_seconds"]["p50"] is not None
-    assert health["admission"]["outstanding_seconds"] == 0.0
+    assert "admission" not in health
     code, metrics = client.metrics()
     assert code == 200
     assert metrics["serve.submitted"]["value"] == 1
