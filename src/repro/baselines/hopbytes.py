@@ -37,32 +37,21 @@ class HopBytesMapper(Mapper):
     iterations:
         Swap proposals; cost is O(degree) per proposal for hop-bytes and
         O(degree x stencil + channels) for MCL.
-    restarts:
-        Independent annealing runs; best final state wins.
-    initial:
-        ``"rank"`` starts from rank order (what a practitioner would
-        hand-tune from; the first restart uses it, later restarts
-        randomize) or ``"random"`` for fully random starts.
     seed:
-        RNG seed.
+        RNG seed. The search starts from rank order (what a practitioner
+        would hand-tune from) and draws its proposals from a child
+        stream of this seed.
     """
 
     def __init__(self, topology, objective: str = "hopbytes",
-                 iterations: int = 5000, restarts: int = 1,
-                 initial: str = "rank", seed=0):
+                 iterations: int = 5000, seed=0):
         super().__init__(topology)
         if objective not in ("hopbytes", "mcl"):
             raise ConfigError(
                 f"objective must be 'hopbytes' or 'mcl', got {objective!r}"
             )
-        if initial not in ("rank", "random"):
-            raise ConfigError(
-                f"initial must be 'rank' or 'random', got {initial!r}"
-            )
         self.objective = objective
         self.iterations = int(iterations)
-        self.restarts = int(restarts)
-        self.initial = initial
         self.seed = seed
         self.name = f"anneal-{objective}"
 
@@ -90,25 +79,13 @@ class HopBytesMapper(Mapper):
         for t, es in by_task.items():
             incident[t] = np.unique(np.asarray(es, dtype=np.int64))
 
-        best_t2n, best_cost = None, np.inf
-        for restart in range(self.restarts):
-            from_rank = self.initial == "rank" and restart == 0
-            t2n, cost = self._anneal(
-                graph, conc, srcs, dsts, vols, incident,
-                as_rng(int(rng.integers(2**62))), from_rank,
-            )
-            if cost < best_cost:
-                best_t2n, best_cost = t2n, cost
-        return Mapping(self.topology, best_t2n, tasks_per_node=conc)
+        t2n = self._anneal(graph, conc, srcs, dsts, vols, incident,
+                           as_rng(int(rng.integers(2**62))))
+        return Mapping(self.topology, t2n, tasks_per_node=conc)
 
-    def _anneal(self, graph, conc, srcs, dsts, vols, incident, rng,
-                from_rank: bool):
+    def _anneal(self, graph, conc, srcs, dsts, vols, incident, rng):
         T = graph.num_tasks
-        # slot s holds task s (rank-order start) or a random task.
-        slot_of_task = (
-            np.arange(T, dtype=np.int64) if from_rank else rng.permutation(T)
-        )
-        t2n = slot_of_task // conc
+        t2n = np.arange(T, dtype=np.int64) // conc  # rank-order start
         router = (
             MinimalAdaptiveRouter(self.topology)
             if self.objective == "mcl" else None
@@ -121,7 +98,7 @@ class HopBytesMapper(Mapper):
             cost = self._hopbytes(t2n, srcs, dsts, vols)
 
         if cost == 0.0 or self.iterations == 0:
-            return t2n, cost
+            return t2n
         t0 = 0.05 * cost
         alpha = (1e-3) ** (1.0 / max(self.iterations, 1))
         temp = t0
@@ -156,7 +133,7 @@ class HopBytesMapper(Mapper):
                 else:
                     t2n[a], t2n[b] = t2n[b], t2n[a]
             temp *= alpha
-        return best_t2n, best_cost
+        return best_t2n
 
     def _edge_hopbytes(self, t2n, es, ed, ev) -> float:
         ns, nd = t2n[es], t2n[ed]

@@ -28,9 +28,10 @@ content-addressed result store, ``--no-cache`` bypasses it, and
 ``--job-timeout S`` bounds each job's wall clock.
 
 Resilience (``repro.resilience``): ``--deadline S`` gives each mapping a
-wall-clock budget RAHTM degrades gracefully under (``--on-deadline fail``
-raises instead), ``--checkpoint-dir DIR`` persists phase-level state and
-``--resume`` continues a killed run from it with zero repeat MILP solves.
+wall-clock budget RAHTM degrades gracefully under (``--job-timeout S``
+fails the job instead), ``--checkpoint-dir DIR`` persists phase-level
+state and ``--resume`` continues a killed run from it with zero repeat
+MILP solves.
 
 Observability (``repro.observability``): ``--trace FILE`` records the
 pipeline's span tree; a ``.jsonl`` target also gets a sibling
@@ -125,14 +126,13 @@ def build_mapper(spec: str, topology: CartesianTopology, args=None) -> object:
 
 
 def _runtime_from_args(args) -> JobRuntime | None:
-    """Translate ``--deadline/--on-deadline/--resume`` into a JobRuntime.
+    """Translate ``--deadline/--resume/--trace`` into a JobRuntime.
 
     Checkpointing activates with ``--resume``: state goes under
     ``--checkpoint-dir``, falling back to ``$REPRO_CHECKPOINT_DIR``, then
     to ``<cache-dir>/checkpoints`` when a cache directory is in play.
     """
     deadline = getattr(args, "deadline", None)
-    on_deadline = getattr(args, "on_deadline", "degrade")
     resume = getattr(args, "resume", False)
     checkpoint_dir = (getattr(args, "checkpoint_dir", None)
                       or os.environ.get("REPRO_CHECKPOINT_DIR"))
@@ -150,7 +150,6 @@ def _runtime_from_args(args) -> JobRuntime | None:
         return None
     return JobRuntime(
         deadline_seconds=deadline,
-        on_deadline=on_deadline,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         trace=trace,
@@ -533,10 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--deadline", type=float, default=None,
                        help="wall-clock budget per mapping in seconds; "
                             "RAHTM degrades gracefully to always finish")
-        p.add_argument("--on-deadline", choices=("degrade", "fail"),
-                       default="degrade",
-                       help="exhausted deadline: fall down the "
-                            "degradation ladder (default) or fail the job")
         p.add_argument("--resume", action="store_true",
                        help="resume from phase-level checkpoints of a "
                             "previously killed run")
@@ -553,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the process metrics registry after "
                             "the command")
 
-    def common(p):
+    def target_opts(p):
         p.add_argument("--topology", required=True,
                        help="torus shape, e.g. 4x4x4")
         p.add_argument("--mesh", action="store_true",
@@ -561,8 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workload", required=True,
                        help="workload spec or graph file")
         p.add_argument("--router", choices=("mar", "dor"), default="mar")
+        p.add_argument("--seed", type=int,
+                       default=MAPPER_SPEC_DEFAULTS["seed"])
+
+    def common(p):
+        target_opts(p)
         d = MAPPER_SPEC_DEFAULTS
-        p.add_argument("--seed", type=int, default=d["seed"])
         p.add_argument("--beam-width", type=int, default=d["beam_width"])
         p.add_argument("--max-orientations", type=int,
                        default=d["max_orientations"])
@@ -600,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("evaluate", help="evaluate a saved mapping")
-    common(p)
+    target_opts(p)
     p.add_argument("--mapping", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -489,7 +489,7 @@ def hierarchical_merge(
     stats = {"evaluations": 0, "cache_hits": 0, "levels": {}}
     cache: dict[tuple, dict[int, np.ndarray]] = {}
 
-    if budget is not None and budget.enforce("phase3"):
+    if budget is not None and budget.exhausted():
         if degradation is not None:
             degradation.record("phase3", "merge->first-fit",
                                "budget-exhausted", level=2)
@@ -497,7 +497,7 @@ def hierarchical_merge(
         return assignment, stats
 
     for level in range(2, cube_h.num_levels + 1):
-        if budget is not None and budget.enforce("phase3"):
+        if budget is not None and budget.exhausted():
             if degradation is not None:
                 degradation.record("phase3", "merge->first-fit",
                                    "budget-exhausted", level=level)
@@ -507,7 +507,7 @@ def hierarchical_merge(
         inv[assignment] = np.arange(V)
         level_mcls = []
         for pb in range(cube_h.num_blocks(level)):
-            if budget is not None and pb and budget.enforce("phase3"):
+            if budget is not None and pb and budget.exhausted():
                 # Mid-level exhaustion: the parents already merged keep
                 # their searched orientations, the rest keep phase-2's
                 # arrangement — still bijective (merges only permute

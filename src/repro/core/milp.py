@@ -483,16 +483,14 @@ def solve_routing_lp(
     srcs,
     dsts,
     vols,
-    minimal: bool = True,
-    time_limit: float | None = None,
 ) -> float:
     """Optimal-MCL *routing* of fixed-placement flows (a pure LP).
 
-    This answers "what could an ideal (minimal) adaptive router achieve
-    for this placement" — the quantity the MILP optimizes over placements.
-    With ``minimal=True`` each flow may only use arcs whose direction makes
-    progress toward its destination (both directions on tie dimensions),
-    which makes every unit of flow traverse a minimal path.
+    This answers "what could an ideal minimal adaptive router achieve for
+    this placement" — the quantity the MILP optimizes over placements.
+    Each flow may only use arcs whose direction makes progress toward its
+    destination (both directions on tie dimensions), which makes every
+    unit of flow traverse a minimal path.
     """
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
@@ -511,9 +509,7 @@ def solve_routing_lp(
     off = cube.delta(srcs, dsts)[:, arcs.dims]
     k = np.asarray(cube.shape)[arcs.dims]
     tie = np.asarray(cube.wrap)[arcs.dims] & (k % 2 == 0) & (np.abs(off) == k // 2)
-    allowed = off != 0
-    if minimal:
-        allowed &= tie | (np.sign(off) == arcs.signs)
+    allowed = (off != 0) & (tie | (np.sign(off) == arcs.signs))
     fi, fe = np.nonzero(allowed)
     f = 1 + np.arange(len(fi))
     num_vars = 1 + len(fi)
@@ -539,16 +535,13 @@ def solve_routing_lp(
     c = np.zeros(num_vars)
     c[0] = 1.0
     bounds = np.column_stack([np.zeros(num_vars), np.r_[np.inf, vols[fi]]])
-    options: dict = {}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
     registry = get_registry()
     registry.counter("lp.routing_solves").inc()
     registry.histogram("lp.lp_rows").record(conserve.count + loads.count)
     registry.histogram("lp.lp_cols").record(num_vars)
     start = time.perf_counter()
     res = spo.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs", options=options)
+                      bounds=bounds, method="highs")
     registry.histogram("lp.solve_seconds").record(time.perf_counter() - start)
     status = _highs_status(res, raise_infeasible=True)
     if status != "optimal":

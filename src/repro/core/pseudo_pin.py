@@ -54,10 +54,6 @@ class PinResult:
     milp_stats: list[MILPResult] = field(default_factory=list)
     cache_hits: int = 0
 
-    @property
-    def all_optimal(self) -> bool:
-        return all(r.optimal for r in self.milp_stats)
-
 
 def _signature(local_edges, num_children: int, cube) -> tuple:
     return (
@@ -151,7 +147,7 @@ def pseudo_pin(
                     # a solver error only demotes the MILP rung.
                     mode = "milp" if use_milp else "greedy"
                     reason = None
-                    if budget is not None and budget.enforce("phase2"):
+                    if budget is not None and budget.exhausted():
                         mode, reason = "static", "budget-exhausted"
                     if mode == "milp":
                         try:

@@ -180,9 +180,7 @@ class RAHTMMapper:
             Optional :class:`~repro.resilience.Budget`. Phase 2 divides
             the remaining wall clock across its MILP subproblems; on
             exhaustion each phase degrades (MILP → greedy → static, full
-            merge → first-fit) but always returns a *valid* mapping —
-            unless the budget's policy is ``fail``, which raises
-            :class:`~repro.errors.DeadlineExceededError` instead.
+            merge → first-fit) but always returns a *valid* mapping.
             Degradation events land in ``self.stats["degradation"]``.
         checkpoint:
             Optional :class:`~repro.resilience.MapperCheckpoint`. Each
@@ -218,7 +216,7 @@ class RAHTMMapper:
                 )
 
             if self.config.refine_iterations:
-                if budget is not None and budget.enforce("phase4"):
+                if budget is not None and budget.exhausted():
                     self.degradation.record("phase4", "refine->skipped",
                                             "budget-exhausted")
                 else:

@@ -22,7 +22,6 @@ __all__ = [
     "ServiceError",
     "StoreLockError",
     "JobTimeoutError",
-    "DeadlineExceededError",
     "CheckpointError",
     "FaultInjectionError",
 ]
@@ -78,14 +77,6 @@ class StoreLockError(ServiceError):
 
 class JobTimeoutError(ServiceError):
     """A mapping job exceeded its configured time budget."""
-
-
-class DeadlineExceededError(ReproError):
-    """A deadline budget was exhausted under the ``fail`` policy.
-
-    Under the default ``degrade`` policy budget exhaustion never raises —
-    each phase falls down its degradation ladder instead.
-    """
 
 
 class CheckpointError(ReproError):

@@ -51,6 +51,9 @@ __all__ = [
 #: Version of every JSON artifact this module emits.
 NETVIEW_SCHEMA_VERSION = 1
 
+#: How many moved tasks a :class:`MappingDiff` lists by name.
+MAX_MOVED_TASKS = 16
+
 
 # -- link identity ---------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -370,68 +373,6 @@ class NetView:
             "max_residual": self.max_residual,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NetView":
-        if doc.get("schema") != NETVIEW_SCHEMA_VERSION:
-            raise ReproError(
-                f"netview artifact schema {doc.get('schema')!r} unsupported "
-                f"(expected {NETVIEW_SCHEMA_VERSION})"
-            )
-
-        def link(d: dict) -> LinkRef:
-            return LinkRef(
-                slot=int(d["slot"]),
-                src_node=int(d["src_node"]),
-                dst_node=int(d["dst_node"]),
-                src_coords=tuple(int(x) for x in d["src_coords"]),
-                dim=int(d["dim"]),
-                direction=str(d["direction"]),
-            )
-
-        sat = doc.get("saturation")
-        return cls(
-            router=doc["router"],
-            topology_shape=tuple(doc["topology"]["shape"]),
-            topology_wrap=tuple(bool(w) for w in doc["topology"]["wrap"]),
-            num_flows=int(doc["num_flows"]),
-            stats=LoadStats(**doc["stats"]),
-            dimension_loads=[DimensionLoad(**d) for d in doc["dimension_loads"]],
-            hotspots=[
-                LinkHotspot(
-                    link=link(h["link"]),
-                    load=float(h["load"]),
-                    share_of_mcl=float(h["share_of_mcl"]),
-                    share_of_total=float(h["share_of_total"]),
-                    flows=[
-                        FlowContribution(
-                            src_node=int(f["src_node"]),
-                            dst_node=int(f["dst_node"]),
-                            volume=float(f["volume"]),
-                            contribution=float(f["contribution"]),
-                            share=float(f["share"]),
-                            task_pairs=[tuple(p) for p in f["task_pairs"]],
-                        )
-                        for f in h["flows"]
-                    ],
-                )
-                for h in doc["hotspots"]
-            ],
-            saturation=(
-                None
-                if sat is None
-                else SaturationEstimate(
-                    link_bandwidth=float(sat["link_bandwidth"]),
-                    bottleneck=link(sat["bottleneck"]),
-                    bottleneck_utilization=float(sat["bottleneck_utilization"]),
-                    mcl_link_utilization=float(sat["mcl_link_utilization"]),
-                    saturated_links=int(sat["saturated_links"]),
-                    mcl_seconds=float(sat["mcl_seconds"]),
-                    agrees=bool(sat["agrees"]),
-                )
-            ),
-            max_residual=float(doc.get("max_residual", 0.0)),
-        )
-
     def write_json(self, path) -> Path:
         path = Path(path)
         path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -447,7 +388,6 @@ def build_netview(
     task_pairs_per_flow: int = 4,
     saturation: bool = False,
     link_bandwidth: float = 1.8e9,
-    attribution: FlowLinkAttribution | None = None,
 ) -> NetView:
     """Explain one mapping's channel loads end to end.
 
@@ -455,8 +395,7 @@ def build_netview(
     the fluid model's max-min fair rates to estimate per-link utilization
     (opt-in: it costs one sparse matvec per freeze round).
     """
-    if attribution is None:
-        attribution = attribute_mapping(router, mapping, graph)
+    attribution = attribute_mapping(router, mapping, graph)
     loads = attribution.channel_loads()
     topo = router.topology
     return NetView(
@@ -593,7 +532,6 @@ def diff_mappings(
     label_a: str = "a",
     label_b: str = "b",
     top_k: int = 5,
-    max_moved_tasks: int = 16,
     phase_seconds_a: dict | None = None,
     phase_seconds_b: dict | None = None,
 ) -> MappingDiff:
@@ -661,7 +599,7 @@ def diff_mappings(
         tasks_moved=int(len(moved)),
         moved_tasks=[
             (int(t), int(mapping_a.task_to_node[t]), int(mapping_b.task_to_node[t]))
-            for t in moved[:max_moved_tasks]
+            for t in moved[:MAX_MOVED_TASKS]
         ],
         hotspots_entered=describe(hot_b - hot_a),
         hotspots_left=describe(hot_a - hot_b),

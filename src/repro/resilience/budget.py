@@ -7,17 +7,16 @@ levels). It tracks the seconds remaining until the global deadline;
 phase 2 divides what remains across its outstanding subproblems so every
 MILP gets a shrinking ``time_limit`` and the sum stays under the deadline.
 
-Exhaustion policy is carried by the budget itself: ``"degrade"`` (the
-default) lets each phase fall down its degradation ladder and always
-produce a valid mapping; ``"fail"`` raises
-:class:`~repro.errors.DeadlineExceededError` at the next budget check.
+An exhausted budget never raises: each phase falls down its degradation
+ladder and still produces a valid mapping. A job that must fail instead
+of overrunning takes a ``--job-timeout``.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.errors import ConfigError, DeadlineExceededError
+from repro.errors import ConfigError
 
 __all__ = ["Budget"]
 
@@ -34,9 +33,6 @@ class Budget:
     ----------
     wall_seconds:
         Global deadline in seconds from construction (None = unlimited).
-    on_exhausted:
-        ``"degrade"`` — phases fall back gracefully; ``"fail"`` —
-        :meth:`enforce` raises :class:`DeadlineExceededError`.
     clock:
         Monotonic time source, injectable for tests.
     """
@@ -44,17 +40,11 @@ class Budget:
     def __init__(
         self,
         wall_seconds: float | None = None,
-        on_exhausted: str = "degrade",
         clock=time.monotonic,
     ):
         if wall_seconds is not None and wall_seconds <= 0:
             raise ConfigError("wall_seconds must be > 0 (or None)")
-        if on_exhausted not in ("degrade", "fail"):
-            raise ConfigError(
-                f"on_exhausted must be 'degrade' or 'fail', got {on_exhausted!r}"
-            )
         self.wall_seconds = wall_seconds
-        self.on_exhausted = on_exhausted
         self._clock = clock
         self._start = clock()
 
@@ -69,22 +59,8 @@ class Budget:
         return self.wall_seconds - self.elapsed()
 
     def exhausted(self) -> bool:
+        """True once the deadline has passed: the caller must degrade."""
         return self.remaining() <= 0.0
-
-    def enforce(self, phase: str) -> bool:
-        """True iff the budget is exhausted and the caller must degrade.
-
-        Under the ``fail`` policy an exhausted budget raises instead, so a
-        True return always means "degrade here".
-        """
-        if not self.exhausted():
-            return False
-        if self.on_exhausted == "fail":
-            raise DeadlineExceededError(
-                f"deadline of {self.wall_seconds:.6g}s exceeded in {phase} "
-                f"(elapsed {self.elapsed():.3f}s)"
-            )
-        return True
 
     def solver_slice(self, default: float | None, parts: int = 1) -> float | None:
         """Per-subproblem solver ``time_limit``: the configured default
@@ -110,12 +86,8 @@ class Budget:
         return {
             "wall_seconds": self.wall_seconds,
             "elapsed_seconds": self.elapsed(),
-            "on_exhausted": self.on_exhausted,
         }
 
     def __repr__(self) -> str:
         wall = "inf" if self.wall_seconds is None else f"{self.wall_seconds:g}s"
-        return (
-            f"Budget(wall={wall}, remaining={self.remaining():.3f}s, "
-            f"policy={self.on_exhausted})"
-        )
+        return f"Budget(wall={wall}, remaining={self.remaining():.3f}s)"

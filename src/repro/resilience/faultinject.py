@@ -1,4 +1,4 @@
-"""Deterministic, seeded fault injection for chaos testing.
+"""Deterministic fault injection for chaos testing.
 
 The pipeline carries named **injection points** at its failure-prone
 seams; each is a no-op unless a :class:`FaultPlan` arms it:
@@ -45,7 +45,6 @@ worker processes inherit::
 
     REPRO_FAULTS="solver-fail,worker-crash:1,solver-slow:2:0.25"
     REPRO_FAULT_HITS_DIR=/tmp/hits    # cross-process hit accounting
-    REPRO_FAULT_SEED=7                # probability draws (rarely needed)
 
 Each spec is ``point[:max_hits[:delay]]``; ``max_hits`` bounds how many
 times the fault fires (``*`` = unlimited) and defaults to 1, so a chaos
@@ -61,7 +60,6 @@ from __future__ import annotations
 import errno
 import multiprocessing
 import os
-import random
 import signal
 import time
 from contextlib import contextmanager
@@ -76,7 +74,6 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "activate",
-    "deactivate",
     "injected_faults",
     "inject",
     "fires",
@@ -104,7 +101,6 @@ KILL_POINTS = (
 
 ENV_FAULTS = "REPRO_FAULTS"
 ENV_HITS_DIR = "REPRO_FAULT_HITS_DIR"
-ENV_SEED = "REPRO_FAULT_SEED"
 
 
 @dataclass(frozen=True)
@@ -112,15 +108,12 @@ class FaultSpec:
     """One armed injection point.
 
     ``max_hits=None`` means unlimited; ``delay`` only matters for
-    ``solver-slow``; ``probability < 1`` makes each potential hit a
-    seeded coin flip (draws come from the plan's RNG, so runs with the
-    same seed and call sequence inject identically).
+    ``solver-slow``.
     """
 
     point: str
     max_hits: int | None = 1
     delay: float = 0.05
-    probability: float = 1.0
 
     def __post_init__(self):
         known = INJECTION_POINTS + KILL_POINTS
@@ -132,22 +125,18 @@ class FaultSpec:
             raise ConfigError("max_hits must be >= 0 (or None for unlimited)")
         if self.delay < 0:
             raise ConfigError("delay must be >= 0")
-        if not (0.0 <= self.probability <= 1.0):
-            raise ConfigError("probability must be in [0, 1]")
 
 
 class FaultPlan:
     """A set of armed faults plus deterministic hit accounting."""
 
-    def __init__(self, specs, seed: int = 0, hits_dir=None):
+    def __init__(self, specs, hits_dir=None):
         self.specs: dict[str, FaultSpec] = {}
         for spec in specs:
             if spec.point in self.specs:
                 raise ConfigError(f"duplicate fault spec for {spec.point!r}")
             self.specs[spec.point] = spec
         self.hits_dir = Path(hits_dir) if hits_dir is not None else None
-        self.seed = seed
-        self._rng = random.Random(seed)
         self._local_hits: dict[str, int] = {}
 
     @classmethod
@@ -168,11 +157,7 @@ class FaultPlan:
                 max_hits = None if parts[1] in ("*", "inf") else int(parts[1])
             delay = float(parts[2]) if len(parts) > 2 and parts[2] else 0.05
             specs.append(FaultSpec(point, max_hits=max_hits, delay=delay))
-        return cls(
-            specs,
-            seed=int(environ.get(ENV_SEED, "0")),
-            hits_dir=environ.get(ENV_HITS_DIR) or None,
-        )
+        return cls(specs, hits_dir=environ.get(ENV_HITS_DIR) or None)
 
     # -- hit accounting -----------------------------------------------------------
     def _claim_shared(self, spec: FaultSpec) -> bool:
@@ -194,8 +179,6 @@ class FaultPlan:
         """The spec to fire at ``point`` now, or None (consumes a hit)."""
         spec = self.specs.get(point)
         if spec is None:
-            return None
-        if spec.probability < 1.0 and self._rng.random() >= spec.probability:
             return None
         if spec.max_hits is None:
             return spec
@@ -219,16 +202,11 @@ def activate(plan: FaultPlan | None) -> None:
     _ACTIVE = plan
 
 
-def deactivate() -> None:
-    """Disarm any programmatic plan (environment plans resume applying)."""
-    activate(None)
-
-
 @contextmanager
-def injected_faults(*specs: FaultSpec, seed: int = 0, hits_dir=None):
+def injected_faults(*specs: FaultSpec, hits_dir=None):
     """Arm the given faults for the duration of the block (tests)."""
     previous = _ACTIVE
-    activate(FaultPlan(specs, seed=seed, hits_dir=hits_dir))
+    activate(FaultPlan(specs, hits_dir=hits_dir))
     try:
         yield
     finally:
@@ -242,7 +220,6 @@ def _active() -> FaultPlan | None:
     key = (
         os.environ.get(ENV_FAULTS, ""),
         os.environ.get(ENV_HITS_DIR, ""),
-        os.environ.get(ENV_SEED, ""),
     )
     # Rebuilding on every call would reset per-process hit counters, so
     # the parsed plan is cached until the environment actually changes.

@@ -19,14 +19,12 @@ from repro.routing.base import Router, Stencil
 from repro.routing.dor import DimensionOrderRouter
 from repro.routing.minimal_adaptive import MinimalAdaptiveRouter
 from repro.routing.paths import lattice_path_counts, multinomial
-from repro.routing.valiant import ValiantRouter
 
 __all__ = [
     "Router",
     "Stencil",
     "DimensionOrderRouter",
     "MinimalAdaptiveRouter",
-    "ValiantRouter",
     "lattice_path_counts",
     "multinomial",
 ]

@@ -150,7 +150,6 @@ def accumulate_stencil_entries(
     dims: np.ndarray,
     dirs: np.ndarray,
     fracs: np.ndarray,
-    stream_weights: np.ndarray | None = None,
 ) -> Stencil:
     """Fold a (channel, fraction) entry stream into a deduplicated stencil.
 
@@ -158,13 +157,10 @@ def accumulate_stencil_entries(
     entries appear in first-appearance stream order and each key's
     fractions accumulate in stream order (``np.add.at`` is sequential),
     so the result is bitwise-identical to the dict-accumulation loop it
-    replaces. ``stream_weights`` optionally scales each entry's fraction
-    first (e.g. the Valiant ``1/V`` intermediate-node weight).
+    replaces.
     """
     ndim = offsets.shape[1]
     fracs = fracs.astype(np.float64, copy=False)
-    if stream_weights is not None:
-        fracs = fracs * stream_weights
     # Collision-free integer key: mixed-radix offset coords + dim + dir.
     lo = offsets.min(axis=0)
     radix = offsets.max(axis=0) - lo + 1

@@ -459,7 +459,7 @@ class MappingDaemon:
     def _runtime_for(self, deadline: float | None) -> JobRuntime | None:
         kwargs: dict = {}
         if deadline is not None:
-            kwargs.update(deadline_seconds=deadline, on_deadline="degrade")
+            kwargs.update(deadline_seconds=deadline)
         if self.config.checkpoint_dir is not None:
             kwargs.update(checkpoint_dir=self.config.checkpoint_dir,
                           resume=True)

@@ -77,7 +77,9 @@ __all__ = [
 #: enumeration instead of the Table II MILP, so the same RAHTM spec on a
 #: shape with 8-vertex cubes now maps differently; v5 entries would serve
 #: the MILP's placement.
-SCHEMA_VERSION = 6
+#: v7: the stored ``resilience.budget`` loses its exhaustion-policy key: a
+#: deadline always degrades.
+SCHEMA_VERSION = 7
 
 #: Defaults of the CLI's mapper tunables, keyed by argparse dest: the
 #: ``repro map``/``compare``/``explain`` flags default to these, and
@@ -156,6 +158,21 @@ class WorkloadSpec:
         return out
 
 
+#: The spec parameters each baseline mapper kind takes; ``rahtm``'s are
+#: checked by :class:`RAHTMConfig` itself.
+_BASELINE_PARAMS = {
+    "default": (),
+    "dimorder": ("order",),
+    "hilbert": (),
+    "rubik": (),
+    "rcb": ("seed",),
+    "bisection": ("seed",),
+    "anneal-hopbytes": ("iterations", "seed"),
+    "anneal-mcl": ("iterations", "seed"),
+    "random": ("seed",),
+}
+
+
 @dataclass(frozen=True)
 class MapperConfig:
     """A mapper as data: kind + sorted ``(name, value)`` parameter pairs."""
@@ -183,10 +200,22 @@ class MapperConfig:
         return dict(self.params)
 
     def build(self, topology):
-        """Instantiate the configured mapper bound to ``topology``."""
+        """Instantiate the configured mapper bound to ``topology``.
+
+        A parameter the kind does not take is an error: dropping it would
+        store one mapping under two cache keys.
+        """
         kind, p = self.kind, self.param_dict()
         if kind == "rahtm":
             return RAHTMMapper(topology, RAHTMConfig(**p))
+        if kind not in _BASELINE_PARAMS:
+            raise ConfigError(f"unknown mapper kind {self.kind!r}")
+        unknown = sorted(set(p) - set(_BASELINE_PARAMS[kind]))
+        if unknown:
+            raise ConfigError(
+                f"mapper {kind!r} does not take parameter(s) {unknown} "
+                f"(it takes {list(_BASELINE_PARAMS[kind])})"
+            )
         if kind in ("default", "dimorder"):
             from repro.baselines.dimorder import DimOrderMapper
 
@@ -214,7 +243,6 @@ class MapperConfig:
             from repro.baselines.random_map import RandomMapper
 
             return RandomMapper(topology, seed=p.get("seed", 0))
-        raise ConfigError(f"unknown mapper kind {self.kind!r}")
 
     def payload(self) -> dict:
         return {"kind": self.kind, "params": [list(kv) for kv in self.params]}
@@ -332,11 +360,9 @@ class JobRuntime:
     Attributes
     ----------
     deadline_seconds:
-        Wall-clock budget for one job's ``map()`` call (None = no limit).
-    on_deadline:
-        ``"degrade"`` falls down the fallback ladder and still returns a
-        valid mapping; ``"fail"`` raises
-        :class:`~repro.errors.DeadlineExceededError`.
+        Wall-clock budget for one job's ``map()`` call (None = no limit);
+        on exhaustion the mapper falls down its fallback ladder and still
+        returns a valid mapping.
     checkpoint_dir:
         Root of a :class:`~repro.service.store.ResultStore` for
         phase-level checkpoints (None disables checkpointing).
@@ -352,7 +378,6 @@ class JobRuntime:
     """
 
     deadline_seconds: float | None = None
-    on_deadline: str = "degrade"
     checkpoint_dir: str | None = None
     resume: bool = True
     trace: bool = False
@@ -360,11 +385,6 @@ class JobRuntime:
     def __post_init__(self):
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigError("deadline_seconds must be > 0 (or None)")
-        if self.on_deadline not in ("degrade", "fail"):
-            raise ConfigError(
-                f"on_deadline must be 'degrade' or 'fail', "
-                f"got {self.on_deadline!r}"
-            )
         if self.checkpoint_dir is not None:
             object.__setattr__(self, "checkpoint_dir", str(self.checkpoint_dir))
 
@@ -377,8 +397,7 @@ class JobRuntime:
     def budget(self) -> Budget | None:
         if self.deadline_seconds is None:
             return None
-        return Budget(wall_seconds=self.deadline_seconds,
-                      on_exhausted=self.on_deadline)
+        return Budget(wall_seconds=self.deadline_seconds)
 
     def checkpoint(self, job_key: str) -> MapperCheckpoint | None:
         if self.checkpoint_dir is None:

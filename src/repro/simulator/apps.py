@@ -10,9 +10,7 @@ Figure 9 (CG > 70%, BT/SP ~35-40%).
 from __future__ import annotations
 
 from repro.commgraph.graph import CommGraph
-from repro.mapping.mapping import Mapping
-from repro.simulator.app import ApplicationModel, calibrate_compute
-from repro.simulator.network import NetworkModel
+from repro.simulator.app import ApplicationModel
 from repro.workloads.nas import (
     _resolve_class,
     cg_phase_edges,
@@ -121,15 +119,3 @@ def halo_application(
         name="halo", phases=tuple(phases), iterations=iterations,
         compute_seconds_per_iter=0.0,
     )
-
-
-def calibrated(
-    app: ApplicationModel,
-    reference_mapping: Mapping,
-    network: NetworkModel,
-    fraction: float | None = None,
-) -> ApplicationModel:
-    """Calibrate ``app``'s compute to the paper fraction (by name)."""
-    if fraction is None:
-        fraction = PAPER_COMM_FRACTIONS.get(app.name, 0.5)
-    return calibrate_compute(app, reference_mapping, network, fraction)

@@ -2,24 +2,18 @@
 
 from repro.utils.validation import (
     check_positive_int,
-    check_nonnegative,
     check_shape_tuple,
     check_probability,
-    check_array_1d,
 )
-from repro.utils.rng import as_rng, spawn_rngs
-from repro.utils.timing import Timer, PhaseTimer
+from repro.utils.rng import as_rng
+from repro.utils.timing import PhaseTimer
 from repro.utils.logconf import get_logger
 
 __all__ = [
     "check_positive_int",
-    "check_nonnegative",
     "check_shape_tuple",
     "check_probability",
-    "check_array_1d",
     "as_rng",
-    "spawn_rngs",
-    "Timer",
     "PhaseTimer",
     "get_logger",
 ]

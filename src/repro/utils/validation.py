@@ -13,11 +13,8 @@ import numpy as np
 
 __all__ = [
     "check_positive_int",
-    "check_nonnegative",
     "check_shape_tuple",
     "check_probability",
-    "check_array_1d",
-    "check_power_of_two",
 ]
 
 
@@ -28,14 +25,6 @@ def check_positive_int(value, name: str) -> int:
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return int(value)
-
-
-def check_nonnegative(value, name: str) -> float:
-    """Return ``value`` as ``float`` if it is a non-negative number."""
-    value = float(value)
-    if not np.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    return value
 
 
 def check_shape_tuple(shape, name: str = "shape") -> tuple[int, ...]:
@@ -53,20 +42,4 @@ def check_probability(value, name: str) -> float:
     value = float(value)
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
-
-
-def check_array_1d(arr, name: str, dtype=None) -> np.ndarray:
-    """Coerce to a 1-D numpy array (optionally of ``dtype``), else raise."""
-    out = np.asarray(arr, dtype=dtype)
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {out.shape}")
-    return out
-
-
-def check_power_of_two(value, name: str) -> int:
-    """Return ``value`` if it is a positive power of two."""
-    value = check_positive_int(value, name)
-    if value & (value - 1):
-        raise ValueError(f"{name} must be a power of two, got {value}")
     return value

@@ -3,7 +3,7 @@
 The attribution matrix must agree with ``Router.link_loads`` by
 construction: both consume the router's one channel-slot expansion,
 ``Router.entries``. These tests pin that property across routers (DOR,
-MAR, Valiant), mixed-radix tori (including the BG/Q 4x4x4x4x2 shape),
+MAR), mixed-radix tori (including the BG/Q 4x4x4x4x2 shape),
 chunk sizes, and random mappings, to 1e-9 *relative* tolerance, and
 check every matrix row against the stencil placed by the independent
 slot formula of :mod:`repro.routing.reference`.
@@ -19,11 +19,7 @@ from repro.mapping import Mapping
 from repro.metrics import max_channel_load
 from repro.metrics.core import channel_loads
 from repro.observability import attribute_flows, attribute_mapping
-from repro.routing import (
-    DimensionOrderRouter,
-    MinimalAdaptiveRouter,
-    ValiantRouter,
-)
+from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
 from repro.routing.reference import reference_slots
 from repro.topology import CartesianTopology
 from repro.workloads import halo2d, random_uniform
@@ -57,18 +53,6 @@ def test_attribution_sums_to_link_loads(router_cls, shape, rng):
     topo = CartesianTopology(shape, wrap=True)
     router = router_cls(topo)
     att = attribute_flows(router, *_random_flows(topo, 200, rng))
-    _assert_matches_link_loads(att)
-
-
-@pytest.mark.parametrize(
-    "shape", [(3, 5), (4, 4, 4, 4, 2)], ids=lambda s: "x".join(map(str, s))
-)
-def test_attribution_valiant(shape, rng):
-    # Valiant stencils iterate every node per distinct offset: keep the
-    # flow count small on the BG/Q shape.
-    topo = CartesianTopology(shape, wrap=True)
-    router = ValiantRouter(topo)
-    att = attribute_flows(router, *_random_flows(topo, 12, rng))
     _assert_matches_link_loads(att)
 
 

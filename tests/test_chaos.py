@@ -230,15 +230,6 @@ def test_cli_deadline_on_bgq_shape_exits_zero(tmp_path, monkeypatch, capsys):
     assert "milp->greedy (solver-error)" in out
 
 
-def test_cli_on_deadline_fail_exits_nonzero(monkeypatch, capsys):
-    rc = cli_main([
-        "map", "--topology", "4x4", "--workload", "random:16:60",
-        "--deadline", "0.000001", "--on-deadline", "fail", "--no-cache",
-    ])
-    assert rc == 2
-    assert "DeadlineExceededError" in capsys.readouterr().err
-
-
 def test_cli_resume_needs_a_checkpoint_location(capsys):
     rc = cli_main([
         "map", "--topology", "4x4", "--workload", "random:16:60",
@@ -288,16 +279,17 @@ def test_cli_artifacts_flush_despite_injected_fault(tmp_path, monkeypatch,
 
 def test_cli_trace_and_metrics_flush_when_run_fails(tmp_path, monkeypatch,
                                                     capsys):
-    """A run that *fails* (on-deadline fail) still writes trace/metrics:
-    the flush lives in a finally block, not on the success path."""
+    """A run that *fails* (its job timeout expires) still writes
+    trace/metrics: the flush lives in a finally block, not on the success
+    path."""
     trace = tmp_path / "trace.jsonl"
     rc = cli_main([
         "map", "--topology", "4x4", "--workload", "random:16:60",
-        "--deadline", "0.000001", "--on-deadline", "fail", "--no-cache",
+        "--job-timeout", "0.000001", "--no-cache",
         "--trace", str(trace), "--metrics",
     ])
     captured = capsys.readouterr()
     assert rc == 2
-    assert "DeadlineExceededError" in captured.err
+    assert "JobTimeoutError" in captured.err
     assert trace.exists()
     assert "metric" in captured.out

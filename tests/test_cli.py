@@ -71,6 +71,19 @@ def test_cli_map_and_evaluate(tmp_path, capsys):
     assert "MCL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", [
+    ["--deadline", "5"], ["--beam-width", "4"], ["--jobs", "2"],
+    ["--no-cache"], ["--trace", "t.jsonl"], ["--metrics"],
+], ids=lambda flag: flag[0].lstrip("-"))
+def test_cli_evaluate_refuses_flags_it_would_ignore(capsys, flag):
+    """``evaluate`` scores a saved mapping: it takes the target and the
+    mapping, not the mapper tunables or the engine options."""
+    rc = main(["evaluate", "--topology", "4x4", "--workload", "ring:16",
+               "--mapping", "m.npz", *flag])
+    assert rc == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_map_rahtm_small(capsys):
     rc = main([
         "map", "--topology", "4x4", "--workload", "halo2d:4x4:3",

@@ -1,6 +1,7 @@
 """Smoke-run the lightweight example scripts (heavy ones are exercised by
 their underlying experiment modules elsewhere)."""
 
+import logging
 import runpy
 import sys
 from pathlib import Path
@@ -44,3 +45,34 @@ def test_collectives_extension(capsys):
     run_example("collectives_extension.py")
     out = capsys.readouterr().out
     assert "allreduce-recursive-doubling" in out
+
+
+def test_quickstart(capsys):
+    run_example("quickstart.py")
+    out = capsys.readouterr().out
+    assert "mapping quality (lower is better):" in out
+    assert "RAHTM phase timing:" in out
+
+
+def test_bgq_mapfile_writes_and_verifies_the_mapfile(tmp_path, capsys):
+    mapfile = tmp_path / "cg.map"
+    run_example("bgq_mapfile.py", [str(mapfile)])
+    out = capsys.readouterr().out
+    assert "512-rank mapfile" in out and "verified the round-trip" in out
+    lines = mapfile.read_text().split("\n")
+    assert len([line for line in lines if line.strip()]) == 512
+
+
+def test_nas_benchmarks(capsys):
+    # The example turns on console logging; put the package logger back
+    # so its handler does not outlive this test's captured stderr.
+    logger = logging.getLogger("repro")
+    handlers, level = list(logger.handlers), logger.level
+    try:
+        run_example("nas_benchmarks.py")
+    finally:
+        logger.handlers[:] = handlers
+        logger.setLevel(level)
+    out = capsys.readouterr().out
+    assert "offline mapping time (s)" in out
+    assert "RAHTM mean execution-time change:" in out

@@ -9,7 +9,6 @@ from repro.core import RAHTMConfig, RAHTMMapper
 from repro.errors import (
     CheckpointError,
     ConfigError,
-    DeadlineExceededError,
     SolverError,
 )
 from repro.resilience import (
@@ -47,7 +46,6 @@ class TestBudget:
         b = Budget()
         assert b.remaining() == float("inf")
         assert not b.exhausted()
-        assert not b.enforce("anywhere")
 
     def test_wall_clock_depletes(self):
         clock = FakeClock()
@@ -58,15 +56,6 @@ class TestBudget:
         assert b.remaining() == pytest.approx(6.0)
         clock.advance(7.0)
         assert b.exhausted()
-        assert b.enforce("phase2") is True
-
-    def test_fail_policy_raises(self):
-        clock = FakeClock()
-        b = Budget(wall_seconds=1.0, on_exhausted="fail", clock=clock)
-        assert not b.enforce("phase2")
-        clock.advance(2.0)
-        with pytest.raises(DeadlineExceededError, match="phase2"):
-            b.enforce("phase2")
 
     def test_solver_slice_divides_remaining(self):
         clock = FakeClock()
@@ -92,14 +81,12 @@ class TestBudget:
         b = Budget(wall_seconds=5.0)
         snap = b.snapshot()
         json.dumps(snap)
+        assert set(snap) == {"wall_seconds", "elapsed_seconds"}
         assert snap["wall_seconds"] == 5.0
-        assert snap["on_exhausted"] == "degrade"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             Budget(wall_seconds=0)
-        with pytest.raises(ConfigError):
-            Budget(on_exhausted="panic")
 
 
 # -- DegradationLog -------------------------------------------------------------------
@@ -154,14 +141,6 @@ class TestDegradationLadder:
         assert "merge->first-fit" in actions
         # No MILP ran: every phase-2 subproblem took the static rung.
         assert all(s[0].startswith("degraded") for s in mapper.stats["milp"])
-
-    def test_expired_budget_fail_policy_raises(self):
-        clock = FakeClock()
-        budget = Budget(wall_seconds=1.0, on_exhausted="fail", clock=clock)
-        clock.advance(2.0)
-        mapper = RAHTMMapper(torus(4, 4), FAST)
-        with pytest.raises(DeadlineExceededError):
-            mapper.map(random_uniform(16, 60, seed=0), budget=budget)
 
     def test_solver_fail_fault_degrades_to_greedy(self):
         mapper = RAHTMMapper(torus(4, 4), FAST)
@@ -359,13 +338,11 @@ class TestFaultPlan:
     def test_from_env_parsing(self):
         plan = FaultPlan.from_env({
             "REPRO_FAULTS": "solver-fail,worker-crash:3,solver-slow:*:0.2",
-            "REPRO_FAULT_SEED": "7",
         })
         assert plan.specs["solver-fail"].max_hits == 1
         assert plan.specs["worker-crash"].max_hits == 3
         assert plan.specs["solver-slow"].max_hits is None
         assert plan.specs["solver-slow"].delay == 0.2
-        assert plan.seed == 7
 
     def test_from_env_empty(self):
         assert FaultPlan.from_env({}) is None
@@ -404,8 +381,6 @@ class TestJobRuntime:
     def test_validation(self):
         with pytest.raises(ConfigError):
             JobRuntime(deadline_seconds=0)
-        with pytest.raises(ConfigError):
-            JobRuntime(on_deadline="explode")
 
     def test_inactive_by_default(self):
         rt = JobRuntime()
@@ -414,12 +389,10 @@ class TestJobRuntime:
         assert rt.checkpoint("key") is None
 
     def test_builders(self, tmp_path):
-        rt = JobRuntime(deadline_seconds=5.0, on_deadline="fail",
-                        checkpoint_dir=str(tmp_path))
+        rt = JobRuntime(deadline_seconds=5.0, checkpoint_dir=str(tmp_path))
         assert rt.active
         b = rt.budget()
         assert b.wall_seconds == 5.0
-        assert b.on_exhausted == "fail"
         ck = rt.checkpoint("somejobkey")
         assert ck is not None and ck.resume
 

@@ -144,3 +144,18 @@ def test_mapper_config_from_spec_covers_cli_grammar():
         mapper_config_from_spec("quantum")
     with pytest.raises(ConfigError):
         MapperConfig.make("quantum").build(parse_topology("4x4"))
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("hilbert", {"foo": 1}),
+    ("default", {"order": "TAB"}),
+    ("rubik", {"seed": 0}),
+    ("dimorder", {"seed": 0}),
+    ("rcb", {"iterations": 10}),
+    ("random", {"order": "AB"}),
+    ("anneal-mcl", {"restarts": 2}),
+])
+def test_baseline_build_rejects_parameters_its_kind_does_not_take(kind,
+                                                                   params):
+    with pytest.raises(ConfigError, match="does not take"):
+        MapperConfig.make(kind, **params).build(parse_topology("4x4"))

@@ -1,25 +1,19 @@
 """Utility-layer tests (validation, rng, timing, logging)."""
 
 import logging
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils import (
     PhaseTimer,
-    Timer,
     as_rng,
-    check_array_1d,
-    check_nonnegative,
     check_positive_int,
     check_probability,
     check_shape_tuple,
     get_logger,
-    spawn_rngs,
 )
 from repro.utils.logconf import enable_console_logging
-from repro.utils.validation import check_power_of_two
 
 
 # -- validation -----------------------------------------------------------------
@@ -32,15 +26,6 @@ def test_check_positive_int():
         check_positive_int(2.5, "x")
     with pytest.raises(TypeError):
         check_positive_int(True, "x")
-
-
-def test_check_nonnegative():
-    assert check_nonnegative(0, "x") == 0.0
-    assert check_nonnegative(1.5, "x") == 1.5
-    with pytest.raises(ValueError):
-        check_nonnegative(-1e-9, "x")
-    with pytest.raises(ValueError):
-        check_nonnegative(float("nan"), "x")
 
 
 def test_check_shape_tuple():
@@ -58,20 +43,6 @@ def test_check_probability():
         check_probability(1.1, "p")
 
 
-def test_check_array_1d():
-    out = check_array_1d([1, 2, 3], "a", dtype=np.int64)
-    assert out.dtype == np.int64
-    with pytest.raises(ValueError):
-        check_array_1d([[1], [2]], "a")
-
-
-def test_check_power_of_two():
-    assert check_power_of_two(8, "x") == 8
-    assert check_power_of_two(1, "x") == 1
-    with pytest.raises(ValueError):
-        check_power_of_two(6, "x")
-
-
 # -- rng -------------------------------------------------------------------------
 def test_as_rng_passthrough_and_seed():
     rng = np.random.default_rng(0)
@@ -81,27 +52,7 @@ def test_as_rng_passthrough_and_seed():
     assert np.array_equal(a, b)
 
 
-def test_spawn_rngs_independent_and_stable():
-    streams1 = spawn_rngs(7, 3)
-    streams2 = spawn_rngs(7, 3)
-    for r1, r2 in zip(streams1, streams2):
-        assert np.array_equal(r1.integers(0, 1000, 4), r2.integers(0, 1000, 4))
-    with pytest.raises(ValueError):
-        spawn_rngs(7, -1)
-
-
-def test_spawn_rngs_from_generator():
-    streams = spawn_rngs(np.random.default_rng(1), 2)
-    assert len(streams) == 2
-
-
 # -- timing -----------------------------------------------------------------------
-def test_timer():
-    with Timer() as t:
-        time.sleep(0.01)
-    assert t.elapsed >= 0.009
-
-
 def test_phase_timer_accumulates():
     pt = PhaseTimer()
     with pt.phase("a"):

@@ -21,7 +21,6 @@ from repro.errors import RoutingError
 from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
 from repro.routing.base import clear_stencil_cache
 from repro.routing.reference import reference_link_loads
-from repro.routing.valiant import ValiantRouter
 from repro.topology import CartesianTopology
 
 SHAPES = [(4, 4), (4, 2), (3, 5, 2), (4, 4, 4), (2, 3, 4, 5), (4, 4, 4, 4, 2)]
@@ -29,7 +28,6 @@ SHAPES = [(4, 4), (4, 2), (3, 5, 2), (4, 4, 4), (2, 3, 4, 5), (4, 4, 4, 4, 2)]
 ROUTERS = [
     ("mar", MinimalAdaptiveRouter),
     ("dor", DimensionOrderRouter),
-    ("valiant", ValiantRouter),
 ]
 
 # Meshes and mixed-wrap shapes, including partition-local shapes with
@@ -43,7 +41,6 @@ MESH_SHAPES = [
     ((2, 4, 2), (False, True, False)),
     ((4, 4, 4, 2), (True, False, True, False)),
 ]
-MESH_ROUTERS = ROUTERS[:2]  # Valiant is defined on tori only
 
 
 def flows_for(topo, n, seed):
@@ -127,8 +124,8 @@ BLOCK_SHAPES = [
 @pytest.mark.parametrize("tables", [True, False], ids=["lookup", "coords"])
 @pytest.mark.parametrize("shape,wrap", BLOCK_SHAPES,
                          ids=[f"{s}-{w}" for s, w in BLOCK_SHAPES])
-@pytest.mark.parametrize("name,cls", MESH_ROUTERS,
-                         ids=[r[0] for r in MESH_ROUTERS])
+@pytest.mark.parametrize("name,cls", ROUTERS,
+                         ids=[r[0] for r in ROUTERS])
 def test_group_blocks_bitwise_equal_reference(name, cls, shape, wrap, tables,
                                               bound):
     """``link_loads`` and every row of ``link_loads_many`` equal the
@@ -243,8 +240,8 @@ def _shape_ids(cases):
 
 @pytest.mark.parametrize("tables", [True, False], ids=["lookup", "coords"])
 @pytest.mark.parametrize("shape,wrap", MESH_SHAPES, ids=_shape_ids(MESH_SHAPES))
-@pytest.mark.parametrize("name,cls", MESH_ROUTERS,
-                         ids=[r[0] for r in MESH_ROUTERS])
+@pytest.mark.parametrize("name,cls", ROUTERS,
+                         ids=[r[0] for r in ROUTERS])
 def test_mesh_kernels_bitwise_equal_scalar(shape, wrap, name, cls, tables):
     """link_loads, every row of link_loads_many and pair_scatter equal
     the reference loop on meshes and mixed-wrap shapes, with the
@@ -410,11 +407,9 @@ def _proposals(topo, seed):
 
 BATCH_SHAPES = [((4, 4), True), ((4, 4, 2), (True, True, False)),
                 ((3, 5, 2), (True, False, True)), ((4, 4), False)]
-# (router, shape, wrap): MAR and DOR on every shape, and Valiant, whose
-# zero-offset stencil is not empty, on a torus.
-BATCH_CASES = [(name, cls, shape, wrap) for name, cls in MESH_ROUTERS
+# (router, shape, wrap): MAR and DOR on every shape.
+BATCH_CASES = [(name, cls, shape, wrap) for name, cls in ROUTERS
                for shape, wrap in BATCH_SHAPES]
-BATCH_CASES.append(("valiant", ValiantRouter, (4, 4), True))
 
 
 @pytest.mark.parametrize("tables", [True, False], ids=["lookup", "coords"])
